@@ -13,17 +13,13 @@ import random
 import sys
 from pathlib import Path
 
-from .degseq import (
-    DegreeSequenceError,
-    NotTreeRealizableError,
-    parse_degree_sequence,
-    require_tree_realizable,
-)
+from .degseq import DegreeSequenceError, NotTreeRealizableError, parse_degree_sequence
 from .greedy import build_greedy
 from .indices import DEFAULT_VALUE_TOLERANCE, pseudo_sombor, score_assignment, sombor
 from .oracle import (
     DEFAULT_TREE_CAP,
     ResourceCapExceededError,
+    _require_within_cap,
     format_report_table,
     realizable_sequences,
     sample_tree,
@@ -60,6 +56,11 @@ def _q_flag(text: str):
         ) from None
 
 
+def _resolve_q(flag, n: int) -> float:
+    """Value of a parsed --q flag for an n-vertex tree."""
+    return 1.0 / (2 * n) if flag == "auto" else flag
+
+
 def _load_tree(path: str) -> LabeledTree:
     try:
         text = Path(path).read_text()
@@ -84,7 +85,6 @@ def _render_tree(tree: LabeledTree, fmt: str) -> str:
 
 def cmd_greedy(args) -> int:
     seq, _ = parse_degree_sequence(args.degrees)
-    require_tree_realizable(seq)
     sys.stdout.write(_render_tree(build_greedy(seq), args.format))
     return EXIT_OK
 
@@ -94,7 +94,7 @@ def cmd_index(args) -> int:
     print(f"n = {tree.n}")
     print(f"SO = {_fmt(sombor(tree))}")
     if args.q is not None:
-        q_value = 1.0 / (2 * tree.n) if args.q == "auto" else args.q
+        q_value = _resolve_q(args.q, tree.n)
         scores = score_assignment(tree, q_value)
         origin = "auto: 1/(2n)" if args.q == "auto" else "given"
         print(f"q = {_fmt(q_value)} ({origin})")
@@ -109,10 +109,14 @@ def cmd_verify(args) -> int:
     if args.sweep:
         if args.max_n is None:
             raise CommandLineError("--sweep requires --max-n")
-        reports = [
-            verify_greedy_minimum(seq, args.tolerance, args.cap)
-            for seq in realizable_sequences(args.max_n)
-        ]
+        # A sweep is all-or-nothing: refuse an over-cap class before
+        # verifying any. The walk stops at the first such class, so a
+        # large --max-n never lists all its sequences first.
+        sequences = []
+        for seq in realizable_sequences(args.max_n):
+            _require_within_cap(seq, args.cap)
+            sequences.append(seq)
+        reports = [verify_greedy_minimum(seq, args.tolerance, args.cap) for seq in sequences]
         sys.stdout.write(format_report_table(reports))
         failures = sum(1 for r in reports if not r.minimum_attained)
         print(
@@ -121,7 +125,6 @@ def cmd_verify(args) -> int:
         )
         return EXIT_OK if failures == 0 else 1
     seq, _ = parse_degree_sequence(args.degrees)
-    require_tree_realizable(seq)
     report = verify_greedy_minimum(seq, args.tolerance, args.cap)
     sys.stdout.write(format_report_table([report]))
     return EXIT_OK if report.minimum_attained else 1
@@ -134,13 +137,12 @@ def cmd_descend(args) -> int:
         if not args.degrees:
             raise CommandLineError("--random requires -d/--degrees")
         seq, _ = parse_degree_sequence(args.degrees)
-        require_tree_realizable(seq)
         tree = sample_tree(seq, random.Random(args.seed))
     elif args.tree_file:
         tree = _load_tree(args.tree_file)
     else:
         raise CommandLineError("provide a tree file or --random with -d/--degrees")
-    q_value = 1.0 / (2 * tree.n) if args.q == "auto" else args.q
+    q_value = _resolve_q(args.q, tree.n)
     start_scores = score_assignment(tree, q_value)
     terminal, trace = descend(tree, q_value)
     print(f"n = {tree.n}")

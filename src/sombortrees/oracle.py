@@ -44,6 +44,17 @@ def count_trees(seq: DegreeSequence) -> int:
     return math.factorial(seq.n - 2) // denominator
 
 
+def _require_within_cap(seq: DegreeSequence, cap: int) -> int:
+    """Class size of the sequence; refuses classes holding more than
+    ``cap`` trees."""
+    total = count_trees(seq)
+    if total > cap:
+        raise ResourceCapExceededError(
+            f"class of {seq.render()} holds {total} trees, over the cap of {cap}"
+        )
+    return total
+
+
 def _code_multiset(seq: DegreeSequence) -> list[int]:
     """Label u repeated deg(u) - 1 times, in ascending order."""
     items: list[int] = []
@@ -149,7 +160,6 @@ class VerificationReport:
     z2: float | None
     greedy_so: float
     minimum_attained: bool
-    greedy_is_argmin: bool
     sandwich_holds: bool | None
     q_used: QConstant | None
     tolerance: float
@@ -163,7 +173,6 @@ class VerificationReport:
             "z2": self.z2,
             "greedy_so": self.greedy_so,
             "minimum_attained": self.minimum_attained,
-            "greedy_is_argmin": self.greedy_is_argmin,
             "sandwich_holds": self.sandwich_holds,
             "q": self.q_used.value if self.q_used else None,
             "q_branch": self.q_used.branch if self.q_used else None,
@@ -183,12 +192,7 @@ def verify_greedy_minimum(
     Refuses classes larger than ``cap`` trees: verification is
     all-or-nothing, never truncated.
     """
-    require_tree_realizable(seq)
-    total = count_trees(seq)
-    if total > cap:
-        raise ResourceCapExceededError(
-            f"class of {seq.render()} holds {total} trees, over the cap of {cap}"
-        )
+    total = _require_within_cap(seq, cap)
     greedy_tree = build_greedy(seq)
     greedy_so = sombor(greedy_tree)
     if seq.n == 1:
@@ -199,7 +203,6 @@ def verify_greedy_minimum(
             z2=None,
             greedy_so=greedy_so,
             minimum_attained=True,
-            greedy_is_argmin=True,
             sandwich_holds=None,
             q_used=None,
             tolerance=tolerance,
@@ -213,7 +216,6 @@ def verify_greedy_minimum(
     z1 = spectrum.z1
     z2 = spectrum.z2
     minimum_attained = abs(greedy_so - z1) <= tolerance
-    greedy_is_argmin = greedy_so <= z1 + tolerance
     sandwich: bool | None = None
     if z2 is not None:
         half_gap = (z2 - z1) / 2
@@ -234,7 +236,6 @@ def verify_greedy_minimum(
         z2=z2,
         greedy_so=greedy_so,
         minimum_attained=minimum_attained,
-        greedy_is_argmin=greedy_is_argmin,
         sandwich_holds=sandwich,
         q_used=q,
         tolerance=tolerance,
@@ -282,7 +283,7 @@ def format_report_table(reports: list[VerificationReport], digits: int = 10) -> 
 
     headers = [
         "degrees", "n", "trees", "z1", "z2", "greedy_SO",
-        "q", "q_rule", "min", "argmin", "sandwich",
+        "q", "q_rule", "min", "sandwich",
     ]
     rows = []
     for r in reports:
@@ -296,7 +297,6 @@ def format_report_table(reports: list[VerificationReport], digits: int = 10) -> 
             fmt(r.q_used.value if r.q_used else None),
             r.q_used.branch if r.q_used else "-",
             fmt(r.minimum_attained),
-            fmt(r.greedy_is_argmin),
             fmt(r.sandwich_holds),
         ])
     widths = [

@@ -8,7 +8,6 @@ score/level disorder together with a disorder-removing switch, and
 degree-ordered labeling leaves exactly the greedy tree.
 """
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,11 +61,10 @@ class SwitchPlan:
 
 @dataclass(frozen=True)
 class Violation:
-    """A located disorder: its kind, the named witness vertices, and the
-    switch that removes it while strictly lowering the pseudo index."""
+    """A located disorder: its kind and the switch that removes it while
+    strictly lowering the pseudo index."""
 
     kind: ViolationKind
-    witnesses: dict[str, int]
     plan: SwitchPlan
 
 
@@ -132,40 +130,40 @@ def _level_violation(
     alpha: int,
     beta: int,
 ) -> Violation:
+    # alpha out-scores beta, so alpha < beta and deg(alpha) >= deg(beta).
+    # In the two cases that recycle a child of alpha, beta has a parent and
+    # a child, so deg(alpha) >= 2 and alpha has a child below it.
     gamma = info.parent[beta]
     if info.parent[alpha] == beta:
-        kids = children.get(alpha)
-        if not kids:
-            raise SwitchError(
-                f"vertex {alpha} has no child to recycle; scores are not monotone"
-            )
-        delta = kids[0]
         return Violation(
             ViolationKind.LEVEL_CASE_PARENT,
-            {"alpha": alpha, "beta": beta, "gamma": gamma, "delta": delta},
-            SwitchPlan(alpha, delta, gamma, beta),
+            SwitchPlan(alpha, children[alpha][0], gamma, beta),
         )
     if _is_proper_descendant(info, alpha, beta):
         # alpha sits at depth >= 2 inside beta's subtree. Swapping via
         # alpha's parent would reconnect two vertices of that subtree and
         # close a cycle, so recycle one of alpha's children instead.
-        kids = children.get(alpha)
-        if not kids:
-            raise SwitchError(
-                f"vertex {alpha} has no child to recycle; scores are not monotone"
-            )
-        epsilon = kids[0]
         return Violation(
             ViolationKind.LEVEL_CASE_GRANDCHILD,
-            {"alpha": alpha, "beta": beta, "gamma": gamma, "epsilon": epsilon},
-            SwitchPlan(alpha, epsilon, gamma, beta),
+            SwitchPlan(alpha, children[alpha][0], gamma, beta),
         )
-    delta = info.parent[alpha]
     return Violation(
         ViolationKind.LEVEL_CASE_NONPARENT,
-        {"alpha": alpha, "beta": beta, "gamma": gamma, "delta": delta},
-        SwitchPlan(alpha, delta, gamma, beta),
+        SwitchPlan(alpha, info.parent[alpha], gamma, beta),
     )
+
+
+def _contract_scores(tree: LabeledTree, q: float) -> ScoreAssignment:
+    """The scores deg(u) - u*q under which the disorder scan and the
+    descent are guaranteed: labels degree-ordered, deg(1) >= ... >= deg(n),
+    and q in (0, 1/(2n)]. Raises ValueError outside that contract."""
+    if not 0 < q <= 1.0 / (2 * tree.n):
+        raise ValueError(f"q must lie in (0, 1/(2n)], got {q}")
+    if not degree_sequence_of(tree)[1]:
+        raise ValueError(
+            "descent requires the degree-ordered labeling deg(1) >= ... >= deg(n)"
+        )
+    return score_assignment(tree, q)
 
 
 def find_violation(tree: LabeledTree, scores: ScoreAssignment) -> Violation | None:
@@ -178,25 +176,15 @@ def find_violation(tree: LabeledTree, scores: ScoreAssignment) -> Violation | No
     Failing that, looks for two same-level vertices whose children are
     score-misordered and swaps those children.
 
-    Returns None exactly when neither disorder exists; for a degree-ordered
-    labeling with monotone scores that means the tree is the greedy tree.
-    Every returned plan has switch_sign DECREASE.
+    Returns None exactly when neither disorder exists; under the contract
+    of ``descend`` (degree-ordered labels, scores deg(u) - u*q with q in
+    (0, 1/(2n)]) that means the tree is the greedy tree. Every returned
+    plan has switch_sign DECREASE. Raises ValueError outside that contract.
     """
     if scores.n != tree.n:
         raise ValueError(f"scores cover {scores.n} vertices but the tree has {tree.n}")
-    if not scores.q_within_guarantee:
-        warnings.warn(
-            "q exceeds 1/(2n); the disorder scan is only guaranteed for q in (0, 1/(2n)]",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    elif not scores.strictly_decreasing:
-        warnings.warn(
-            "scores are not strictly decreasing in the label; the disorder scan "
-            "assumes a degree-ordered labeling",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    if scores != _contract_scores(tree, scores.q):
+        raise ValueError("scores must be the tree's deg(u) - u*q")
     info = tree.bfs_levels()
     depth = max(info.level.values())
     by_level: list[list[int]] = [[] for _ in range(depth + 1)]
@@ -207,8 +195,8 @@ def find_violation(tree: LabeledTree, scores: ScoreAssignment) -> Violation | No
         children.setdefault(info.parent[child], []).append(child)
 
     # Level pass: a deeper vertex out-scoring a shallower one. The root
-    # carries the top score under monotone scores, so level 0 never
-    # witnesses and the repair always has a parent above beta to use.
+    # carries the top score, so level 0 never witnesses and the repair
+    # always has a parent above beta to use.
     suffix: list[list[int]] = [[] for _ in range(depth + 2)]
     for k in range(depth, 0, -1):
         suffix[k] = sorted(by_level[k] + suffix[k + 1])
@@ -236,11 +224,7 @@ def find_violation(tree: LabeledTree, scores: ScoreAssignment) -> Violation | No
                 gamma = min(kids_a, key=lambda c: (scores[c], c))
                 delta = min(kids_b, key=lambda c: (-scores[c], c))
                 if scores[gamma] < scores[delta]:
-                    return Violation(
-                        ViolationKind.SAME_LEVEL,
-                        {"alpha": a, "beta": b, "gamma": gamma, "delta": delta},
-                        SwitchPlan(a, gamma, delta, b),
-                    )
+                    return Violation(ViolationKind.SAME_LEVEL, SwitchPlan(a, gamma, delta, b))
     return None
 
 
@@ -285,48 +269,35 @@ def descend(tree: LabeledTree, q: float) -> tuple[LabeledTree, DescentTrace]:
 
     Requires the degree-ordered labeling deg(1) >= ... >= deg(n) and
     q in (0, 1/(2n)], so every step strictly lowers the pseudo index and the
-    process terminates. The terminal tree is checked against the greedy
-    construction; any discrepancy raises DescentInvariantError rather than
-    being repaired.
+    process terminates; raises ValueError otherwise. The terminal tree is
+    checked against the greedy construction; any discrepancy raises
+    DescentInvariantError rather than being repaired.
     """
-    degrees, ordered = degree_sequence_of(tree)
-    if not ordered:
-        raise ValueError(
-            "descent requires the degree-ordered labeling deg(1) >= ... >= deg(n)"
-        )
-    if q <= 0 or (tree.n >= 2 and q > 1.0 / (2 * tree.n)):
-        raise ValueError(f"q must lie in (0, 1/(2n)], got {q}")
-    scores = score_assignment(tree, q)
+    scores = _contract_scores(tree, q)
     current = tree
     pso_current = pseudo_sombor(current, scores)
+    so_current = sombor(current)
     steps = []
-    while True:
-        violation = find_violation(current, scores)
-        if violation is None:
-            break
+    while (violation := find_violation(current, scores)) is not None:
         switched = apply_switch(current, violation.plan)
-        rescored = score_assignment(switched, q)
-        if rescored.values != scores.values:
-            raise DescentInvariantError(
-                "vertex scores changed across a degree-preserving switch"
-            )
-        pso_next = pseudo_sombor(switched, rescored)
+        pso_next = pseudo_sombor(switched, scores)
         if not pso_next < pso_current:
             raise DescentInvariantError(
                 f"switch failed to lower the pseudo index ({pso_current!r} -> {pso_next!r})"
             )
+        so_next = sombor(switched)
         steps.append(
             DescentStep(
                 plan=violation.plan,
                 kind=violation.kind,
                 pso_before=pso_current,
                 pso_after=pso_next,
-                so_before=sombor(current),
-                so_after=sombor(switched),
+                so_before=so_current,
+                so_after=so_next,
             )
         )
-        current, scores, pso_current = switched, rescored, pso_next
-    target = build_greedy(DegreeSequence(degrees))
+        current, pso_current, so_current = switched, pso_next, so_next
+    target = build_greedy(DegreeSequence(degree_sequence_of(tree)[0]))
     if current != target:
         raise DescentInvariantError(
             "descent stalled on a tree that is not the greedy construction"

@@ -32,6 +32,15 @@ class LabeledTree:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise TreeError(f"vertex count must be a positive integer, got {n!r}")
+        # Too few edges is refused before anything of size n is allocated.
+        # Too many is left to the scan below, which reports the cycle they
+        # must close.
+        edges = list(edges)
+        if len(edges) < n - 1:
+            raise TreeError(
+                f"a tree on {n} vertices has {n - 1} edges, got {len(edges)} "
+                "(graph is disconnected or not spanning)"
+            )
         canon: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         comp = list(range(n + 1))  # union-find with path halving
@@ -58,11 +67,6 @@ class LabeledTree:
                 raise TreeError(f"cycle detected when adding edge {edge}")
             comp[ru] = rv
             canon.append(edge)
-        if len(canon) != n - 1:
-            raise TreeError(
-                f"a tree on {n} vertices has {n - 1} edges, got {len(canon)} "
-                "(graph is disconnected or not spanning)"
-            )
         canon.sort()
         adj: list[list[int]] = [[] for _ in range(n + 1)]
         for u, v in canon:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from sombortrees import cli
 from sombortrees.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -142,6 +144,22 @@ def test_verify_cap_exit_4(capsys):
     assert "cap" in err
 
 
+def test_verify_sweep_refuses_cap_before_verifying(capsys, monkeypatch):
+    calls = []
+    verify = cli.verify_greedy_minimum
+
+    def counting_verify(*args, **kwargs):
+        calls.append(args)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_greedy_minimum", counting_verify)
+    code, out, err = run_cli(capsys, "verify", "--sweep", "--max-n", "9", "--cap", "100")
+    assert code == 4
+    assert calls == []
+    assert out == ""
+    assert err == "error: class of 2,2,2,2,2,1,1 holds 120 trees, over the cap of 100\n"
+
+
 def test_verify_non_realizable_exit_3(capsys):
     code, _, _ = run_cli(capsys, "verify", "-d", "3,1")
     assert code == 3
@@ -176,6 +194,38 @@ def test_descend_random_reaches_figure_tree(capsys):
     )
     assert code == 0
     assert out.endswith(FIGURE_EDGE_TEXT)
+
+
+DESCEND_82 = ",".join(["4"] * 10 + ["3"] * 10 + ["2"] * 30 + ["1"] * 32)
+
+
+@pytest.mark.parametrize(
+    "degrees, seed, stdout_sha, trace_sha",
+    [
+        (
+            "4,3,3,2,1,1,1,1,1,1", 7,
+            "3a0dc123dd9f848a15a7f3e3f7d7a33feb93986e3058f73e9e6e7f4fa6c4b01f",
+            "b3a78c0e8df1ee0eeca319b78ce14436aa314ff78528a11f717213358a411fe3",
+        ),
+        (
+            DESCEND_82, 0,
+            "3d7a8cf5594c1c885c12f57be41fe249c11dab27203f7075ee84166645bec814",
+            "880a970782f4b42f05c9944a7048a2c2e8303e9783c6d6bbf280783a5071a135",
+        ),
+    ],
+    ids=["n10-seed7", "n82-seed0"],
+)
+def test_descend_random_golden(tmp_path, capsys, degrees, seed, stdout_sha, trace_sha):
+    # Pins the exact bytes of a descent, so a rewrite of the disorder scan
+    # or of descend must reproduce every step and every printed digit.
+    trace_path = tmp_path / "trace.json"
+    code, out, _ = run_cli(
+        capsys, "descend", "--random", "-d", degrees, "--seed", str(seed),
+        "--trace-json", str(trace_path),
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == trace_sha
 
 
 def test_descend_requires_some_input(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from sombortrees.degseq import DegreeSequence
 from sombortrees.greedy import build_greedy
-from sombortrees.indices import pseudo_sombor, score_assignment, sombor
+from sombortrees.indices import ScoreAssignment, pseudo_sombor, score_assignment, sombor
 from sombortrees.oracle import enumerate_trees, realizable_sequences
 from sombortrees.switching import (
     DescentInvariantError,
@@ -124,7 +124,6 @@ def test_find_violation_shape_b():
     violation = find_violation(SHAPE_B, scores)
     assert violation is not None
     assert violation.kind is ViolationKind.LEVEL_CASE_NONPARENT
-    assert violation.witnesses == {"alpha": 3, "beta": 5, "gamma": 1, "delta": 2}
     assert violation.plan == SwitchPlan(3, 2, 1, 5)
     sign, _ = switch_sign(SHAPE_B, violation.plan, scores)
     assert sign is SwitchSign.DECREASE
@@ -137,7 +136,6 @@ def test_find_violation_parent_case():
     violation = find_violation(tree, scores)
     assert violation is not None
     assert violation.kind is ViolationKind.LEVEL_CASE_PARENT
-    assert violation.witnesses == {"alpha": 2, "beta": 3, "gamma": 1, "delta": 4}
     assert violation.plan == SwitchPlan(2, 4, 1, 3)
 
 
@@ -150,7 +148,7 @@ def test_find_violation_descendant_chain_uses_child_swap():
     violation = find_violation(tree, scores)
     assert violation is not None
     assert violation.kind is ViolationKind.LEVEL_CASE_GRANDCHILD
-    assert violation.witnesses == {"alpha": 2, "beta": 5, "gamma": 1, "epsilon": 6}
+    assert violation.plan == SwitchPlan(2, 6, 1, 5)
     switched = apply_switch(tree, violation.plan)
     assert pseudo_sombor(switched, scores) < pseudo_sombor(tree, scores)
 
@@ -162,14 +160,31 @@ def test_find_violation_same_level_case():
     violation = find_violation(tree, scores)
     assert violation is not None
     assert violation.kind is ViolationKind.SAME_LEVEL
-    assert violation.witnesses == {"alpha": 2, "beta": 3, "gamma": 5, "delta": 4}
+    assert violation.plan == SwitchPlan(2, 5, 4, 3)
     assert apply_switch(tree, violation.plan) == build_greedy(DegreeSequence((2, 2, 2, 1, 1)))
 
 
-def test_find_violation_warns_outside_guarantee():
+def test_find_violation_rejects_q_outside_guarantee():
     tree = LabeledTree(2, [(1, 2)])
-    with pytest.warns(RuntimeWarning):
+    with pytest.raises(ValueError, match="q must lie"):
         find_violation(tree, score_assignment(tree, 0.4))
+
+
+def test_find_violation_rejects_unordered_labels():
+    path = LabeledTree(3, [(1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="degree-ordered"):
+        find_violation(path, score_assignment(path, 0.1))
+
+
+def test_find_violation_rejects_foreign_scores():
+    # q and the labeling are fine, but the scores are not deg(u) - u*q
+    scores = score_assignment(SHAPE_B, 1 / 12)
+    wrong = ScoreAssignment(scores.q, (3.0,) + scores.values[1:])
+    with pytest.raises(ValueError, match="deg\\(u\\) - u\\*q"):
+        find_violation(SHAPE_B, wrong)
+    star = LabeledTree(6, [(1, v) for v in range(2, 7)])
+    with pytest.raises(ValueError, match="deg\\(u\\) - u\\*q"):
+        find_violation(SHAPE_B, score_assignment(star, 1 / 12))
 
 
 def test_every_violation_plan_decreases_exhaustive():
@@ -227,6 +242,11 @@ def test_descend_requires_q_in_range():
         descend(GREEDY_6, 0.2)
     with pytest.raises(ValueError, match="q must lie"):
         descend(GREEDY_6, 0.0)
+
+
+def test_descend_single_vertex_requires_q_in_range():
+    with pytest.raises(ValueError, match="q must lie"):
+        descend(LabeledTree(1, []), 0.75)
 
 
 def test_descend_single_vertex():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import product
 
 import networkx as nx
@@ -59,6 +60,19 @@ def test_label_out_of_range_rejected():
 def test_wrong_edge_count_rejected():
     with pytest.raises(TreeError, match="disconnected|edges"):
         LabeledTree(4, [(1, 2), (3, 4)])
+
+
+def test_too_few_edges_rejected_before_sized_allocation():
+    # A vertex count far above the edge count must fail on the count, not
+    # after allocating per-vertex tables.
+    tracemalloc.start()
+    try:
+        with pytest.raises(TreeError, match="edges"):
+            LabeledTree(10**6, [(1, 2)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_single_vertex_tree():
