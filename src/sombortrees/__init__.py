@@ -27,6 +27,7 @@ from .indices import (
 )
 from .oracle import (
     DEFAULT_TREE_CAP,
+    OracleInvariantError,
     ResourceCapExceededError,
     VerificationReport,
     count_trees,
@@ -76,6 +77,7 @@ __all__ = [
     "DescentTrace",
     "LabeledTree",
     "NotTreeRealizableError",
+    "OracleInvariantError",
     "PruferCode",
     "QConstant",
     "ResourceCapExceededError",

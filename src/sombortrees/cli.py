@@ -18,6 +18,7 @@ from .greedy import build_greedy
 from .indices import DEFAULT_VALUE_TOLERANCE, pseudo_sombor, score_assignment, sombor
 from .oracle import (
     DEFAULT_TREE_CAP,
+    OracleInvariantError,
     ResourceCapExceededError,
     _require_within_cap,
     format_report_table,
@@ -226,7 +227,7 @@ def main(argv=None) -> int:
     except ResourceCapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_CAP
-    except (DescentInvariantError, SwitchError) as exc:
+    except (DescentInvariantError, SwitchError, OracleInvariantError) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (DegreeSequenceError, TreeError, CommandLineError, ValueError) as exc:

@@ -4,32 +4,47 @@ verification that the greedy tree attains the minimum Sombor index.
 Enumeration walks the distinct permutations of the code multiset in which
 label u occurs deg(u) - 1 times, decoding each permutation; that visits
 every labeled tree of the class exactly once.
+
+The spectrum and sandwich passes sum per-edge terms over each decoded edge
+list without building a tree: every tree of the class shares the per-label
+degrees, and ``math.fsum`` rounds exactly, so the sums carry the same bits
+as ``sombor`` and ``pseudo_sombor`` of the tree. Each pass also takes the
+class's first tree through ``prufer_decode`` and those two functions, and
+raises ``OracleInvariantError`` unless both routes agree bit for bit.
 """
 
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import chain
+from typing import Iterator, Sequence
 
 from .degseq import DegreeSequence, require_tree_realizable
 from .greedy import build_greedy
 from .indices import (
     DEFAULT_VALUE_TOLERANCE,
     QConstant,
+    ScoreAssignment,
     SpectrumSummary,
     compute_q,
     pseudo_sombor,
     score_assignment,
     sombor,
 )
-from .tree_core import LabeledTree, PruferCode, prufer_decode
+from .tree_core import LabeledTree, PruferCode, prufer_decode, prufer_edges
 
 DEFAULT_TREE_CAP = 10_000_000
 
 
 class ResourceCapExceededError(RuntimeError):
     """The tree class is too large for exhaustive verification."""
+
+
+class OracleInvariantError(RuntimeError):
+    """The enumeration disagrees with itself: the class walk yielded a tree
+    count other than the formula's, or its fast index sums differ from the
+    slow path on the class's first tree."""
 
 
 def count_trees(seq: DegreeSequence) -> int:
@@ -55,6 +70,14 @@ def _require_within_cap(seq: DegreeSequence, cap: int) -> int:
     return total
 
 
+def _require_tolerance(tolerance: float) -> None:
+    """Refuses a clustering tolerance that is not a finite positive number:
+    NaN would keep every value apart and fail every comparison, and an
+    infinite one would merge the spectrum into a single value."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+
+
 def _code_multiset(seq: DegreeSequence) -> list[int]:
     """Label u repeated deg(u) - 1 times, in ascending order."""
     items: list[int] = []
@@ -78,18 +101,30 @@ def _next_permutation(items: list[int]) -> bool:
     return True
 
 
+def _class_walk(seq: DegreeSequence) -> Iterator[list[tuple[int, int]]]:
+    """Edge list of every tree of the class, as ``prufer_edges`` yields it,
+    in the lexicographic order of the codes. The code multiset is valid by
+    construction, so no ``PruferCode`` is built."""
+    require_tree_realizable(seq)
+    if seq.n == 1:
+        yield []
+        return
+    items = _code_multiset(seq)
+    degree = [0, *seq.degrees]
+    # Degrees are non-increasing, so the leaves are the highest labels and
+    # ascending order makes the list a heap.
+    leaves = [u for u, d in enumerate(seq.degrees, start=1) if d == 1]
+    while True:
+        yield prufer_edges(items, degree.copy(), leaves.copy())
+        if not _next_permutation(items):
+            return
+
+
 def enumerate_trees(seq: DegreeSequence) -> Iterator[LabeledTree]:
     """Yield every labeled tree with deg(u) = d_u exactly once, in the
     lexicographic order of the underlying codes."""
-    require_tree_realizable(seq)
-    if seq.n == 1:
-        yield LabeledTree(1, [])
-        return
-    items = _code_multiset(seq)
-    while True:
-        yield prufer_decode(PruferCode(seq.n, tuple(items)))
-        if not _next_permutation(items):
-            break
+    for edges in _class_walk(seq):
+        yield LabeledTree(seq.n, edges)
 
 
 def sample_tree(seq: DegreeSequence, rng: random.Random) -> LabeledTree:
@@ -103,16 +138,71 @@ def sample_tree(seq: DegreeSequence, rng: random.Random) -> LabeledTree:
     return prufer_decode(PruferCode(seq.n, tuple(items)))
 
 
+class _EdgeTerms(dict):
+    """Edge (a, b) -> hypot(w_a, w_b), the edge's term in an index over the
+    label weights w (degrees or scores). A term is computed on its first
+    lookup, so the table holds only the edges the walk meets."""
+
+    __slots__ = ("weights",)
+
+    def __init__(self, weights: Sequence[float]):
+        super().__init__()
+        self.weights = weights
+
+    def __missing__(self, edge: tuple[int, int]) -> float:
+        a, b = edge
+        term = self[edge] = math.hypot(self.weights[a - 1], self.weights[b - 1])
+        return term
+
+
+def _spot_check(
+    seq: DegreeSequence,
+    edges: list[tuple[int, int]],
+    so: float,
+    pso: float | None = None,
+    scores: ScoreAssignment | None = None,
+) -> None:
+    """Rebuild the class's first tree the slow way and require its edges,
+    Sombor value and (given scores) pseudo value to equal the walk's."""
+    if seq.n == 1:
+        tree = LabeledTree(1, [])
+    else:
+        tree = prufer_decode(PruferCode(seq.n, tuple(_code_multiset(seq))))
+    slow_pso = pseudo_sombor(tree, scores) if scores is not None else None
+    if tree.edges != tuple(sorted(edges)) or sombor(tree) != so or slow_pso != pso:
+        raise OracleInvariantError(
+            f"class walk of {seq.render()} disagrees with prufer_decode on its first tree"
+        )
+
+
 def sombor_value_counts(seq: DegreeSequence) -> Counter:
     """Exact index value -> number of trees attaining it.
 
     Counter addition merges partial counts from any partition of the
     enumeration, in any order, without changing the final spectrum.
     """
-    counts: Counter = Counter()
-    for tree in enumerate_trees(seq):
-        counts[sombor(tree)] += 1
-    return counts
+    term = _EdgeTerms(seq.degrees).__getitem__
+    walk = _class_walk(seq)
+    first = next(walk)
+    _spot_check(seq, first, math.fsum(map(term, first)))
+    return Counter(math.fsum(map(term, edges)) for edges in chain((first,), walk))
+
+
+def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: float) -> bool:
+    """Whether every tree of the class has SO - half_gap < pSO < SO; stops
+    at the first tree that breaks it."""
+    so_term = _EdgeTerms(seq.degrees).__getitem__
+    pso_term = _EdgeTerms(scores.values).__getitem__
+    walk = _class_walk(seq)
+    first = next(walk)
+    _spot_check(
+        seq, first, math.fsum(map(so_term, first)), math.fsum(map(pso_term, first)), scores
+    )
+    for edges in chain((first,), walk):
+        so = math.fsum(map(so_term, edges))
+        if not (so - half_gap < math.fsum(map(pso_term, edges)) < so):
+            return False
+    return True
 
 
 def spectrum_from_counts(
@@ -120,8 +210,7 @@ def spectrum_from_counts(
 ) -> SpectrumSummary:
     """Cluster exact values whose consecutive gap is at most the tolerance;
     each cluster is represented by its smallest member."""
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    _require_tolerance(tolerance)
     if not counts:
         raise ValueError("no values to summarize")
     values: list[float] = []
@@ -189,9 +278,11 @@ def verify_greedy_minimum(
     value of its class, and that every pseudo index respects the half-gap
     sandwich when at least two distinct values exist.
 
-    Refuses classes larger than ``cap`` trees: verification is
+    Refuses a tolerance that is not finite and positive, and classes larger
+    than ``cap`` trees, before any enumeration: verification is
     all-or-nothing, never truncated.
     """
+    _require_tolerance(tolerance)
     total = _require_within_cap(seq, cap)
     greedy_tree = build_greedy(seq)
     greedy_so = sombor(greedy_tree)
@@ -209,7 +300,7 @@ def verify_greedy_minimum(
         )
     spectrum = sombor_spectrum(seq, tolerance)
     if spectrum.tree_count != total:
-        raise RuntimeError(
+        raise OracleInvariantError(
             f"enumeration yielded {spectrum.tree_count} trees, expected {total}"
         )
     q = compute_q(seq, spectrum)
@@ -218,17 +309,10 @@ def verify_greedy_minimum(
     minimum_attained = abs(greedy_so - z1) <= tolerance
     sandwich: bool | None = None
     if z2 is not None:
-        half_gap = (z2 - z1) / 2
         # Scores depend only on the per-label degrees, which every tree of
-        # the class shares, so one assignment serves the whole sweep.
+        # the class shares, so one assignment serves the whole pass.
         scores = score_assignment(greedy_tree, q.value)
-        sandwich = True
-        for tree in enumerate_trees(seq):
-            so = sombor(tree)
-            pso = pseudo_sombor(tree, scores)
-            if not (so - half_gap < pso < so):
-                sandwich = False
-                break
+        sandwich = _sandwich_holds(seq, scores, (z2 - z1) / 2)
     return VerificationReport(
         seq=seq,
         tree_count=total,

@@ -8,7 +8,7 @@ immutable after validation and safe to share.
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 
 class TreeError(ValueError):
@@ -235,6 +235,28 @@ def prufer_encode(tree: LabeledTree) -> PruferCode:
     return PruferCode(n, tuple(out))
 
 
+def prufer_edges(
+    code: Sequence[int], degree: list[int], leaves: list[int]
+) -> list[tuple[int, int]]:
+    """The n - 1 edges of the tree with this Prufer code, each as a (min, max)
+    pair, in the order the decoder joins them.
+
+    ``degree[u]`` must start at the tree's deg(u), that is the occurrences of
+    u in the code plus one, and ``leaves`` must be a heap of the labels of
+    degree one. Both are consumed.
+    """
+    edges = []
+    for entry in code:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, entry) if leaf < entry else (entry, leaf))
+        degree[entry] -= 1
+        if degree[entry] == 1:
+            heapq.heappush(leaves, entry)
+    a = heapq.heappop(leaves)
+    edges.append((a, heapq.heappop(leaves)))  # the smaller label pops first
+    return edges
+
+
 def prufer_decode(code: PruferCode) -> LabeledTree:
     """Inverse of prufer_encode: vertex u gets (occurrences of u) + 1 edges."""
     n = code.n
@@ -242,16 +264,6 @@ def prufer_decode(code: PruferCode) -> LabeledTree:
     degree[0] = 0
     for entry in code.code:
         degree[entry] += 1
+    # Listed in ascending order, so already a heap.
     leaves = [u for u in range(1, n + 1) if degree[u] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for entry in code.code:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, entry) if leaf < entry else (entry, leaf))
-        degree[entry] -= 1
-        if degree[entry] == 1:
-            heapq.heappush(leaves, entry)
-    a = heapq.heappop(leaves)
-    b = heapq.heappop(leaves)
-    edges.append((a, b) if a < b else (b, a))
-    return LabeledTree(n, edges)
+    return LabeledTree(n, prufer_edges(code.code, degree, leaves))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sombortrees import cli
+from sombortrees import cli, oracle
 from sombortrees.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -163,6 +163,68 @@ def test_verify_sweep_refuses_cap_before_verifying(capsys, monkeypatch):
 def test_verify_non_realizable_exit_3(capsys):
     code, _, _ = run_cli(capsys, "verify", "-d", "3,1")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("-d", "3,2,2,1,1,1", "--tolerance", "nan"),
+        ("-d", "3,2,2,1,1,1", "--tolerance", "inf"),
+        ("-d", "0", "--tolerance", "-1"),
+        ("--sweep", "--max-n", "5", "--tolerance", "-1"),
+        ("--sweep", "--max-n", "5", "--tolerance", "nan"),
+    ],
+    ids=["nan", "inf", "negative-one-vertex", "negative-sweep", "nan-sweep"],
+)
+def test_verify_refuses_bad_tolerance(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tolerance must be finite and positive")
+
+
+def _shift_up(fn):
+    return lambda *args: math.nextafter(fn(*args), math.inf)
+
+
+@pytest.mark.parametrize(
+    "name, fake",
+    [
+        ("count_trees", lambda real: lambda seq: real(seq) + 1),
+        ("sombor", _shift_up),
+        ("pseudo_sombor", _shift_up),
+    ],
+    ids=["tree-count", "spectrum-spot-check", "sandwich-spot-check"],
+)
+def test_verify_oracle_invariant_exit_5(capsys, monkeypatch, name, fake):
+    monkeypatch.setattr(oracle, name, fake(getattr(oracle, name)))
+    code, out, err = run_cli(capsys, "verify", "-d", "3,2,2,1,1,1")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("internal invariant violated: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, stdout_sha",
+    [
+        (
+            ("-d", "4,3,3,2,2,1,1,1,1,1,1"),
+            "b89bf5d879218cd3612a318b05748c0af7b73050e7f29668e2f1259390a18300",
+        ),
+        (
+            ("--sweep", "--max-n", "8"),
+            "a2896fc8f53d2dfed9ab096c62c40731f5701d7d909044a2676b05c0c5d0be22",
+        ),
+    ],
+    ids=["n11-class", "sweep-8"],
+)
+def test_verify_golden(capsys, argv, stdout_sha):
+    # Pins the exact bytes of verify, so a rewrite of the class walk or of
+    # the index sums must reproduce every printed digit and verdict.
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
 
 
 def test_descend_fixed_point_from_file(tmp_path, capsys):

@@ -2,11 +2,13 @@ import json
 import math
 import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
+from sombortrees import oracle
 from sombortrees.degseq import DegreeSequence, NotTreeRealizableError
-from sombortrees.indices import sombor
+from sombortrees.indices import compute_q, pseudo_sombor, score_assignment, sombor
 from sombortrees.oracle import (
     ResourceCapExceededError,
     count_trees,
@@ -19,9 +21,9 @@ from sombortrees.oracle import (
     spectrum_from_counts,
     verify_greedy_minimum,
 )
-from sombortrees.tree_core import degree_sequence_of
+from sombortrees.tree_core import LabeledTree, PruferCode, degree_sequence_of, prufer_decode
 
-from brute import sombor_value, trees_with_degrees
+from brute import pseudo_sombor_value, sombor_value, trees_with_degrees
 
 
 def test_count_examples():
@@ -223,3 +225,86 @@ def test_greedy_never_beaten_small_brute_force():
         )
         assert report.z1 == pytest.approx(brute_min, abs=1e-9)
         assert report.minimum_attained
+
+
+def _slow_trees(seq):
+    """Every tree of the class through the validated codec, with the codes
+    listed by itertools rather than by the oracle's own successor step."""
+    if seq.n == 1:
+        return [LabeledTree(1, [])]
+    multiset = [u for u, d in enumerate(seq.degrees, start=1) for _ in range(d - 1)]
+    return [prufer_decode(PruferCode(seq.n, code)) for code in sorted(set(permutations(multiset)))]
+
+
+CLASSES_UP_TO_9 = [DegreeSequence((0,))] + list(realizable_sequences(9))
+
+
+@pytest.mark.parametrize("seq", CLASSES_UP_TO_9, ids=lambda s: s.render())
+def test_class_walk_matches_slow_path(seq):
+    # The fast passes must carry the same bits as the tree-building route
+    # on every class with n <= 9 (13,391 trees with n >= 2).
+    slow = _slow_trees(seq)
+    walk = list(oracle._class_walk(seq))
+    assert [tuple(sorted(edges)) for edges in walk] == [t.edges for t in slow]
+    assert [t.edges for t in enumerate_trees(seq)] == [t.edges for t in slow]
+    assert sombor_value_counts(seq) == Counter(sombor(t) for t in slow)
+    if seq.n == 1:
+        return
+    spectrum = sombor_spectrum(seq)
+    scores = score_assignment(slow[0], compute_q(seq, spectrum).value)
+    pso_term = oracle._EdgeTerms(scores.values).__getitem__
+    slow_pairs = [(sombor(t), pseudo_sombor(t, scores)) for t in slow]
+    assert [math.fsum(map(pso_term, edges)) for edges in walk] == [p for _, p in slow_pairs]
+    report = verify_greedy_minimum(seq)
+    if spectrum.z2 is None:
+        assert report.sandwich_holds is None
+        return
+    gaps = [so - pso for so, pso in slow_pairs]
+    # The class's own half gap, and bands that some or all trees break.
+    for half_gap in ((spectrum.z2 - spectrum.z1) / 2, min(gaps), max(gaps), 0.0):
+        slow_verdict = all(so - half_gap < pso < so for so, pso in slow_pairs)
+        assert oracle._sandwich_holds(seq, scores, half_gap) == slow_verdict
+    assert report.sandwich_holds
+
+
+@pytest.mark.parametrize("seq", list(realizable_sequences(6)), ids=lambda s: s.render())
+def test_fast_passes_match_brute_force(seq):
+    brute = trees_with_degrees(seq.degrees)
+    fast_values = sorted(sombor_value_counts(seq).elements())
+    assert fast_values == pytest.approx(sorted(sombor_value(seq.n, t) for t in brute), abs=1e-9)
+    report = verify_greedy_minimum(seq)
+    if report.z2 is None:
+        assert report.sandwich_holds is None
+        return
+    half_gap = (report.z2 - report.z1) / 2
+    q = report.q_used.value
+    brute_verdict = all(
+        sombor_value(seq.n, t) - half_gap < pseudo_sombor_value(seq.n, t, q) < sombor_value(seq.n, t)
+        for t in brute
+    )
+    assert report.sandwich_holds == brute_verdict
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_tolerance_must_be_finite_and_positive(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        spectrum_from_counts(Counter({1.0: 1}), tolerance)
+    # Refused before the realizability test, so before any enumeration.
+    with pytest.raises(ValueError, match="tolerance"):
+        verify_greedy_minimum(DegreeSequence((2, 2, 2)), tolerance)
+    with pytest.raises(ValueError, match="tolerance"):
+        verify_greedy_minimum(DegreeSequence((0,)), tolerance)
+
+
+def test_tree_count_mismatch_raises_oracle_invariant_error(monkeypatch):
+    real = oracle.count_trees
+    monkeypatch.setattr(oracle, "count_trees", lambda seq: real(seq) + 1)
+    with pytest.raises(oracle.OracleInvariantError, match="expected 13"):
+        verify_greedy_minimum(DegreeSequence((3, 2, 2, 1, 1, 1)))
+
+
+def test_spot_check_catches_a_wrong_fast_value(monkeypatch):
+    real = oracle.sombor
+    monkeypatch.setattr(oracle, "sombor", lambda tree: math.nextafter(real(tree), math.inf))
+    with pytest.raises(oracle.OracleInvariantError, match="first tree"):
+        sombor_value_counts(DegreeSequence((2, 2, 1, 1)))
