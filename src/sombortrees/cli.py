@@ -20,6 +20,7 @@ from .oracle import (
     DEFAULT_TREE_CAP,
     OracleInvariantError,
     ResourceCapExceededError,
+    _require_tolerance,
     _require_within_cap,
     format_report_table,
     realizable_sequences,
@@ -107,6 +108,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_tolerance(args.tolerance)
     if args.sweep:
         if args.max_n is None:
             raise CommandLineError("--sweep requires --max-n")

@@ -111,8 +111,6 @@ def _class_walk(seq: DegreeSequence) -> Iterator[list[tuple[int, int]]]:
         return
     items = _code_multiset(seq)
     degree = [0, *seq.degrees]
-    # Degrees are non-increasing, so the leaves are the highest labels and
-    # ascending order makes the list a heap.
     leaves = [u for u, d in enumerate(seq.degrees, start=1) if d == 1]
     while True:
         yield prufer_edges(items, degree.copy(), leaves.copy())

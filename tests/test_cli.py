@@ -173,8 +173,11 @@ def test_verify_non_realizable_exit_3(capsys):
         ("-d", "0", "--tolerance", "-1"),
         ("--sweep", "--max-n", "5", "--tolerance", "-1"),
         ("--sweep", "--max-n", "5", "--tolerance", "nan"),
+        ("--sweep", "--max-n", "1", "--tolerance", "nan"),
+        ("--sweep", "--max-n", "12", "--cap", "100", "--tolerance", "nan"),
     ],
-    ids=["nan", "inf", "negative-one-vertex", "negative-sweep", "nan-sweep"],
+    ids=["nan", "inf", "negative-one-vertex", "negative-sweep", "nan-sweep",
+         "nan-empty-sweep", "nan-over-cap-sweep"],
 )
 def test_verify_refuses_bad_tolerance(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)

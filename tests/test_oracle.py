@@ -218,13 +218,27 @@ def test_sample_tree_covers_class():
 
 def test_greedy_never_beaten_small_brute_force():
     # cross-validate verify_greedy_minimum against edge-subset enumeration
+    # and check the fast passes' value multiset and sandwich verdict too
     for seq in realizable_sequences(6):
         report = verify_greedy_minimum(seq)
-        brute_min = min(
-            sombor_value(seq.n, t) for t in trees_with_degrees(seq.degrees)
-        )
-        assert report.z1 == pytest.approx(brute_min, abs=1e-9)
+        brute = trees_with_degrees(seq.degrees)
+        brute_values = sorted(sombor_value(seq.n, t) for t in brute)
+        assert report.z1 == pytest.approx(brute_values[0], abs=1e-9)
         assert report.minimum_attained
+        fast_values = sorted(sombor_value_counts(seq).elements())
+        assert fast_values == pytest.approx(brute_values, abs=1e-9)
+        if report.z2 is None:
+            assert report.sandwich_holds is None
+            continue
+        half_gap = (report.z2 - report.z1) / 2
+        q = report.q_used.value
+        brute_verdict = all(
+            sombor_value(seq.n, t) - half_gap
+            < pseudo_sombor_value(seq.n, t, q)
+            < sombor_value(seq.n, t)
+            for t in brute
+        )
+        assert report.sandwich_holds == brute_verdict
 
 
 def _slow_trees(seq):
@@ -265,24 +279,6 @@ def test_class_walk_matches_slow_path(seq):
         slow_verdict = all(so - half_gap < pso < so for so, pso in slow_pairs)
         assert oracle._sandwich_holds(seq, scores, half_gap) == slow_verdict
     assert report.sandwich_holds
-
-
-@pytest.mark.parametrize("seq", list(realizable_sequences(6)), ids=lambda s: s.render())
-def test_fast_passes_match_brute_force(seq):
-    brute = trees_with_degrees(seq.degrees)
-    fast_values = sorted(sombor_value_counts(seq).elements())
-    assert fast_values == pytest.approx(sorted(sombor_value(seq.n, t) for t in brute), abs=1e-9)
-    report = verify_greedy_minimum(seq)
-    if report.z2 is None:
-        assert report.sandwich_holds is None
-        return
-    half_gap = (report.z2 - report.z1) / 2
-    q = report.q_used.value
-    brute_verdict = all(
-        sombor_value(seq.n, t) - half_gap < pseudo_sombor_value(seq.n, t, q) < sombor_value(seq.n, t)
-        for t in brute
-    )
-    assert report.sandwich_holds == brute_verdict
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, 0.0, -1.0])
