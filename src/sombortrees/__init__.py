@@ -15,21 +15,16 @@ from .degseq import (
     require_tree_realizable,
 )
 from .greedy import build_greedy
-from .indices import (
-    DEFAULT_VALUE_TOLERANCE,
-    QConstant,
-    ScoreAssignment,
-    SpectrumSummary,
-    compute_q,
-    pseudo_sombor,
-    score_assignment,
-    sombor,
-)
+from .indices import ScoreAssignment, pseudo_sombor, score_assignment, sombor
 from .oracle import (
     DEFAULT_TREE_CAP,
+    DEFAULT_VALUE_TOLERANCE,
     OracleInvariantError,
+    QConstant,
     ResourceCapExceededError,
+    SpectrumSummary,
     VerificationReport,
+    compute_q,
     count_trees,
     enumerate_trees,
     format_report_table,

@@ -15,9 +15,10 @@ from pathlib import Path
 
 from .degseq import DegreeSequenceError, NotTreeRealizableError, parse_degree_sequence
 from .greedy import build_greedy
-from .indices import DEFAULT_VALUE_TOLERANCE, pseudo_sombor, score_assignment, sombor
+from .indices import pseudo_sombor, score_assignment, sombor
 from .oracle import (
     DEFAULT_TREE_CAP,
+    DEFAULT_VALUE_TOLERANCE,
     OracleInvariantError,
     ResourceCapExceededError,
     _require_tolerance,
@@ -36,15 +37,13 @@ EXIT_NOT_REALIZABLE = 3
 EXIT_RESOURCE_CAP = 4
 EXIT_INTERNAL = 5
 
-DEFAULT_DIGITS = 10
-
 
 class CommandLineError(ValueError):
     """Bad flag combination or unreadable input."""
 
 
-def _fmt(value: float, digits: int = DEFAULT_DIGITS) -> str:
-    return format(value, f".{digits}g")
+def _fmt(value: float) -> str:
+    return format(value, ".10g")
 
 
 def _q_flag(text: str):
@@ -71,7 +70,7 @@ def _load_tree(path: str) -> LabeledTree:
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise TreeError(f"invalid JSON tree file {path}: {exc}") from exc
         return LabeledTree.from_json_dict(obj)
     return LabeledTree.from_edge_text(text)

@@ -43,15 +43,6 @@ class DegreeSequence:
         """Canonical text form: comma-separated, no spaces."""
         return ",".join(str(d) for d in self.degrees)
 
-    def __len__(self) -> int:
-        return len(self.degrees)
-
-    def __iter__(self):
-        return iter(self.degrees)
-
-    def __getitem__(self, index):
-        return self.degrees[index]
-
 
 def parse_degree_sequence(text: str) -> tuple[DegreeSequence, bool]:
     """Parse a comma- or whitespace-separated list of degrees.

@@ -8,12 +8,7 @@ results regardless of tree shape.
 import math
 from dataclasses import dataclass
 
-from .degseq import DegreeSequence
 from .tree_core import LabeledTree
-
-# Two index values closer than this are treated as the same element of the
-# value spectrum (gap clustering; shared with the oracle module).
-DEFAULT_VALUE_TOLERANCE = 1e-9
 
 
 def sombor(tree: LabeledTree) -> float:
@@ -28,8 +23,9 @@ class ScoreAssignment:
     """Per-vertex scores deg(u) - u*q for a fixed positive constant q.
 
     ``values[u - 1]`` is the score of vertex u. For degree-ordered labelings
-    with q <= 1/(2n) the scores are strictly decreasing in the label and the
-    last score is at least 1/2, so no two vertices share a score.
+    with q <= 1/(2n) the exact scores are strictly decreasing in the label
+    and the last score is at least 1/2, so no two vertices share a score;
+    a q small enough to round equal-degree scores together breaks that.
     """
 
     q: float
@@ -45,19 +41,15 @@ class ScoreAssignment:
         return self.values[u - 1]
 
     @property
-    def q_within_guarantee(self) -> bool:
-        """q <= 1/(2n), the range where score monotonicity is guaranteed."""
-        return 0 < self.q <= 1.0 / (2 * self.n)
-
-    @property
     def strictly_decreasing(self) -> bool:
         return all(a > b for a, b in zip(self.values, self.values[1:]))
 
 
 def score_assignment(tree: LabeledTree, q: float) -> ScoreAssignment:
-    """Scores deg(u) - u*q for every vertex of the tree."""
-    if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
+    """Scores deg(u) - u*q for every vertex of the tree; q must be finite
+    and positive."""
+    if not (math.isfinite(q) and q > 0):
+        raise ValueError(f"q must be finite and positive, got {q}")
     values = tuple(tree.degree(u) - u * q for u in range(1, tree.n + 1))
     return ScoreAssignment(q, values)
 
@@ -69,79 +61,3 @@ def pseudo_sombor(tree: LabeledTree, scores: ScoreAssignment) -> float:
             f"scores cover {scores.n} vertices but the tree has {tree.n}"
         )
     return math.fsum(math.hypot(scores[u], scores[v]) for u, v in tree.edges)
-
-
-@dataclass(frozen=True)
-class SpectrumSummary:
-    """Distinct index values over one tree class, with multiplicities.
-
-    Values are strictly increasing under the clustering tolerance that
-    produced them; multiplicities count the labeled trees attaining each.
-    """
-
-    values: tuple[float, ...]
-    multiplicities: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        object.__setattr__(self, "multiplicities", tuple(self.multiplicities))
-        if not self.values:
-            raise ValueError("spectrum must contain at least one value")
-        if len(self.values) != len(self.multiplicities):
-            raise ValueError("values and multiplicities differ in length")
-        if any(a >= b for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("spectrum values must be strictly increasing")
-        if any(m < 1 for m in self.multiplicities):
-            raise ValueError("multiplicities must be positive")
-
-    @property
-    def z1(self) -> float:
-        """Smallest value."""
-        return self.values[0]
-
-    @property
-    def z2(self) -> float | None:
-        """Second smallest value, or None when only one value exists."""
-        return self.values[1] if len(self.values) >= 2 else None
-
-    @property
-    def tree_count(self) -> int:
-        return sum(self.multiplicities)
-
-    @property
-    def distinct_count(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class QConstant:
-    """A tie-breaking constant together with the rule that produced it.
-
-    ``branch`` is one of:
-      * ``"spectrum-gap"``: min(1/(2n), (z2 - z1) / (4 n^3 sqrt(2))), from a
-        spectrum with at least two distinct values;
-      * ``"single-value"``: 1/(2n), from a one-value spectrum;
-      * ``"fallback"``: 1/(2n), no spectrum supplied.
-    """
-
-    value: float
-    branch: str
-
-
-def compute_q(seq: DegreeSequence, spectrum: SpectrumSummary | None = None) -> QConstant:
-    """Small positive constant used to perturb degrees into distinct scores.
-
-    The spectrum-gap value is small enough that the pseudo index orders
-    trees exactly like the plain index; the 1/(2n) fallback still keeps all
-    scores positive and strictly decreasing for degree-ordered labelings.
-    """
-    n = seq.n
-    if n < 2:
-        raise ValueError("the score constant is defined for n >= 2 only")
-    base = 1.0 / (2 * n)
-    if spectrum is None:
-        return QConstant(base, "fallback")
-    if spectrum.z2 is None:
-        return QConstant(base, "single-value")
-    gap = (spectrum.z2 - spectrum.z1) / (4 * n**3 * math.sqrt(2))
-    return QConstant(min(base, gap), "spectrum-gap")

@@ -1,4 +1,5 @@
-"""Exhaustive enumeration of the trees with a fixed degree sequence and
+"""Exhaustive enumeration of the trees with a fixed degree sequence, the
+class's value spectrum and the score constant q picked from its gap, and
 verification that the greedy tree attains the minimum Sombor index.
 
 Enumeration walks the distinct permutations of the code multiset in which
@@ -22,19 +23,13 @@ from typing import Iterator, Sequence
 
 from .degseq import DegreeSequence, require_tree_realizable
 from .greedy import build_greedy
-from .indices import (
-    DEFAULT_VALUE_TOLERANCE,
-    QConstant,
-    ScoreAssignment,
-    SpectrumSummary,
-    compute_q,
-    pseudo_sombor,
-    score_assignment,
-    sombor,
-)
+from .indices import ScoreAssignment, pseudo_sombor, score_assignment, sombor
 from .tree_core import LabeledTree, PruferCode, prufer_decode, prufer_edges
 
 DEFAULT_TREE_CAP = 10_000_000
+# Two index values closer than this are treated as the same element of the
+# value spectrum (gap clustering).
+DEFAULT_VALUE_TOLERANCE = 1e-9
 
 
 class ResourceCapExceededError(RuntimeError):
@@ -203,6 +198,48 @@ def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: floa
     return True
 
 
+@dataclass(frozen=True)
+class SpectrumSummary:
+    """Distinct index values over one tree class, with multiplicities.
+
+    Values are strictly increasing under the clustering tolerance that
+    produced them; multiplicities count the labeled trees attaining each.
+    """
+
+    values: tuple[float, ...]
+    multiplicities: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "multiplicities", tuple(self.multiplicities))
+        if not self.values:
+            raise ValueError("spectrum must contain at least one value")
+        if len(self.values) != len(self.multiplicities):
+            raise ValueError("values and multiplicities differ in length")
+        if any(a >= b for a, b in zip(self.values, self.values[1:])):
+            raise ValueError("spectrum values must be strictly increasing")
+        if any(m < 1 for m in self.multiplicities):
+            raise ValueError("multiplicities must be positive")
+
+    @property
+    def z1(self) -> float:
+        """Smallest value."""
+        return self.values[0]
+
+    @property
+    def z2(self) -> float | None:
+        """Second smallest value, or None when only one value exists."""
+        return self.values[1] if len(self.values) >= 2 else None
+
+    @property
+    def tree_count(self) -> int:
+        return sum(self.multiplicities)
+
+    @property
+    def distinct_count(self) -> int:
+        return len(self.values)
+
+
 def spectrum_from_counts(
     counts: Counter, tolerance: float = DEFAULT_VALUE_TOLERANCE
 ) -> SpectrumSummary:
@@ -229,6 +266,37 @@ def sombor_spectrum(
 ) -> SpectrumSummary:
     """Distinct Sombor values over the whole tree class, with multiplicities."""
     return spectrum_from_counts(sombor_value_counts(seq), tolerance)
+
+
+@dataclass(frozen=True)
+class QConstant:
+    """A tie-breaking constant together with the rule that produced it.
+
+    ``branch`` is one of:
+      * ``"spectrum-gap"``: min(1/(2n), (z2 - z1) / (4 n^3 sqrt(2))), from a
+        spectrum with at least two distinct values;
+      * ``"single-value"``: 1/(2n), from a one-value spectrum.
+    """
+
+    value: float
+    branch: str
+
+
+def compute_q(seq: DegreeSequence, spectrum: SpectrumSummary) -> QConstant:
+    """Small positive constant used to perturb degrees into distinct scores.
+
+    The spectrum-gap value is small enough that the pseudo index orders
+    trees exactly like the plain index; 1/(2n) still keeps all scores
+    positive and strictly decreasing for degree-ordered labelings.
+    """
+    n = seq.n
+    if n < 2:
+        raise ValueError("the score constant is defined for n >= 2 only")
+    base = 1.0 / (2 * n)
+    if spectrum.z2 is None:
+        return QConstant(base, "single-value")
+    gap = (spectrum.z2 - spectrum.z1) / (4 * n**3 * math.sqrt(2))
+    return QConstant(min(base, gap), "spectrum-gap")
 
 
 @dataclass(frozen=True)
@@ -284,28 +352,16 @@ def verify_greedy_minimum(
     total = _require_within_cap(seq, cap)
     greedy_tree = build_greedy(seq)
     greedy_so = sombor(greedy_tree)
-    if seq.n == 1:
-        return VerificationReport(
-            seq=seq,
-            tree_count=1,
-            z1=greedy_so,
-            z2=None,
-            greedy_so=greedy_so,
-            minimum_attained=True,
-            sandwich_holds=None,
-            q_used=None,
-            tolerance=tolerance,
-        )
-    spectrum = sombor_spectrum(seq, tolerance)
-    if spectrum.tree_count != total:
-        raise OracleInvariantError(
-            f"enumeration yielded {spectrum.tree_count} trees, expected {total}"
-        )
-    q = compute_q(seq, spectrum)
-    z1 = spectrum.z1
-    z2 = spectrum.z2
-    minimum_attained = abs(greedy_so - z1) <= tolerance
-    sandwich: bool | None = None
+    # The one-vertex class holds one tree and has no score constant.
+    z1, z2, q, sandwich = greedy_so, None, None, None
+    if seq.n > 1:
+        spectrum = sombor_spectrum(seq, tolerance)
+        if spectrum.tree_count != total:
+            raise OracleInvariantError(
+                f"enumeration yielded {spectrum.tree_count} trees, expected {total}"
+            )
+        q = compute_q(seq, spectrum)
+        z1, z2 = spectrum.z1, spectrum.z2
     if z2 is not None:
         # Scores depend only on the per-label degrees, which every tree of
         # the class shares, so one assignment serves the whole pass.
@@ -317,7 +373,7 @@ def verify_greedy_minimum(
         z1=z1,
         z2=z2,
         greedy_so=greedy_so,
-        minimum_attained=minimum_attained,
+        minimum_attained=abs(greedy_so - z1) <= tolerance,
         sandwich_holds=sandwich,
         q_used=q,
         tolerance=tolerance,
@@ -338,20 +394,15 @@ def _partitions(total: int, parts: int, max_part: int) -> Iterator[tuple[int, ..
             yield (first,) + rest
 
 
-def realizable_sequences(max_n: int, min_n: int = 2) -> Iterator[DegreeSequence]:
+def realizable_sequences(max_n: int) -> Iterator[DegreeSequence]:
     """All non-increasing tree-realizable degree sequences with
-    min_n <= n <= max_n, ordered by length then descending lexicographically."""
-    if max_n < min_n:
-        return
-    for n in range(min_n, max_n + 1):
-        if n == 1:
-            yield DegreeSequence((0,))
-            continue
+    2 <= n <= max_n, ordered by length then descending lexicographically."""
+    for n in range(2, max_n + 1):
         for partition in _partitions(2 * (n - 1), n, n - 1):
             yield DegreeSequence(partition)
 
 
-def format_report_table(reports: list[VerificationReport], digits: int = 10) -> str:
+def format_report_table(reports: list[VerificationReport]) -> str:
     """Fixed-width text table, one row per verified degree sequence."""
 
     def fmt(x) -> str:
@@ -360,7 +411,7 @@ def format_report_table(reports: list[VerificationReport], digits: int = 10) -> 
         if isinstance(x, bool):
             return "yes" if x else "no"
         if isinstance(x, float):
-            return format(x, f".{digits}g")
+            return format(x, ".10g")
         return str(x)
 
     headers = [

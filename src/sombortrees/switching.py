@@ -155,15 +155,19 @@ def _level_violation(
 
 def _contract_scores(tree: LabeledTree, q: float) -> ScoreAssignment:
     """The scores deg(u) - u*q under which the disorder scan and the
-    descent are guaranteed: labels degree-ordered, deg(1) >= ... >= deg(n),
-    and q in (0, 1/(2n)]. Raises ValueError outside that contract."""
+    descent are guaranteed: q in (0, 1/(2n)] and scores strictly decreasing
+    in the label. For such q that holds exactly when the labels are
+    degree-ordered, deg(1) >= ... >= deg(n), and no two scores round
+    together. Raises ValueError outside that contract."""
     if not 0 < q <= 1.0 / (2 * tree.n):
         raise ValueError(f"q must lie in (0, 1/(2n)], got {q}")
-    if not degree_sequence_of(tree)[1]:
+    scores = score_assignment(tree, q)
+    if not scores.strictly_decreasing:
         raise ValueError(
-            "descent requires the degree-ordered labeling deg(1) >= ... >= deg(n)"
+            "descent requires the degree-ordered labeling deg(1) >= ... >= deg(n) "
+            f"and a q large enough to keep the scores apart, got q = {q}"
         )
-    return score_assignment(tree, q)
+    return scores
 
 
 def find_violation(tree: LabeledTree, scores: ScoreAssignment) -> Violation | None:
@@ -177,12 +181,10 @@ def find_violation(tree: LabeledTree, scores: ScoreAssignment) -> Violation | No
     score-misordered and swaps those children.
 
     Returns None exactly when neither disorder exists; under the contract
-    of ``descend`` (degree-ordered labels, scores deg(u) - u*q with q in
-    (0, 1/(2n)]) that means the tree is the greedy tree. Every returned
+    of ``descend`` (degree-ordered labels, scores deg(u) - u*q strictly
+    decreasing with q in (0, 1/(2n)]) that means the tree is the greedy tree. Every returned
     plan has switch_sign DECREASE. Raises ValueError outside that contract.
     """
-    if scores.n != tree.n:
-        raise ValueError(f"scores cover {scores.n} vertices but the tree has {tree.n}")
     if scores != _contract_scores(tree, scores.q):
         raise ValueError("scores must be the tree's deg(u) - u*q")
     info = tree.bfs_levels()
@@ -268,8 +270,9 @@ def descend(tree: LabeledTree, q: float) -> tuple[LabeledTree, DescentTrace]:
     """Apply disorder-removing switches until none remains.
 
     Requires the degree-ordered labeling deg(1) >= ... >= deg(n) and
-    q in (0, 1/(2n)], so every step strictly lowers the pseudo index and the
-    process terminates; raises ValueError otherwise. The terminal tree is
+    q in (0, 1/(2n)] that keeps the scores distinct, so every step strictly
+    lowers the pseudo index and the process terminates; raises ValueError
+    otherwise. The terminal tree is
     checked against the greedy construction; any discrepancy raises
     DescentInvariantError rather than being repaired.
     """

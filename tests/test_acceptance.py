@@ -15,8 +15,9 @@ from pathlib import Path
 from sombortrees.cli import main
 from sombortrees.degseq import DegreeSequence
 from sombortrees.greedy import build_greedy
-from sombortrees.indices import compute_q, pseudo_sombor, score_assignment, sombor
+from sombortrees.indices import pseudo_sombor, score_assignment, sombor
 from sombortrees.oracle import (
+    compute_q,
     count_trees,
     enumerate_trees,
     realizable_sequences,
@@ -206,7 +207,7 @@ def test_criterion_7_descent_terminates_at_greedy(capsys):
                 break
     rng = random.Random(409)
     for n in (10, 11, 12):
-        for seq in realizable_sequences(n, min_n=n):
+        for seq in (s for s in realizable_sequences(n) if s.n == n):
             greedy_tree = build_greedy(seq)
             q = 1.0 / (2 * n)
             for _ in range(100):

@@ -111,6 +111,26 @@ def test_index_bad_q_flag_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("q", ["nan", "inf"])
+def test_index_refuses_non_finite_q(tmp_path, capsys, q):
+    path = tmp_path / "path.txt"
+    path.write_text("1 2\n2 3\n")
+    code, out, err = run_cli(capsys, "index", str(path), "--q", q)
+    assert code == 2
+    assert "pSO" not in out
+    assert "finite and positive" in err
+
+
+@pytest.mark.parametrize("command", ["index", "descend"])
+def test_deeply_nested_json_tree_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text('{"n":2,"edges":' + "[" * 100_000)
+    code, _, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert "invalid JSON" in err
+    assert "Traceback" not in err
+
+
 def test_verify_single_sequence(capsys):
     code, out, _ = run_cli(capsys, "verify", "-d", "3,2,2,1,1,1")
     assert code == 0
@@ -309,6 +329,16 @@ def test_descend_rejects_bad_q(tmp_path, capsys):
     path.write_text("1 2\n")
     code, _, _ = run_cli(capsys, "descend", str(path), "--q", "0.9")
     assert code == 2
+
+
+@pytest.mark.parametrize("q", ["1e-300", "1e-17"])
+def test_descend_refuses_q_too_small_to_separate_scores(tmp_path, capsys, q):
+    path = tmp_path / "shape_b.txt"
+    path.write_text("1 2\n2 3\n3 4\n1 5\n1 6\n")
+    code, out, err = run_cli(capsys, "descend", str(path), "--q", q)
+    assert code == 2
+    assert out == ""
+    assert "degree-ordered" in err
 
 
 def test_unknown_command_exit_2(capsys):

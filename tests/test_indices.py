@@ -4,16 +4,13 @@ import pytest
 
 from sombortrees.degseq import DegreeSequence
 from sombortrees.greedy import build_greedy
-from sombortrees.indices import (
+from sombortrees.indices import ScoreAssignment, pseudo_sombor, score_assignment, sombor
+from sombortrees.oracle import (
     DEFAULT_VALUE_TOLERANCE,
-    ScoreAssignment,
     SpectrumSummary,
     compute_q,
-    pseudo_sombor,
-    score_assignment,
-    sombor,
+    sombor_spectrum,
 )
-from sombortrees.oracle import sombor_spectrum
 from sombortrees.tree_core import LabeledTree
 
 EDGE = LabeledTree(2, [(1, 2)])
@@ -45,7 +42,6 @@ def test_score_assignment_single_edge():
     scores = score_assignment(EDGE, 0.25)
     assert scores[1] == pytest.approx(0.75, abs=1e-15)
     assert scores[2] == pytest.approx(0.5, abs=1e-15)
-    assert scores.q_within_guarantee
 
 
 def test_score_assignment_figure_tree():
@@ -62,15 +58,9 @@ def test_scores_below_degrees():
 
 
 def test_score_assignment_rejects_nonpositive_q():
-    with pytest.raises(ValueError):
-        score_assignment(EDGE, 0.0)
-    with pytest.raises(ValueError):
-        score_assignment(EDGE, -1.0)
-
-
-def test_guarantee_flag_off_for_large_q():
-    scores = score_assignment(EDGE, 0.3)
-    assert not scores.q_within_guarantee
+    for q in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            score_assignment(EDGE, q)
 
 
 def test_score_indexing_bounds():
@@ -122,12 +112,6 @@ def test_compute_q_single_value_class():
     assert q.branch == "single-value"
 
 
-def test_compute_q_fallback():
-    q = compute_q(DegreeSequence((4, 3, 3, 2, 1, 1, 1, 1, 1, 1)))
-    assert q.value == pytest.approx(1 / 20)
-    assert q.branch == "fallback"
-
-
 def test_compute_q_spectrum_gap():
     seq = DegreeSequence((3, 2, 2, 1, 1, 1))
     spectrum = sombor_spectrum(seq)
@@ -142,7 +126,7 @@ def test_compute_q_spectrum_gap():
 
 def test_compute_q_rejects_single_vertex():
     with pytest.raises(ValueError):
-        compute_q(DegreeSequence((0,)))
+        compute_q(DegreeSequence((0,)), SpectrumSummary((0.0,), (1,)))
 
 
 def test_greedy_tree_score_monotonicity():

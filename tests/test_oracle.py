@@ -8,8 +8,9 @@ import pytest
 
 from sombortrees import oracle
 from sombortrees.degseq import DegreeSequence, NotTreeRealizableError
-from sombortrees.indices import compute_q, pseudo_sombor, score_assignment, sombor
+from sombortrees.indices import pseudo_sombor, score_assignment, sombor
 from sombortrees.oracle import (
+    compute_q,
     ResourceCapExceededError,
     count_trees,
     enumerate_trees,

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -18,7 +19,7 @@ from sombortrees.switching import (
     find_violation,
     switch_sign,
 )
-from sombortrees.tree_core import LabeledTree, PruferCode, prufer_decode
+from sombortrees.tree_core import LabeledTree, PruferCode, degree_sequence_of, prufer_decode
 
 # D = (3,2,2,1,1,1): the non-greedy shape with a long branch
 SHAPE_B = LabeledTree(6, [(1, 2), (2, 3), (3, 4), (1, 5), (1, 6)])
@@ -174,6 +175,23 @@ def test_find_violation_rejects_unordered_labels():
     path = LabeledTree(3, [(1, 2), (2, 3)])
     with pytest.raises(ValueError, match="degree-ordered"):
         find_violation(path, score_assignment(path, 0.1))
+
+
+def test_contract_refusal_matches_degree_order_exhaustive():
+    # The contract reads label order off the scores; the slow reference
+    # rescans the degrees. Over every labeled tree with n <= 7 at
+    # q = 1/(2n) the two must refuse exactly the same trees.
+    for n in range(2, 8):
+        for code in product(range(1, n + 1), repeat=n - 2):
+            tree = prufer_decode(PruferCode(n, code))
+            ordered = degree_sequence_of(tree)[1]
+            try:
+                find_violation(tree, score_assignment(tree, 1 / (2 * n)))
+            except ValueError as exc:
+                assert "degree-ordered" in str(exc)
+                assert not ordered
+            else:
+                assert ordered
 
 
 def test_find_violation_rejects_foreign_scores():
