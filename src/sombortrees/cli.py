@@ -81,11 +81,11 @@ def _render_tree(tree: LabeledTree, fmt: str) -> str:
         return tree.to_edge_text()
     if fmt == "json":
         return json.dumps(tree.to_json_dict()) + "\n"
-    return tree.to_dot(annotate=True)
+    return tree.to_dot()
 
 
 def cmd_greedy(args) -> int:
-    seq, _ = parse_degree_sequence(args.degrees)
+    seq = parse_degree_sequence(args.degrees)
     sys.stdout.write(_render_tree(build_greedy(seq), args.format))
     return EXIT_OK
 
@@ -111,6 +111,8 @@ def cmd_verify(args) -> int:
     if args.sweep:
         if args.max_n is None:
             raise CommandLineError("--sweep requires --max-n")
+        if args.max_n < 2:
+            raise CommandLineError(f"--max-n must be at least 2, got {args.max_n}")
         # A sweep is all-or-nothing: refuse an over-cap class before
         # verifying any. The walk stops at the first such class, so a
         # large --max-n never lists all its sequences first.
@@ -126,7 +128,7 @@ def cmd_verify(args) -> int:
             f"failures: {failures}"
         )
         return EXIT_OK if failures == 0 else 1
-    seq, _ = parse_degree_sequence(args.degrees)
+    seq = parse_degree_sequence(args.degrees)
     report = verify_greedy_minimum(seq, args.tolerance, args.cap)
     sys.stdout.write(format_report_table([report]))
     return EXIT_OK if report.minimum_attained else 1
@@ -138,7 +140,7 @@ def cmd_descend(args) -> int:
     if args.random:
         if not args.degrees:
             raise CommandLineError("--random requires -d/--degrees")
-        seq, _ = parse_degree_sequence(args.degrees)
+        seq = parse_degree_sequence(args.degrees)
         tree = sample_tree(seq, random.Random(args.seed))
     elif args.tree_file:
         tree = _load_tree(args.tree_file)

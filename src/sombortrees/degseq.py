@@ -44,12 +44,11 @@ class DegreeSequence:
         return ",".join(str(d) for d in self.degrees)
 
 
-def parse_degree_sequence(text: str) -> tuple[DegreeSequence, bool]:
+def parse_degree_sequence(text: str) -> DegreeSequence:
     """Parse a comma- or whitespace-separated list of degrees.
 
     Surrounding brackets or parentheses are tolerated. The result is sorted
-    into non-increasing order; the second return value tells whether the
-    input was already sorted that way.
+    into non-increasing order.
     """
     stripped = text.strip()
     if len(stripped) >= 2 and stripped[0] + stripped[-1] in ("[]", "()"):
@@ -66,8 +65,7 @@ def parse_degree_sequence(text: str) -> tuple[DegreeSequence, bool]:
     for v in values:
         if v < 0:
             raise DegreeSequenceError(f"degree {v} is negative")
-    was_sorted = all(a >= b for a, b in zip(values, values[1:]))
-    return DegreeSequence(tuple(sorted(values, reverse=True))), was_sorted
+    return DegreeSequence(tuple(sorted(values, reverse=True)))
 
 
 def is_tree_realizable(seq: DegreeSequence) -> bool:

@@ -18,10 +18,9 @@ def build_greedy(seq: DegreeSequence) -> LabeledTree:
     next_child = 2
     parent = 1
     while next_child <= n:
+        # The capacities sum to n - 1, so no parent runs past label n.
         capacity = seq.degrees[parent - 1] - (0 if parent == 1 else 1)
         for _ in range(capacity):
-            if next_child > n:
-                break
             edges.append((parent, next_child))
             next_child += 1
         parent += 1

@@ -148,24 +148,29 @@ class _EdgeTerms(dict):
         return term
 
 
-def _spot_check(
-    seq: DegreeSequence,
-    edges: list[tuple[int, int]],
-    so: float,
-    pso: float | None = None,
-    scores: ScoreAssignment | None = None,
-) -> None:
-    """Rebuild the class's first tree the slow way and require its edges,
-    Sombor value and (given scores) pseudo value to equal the walk's."""
+def _checked_walk(seq: DegreeSequence, scores: ScoreAssignment | None = None):
+    """The class walk with its edge-term lookups, for degrees and (given
+    scores) for scores. Rebuilds the class's first tree the slow way and
+    raises ``OracleInvariantError`` unless its edges, Sombor value and
+    (given scores) pseudo value equal the walk's."""
+    so_term = _EdgeTerms(seq.degrees).__getitem__
+    pso_term = _EdgeTerms(scores.values).__getitem__ if scores is not None else None
+    walk = _class_walk(seq)
+    first = next(walk)
     if seq.n == 1:
         tree = LabeledTree(1, [])
     else:
         tree = prufer_decode(PruferCode(seq.n, tuple(_code_multiset(seq))))
-    slow_pso = pseudo_sombor(tree, scores) if scores is not None else None
-    if tree.edges != tuple(sorted(edges)) or sombor(tree) != so or slow_pso != pso:
+    if (
+        tree.edges != tuple(sorted(first))
+        or sombor(tree) != math.fsum(map(so_term, first))
+        or scores is not None
+        and pseudo_sombor(tree, scores) != math.fsum(map(pso_term, first))
+    ):
         raise OracleInvariantError(
             f"class walk of {seq.render()} disagrees with prufer_decode on its first tree"
         )
+    return chain((first,), walk), so_term, pso_term
 
 
 def sombor_value_counts(seq: DegreeSequence) -> Counter:
@@ -174,24 +179,15 @@ def sombor_value_counts(seq: DegreeSequence) -> Counter:
     Counter addition merges partial counts from any partition of the
     enumeration, in any order, without changing the final spectrum.
     """
-    term = _EdgeTerms(seq.degrees).__getitem__
-    walk = _class_walk(seq)
-    first = next(walk)
-    _spot_check(seq, first, math.fsum(map(term, first)))
-    return Counter(math.fsum(map(term, edges)) for edges in chain((first,), walk))
+    walk, term, _ = _checked_walk(seq)
+    return Counter(math.fsum(map(term, edges)) for edges in walk)
 
 
 def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: float) -> bool:
     """Whether every tree of the class has SO - half_gap < pSO < SO; stops
     at the first tree that breaks it."""
-    so_term = _EdgeTerms(seq.degrees).__getitem__
-    pso_term = _EdgeTerms(scores.values).__getitem__
-    walk = _class_walk(seq)
-    first = next(walk)
-    _spot_check(
-        seq, first, math.fsum(map(so_term, first)), math.fsum(map(pso_term, first)), scores
-    )
-    for edges in chain((first,), walk):
+    walk, so_term, pso_term = _checked_walk(seq, scores)
+    for edges in walk:
         so = math.fsum(map(so_term, edges))
         if not (so - half_gap < math.fsum(map(pso_term, edges)) < so):
             return False
@@ -317,22 +313,6 @@ class VerificationReport:
     minimum_attained: bool
     sandwich_holds: bool | None
     q_used: QConstant | None
-    tolerance: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degrees": self.seq.render(),
-            "n": self.seq.n,
-            "tree_count": self.tree_count,
-            "z1": self.z1,
-            "z2": self.z2,
-            "greedy_so": self.greedy_so,
-            "minimum_attained": self.minimum_attained,
-            "sandwich_holds": self.sandwich_holds,
-            "q": self.q_used.value if self.q_used else None,
-            "q_branch": self.q_used.branch if self.q_used else None,
-            "tolerance": self.tolerance,
-        }
 
 
 def verify_greedy_minimum(
@@ -376,7 +356,6 @@ def verify_greedy_minimum(
         minimum_attained=abs(greedy_so - z1) <= tolerance,
         sandwich_holds=sandwich,
         q_used=q,
-        tolerance=tolerance,
     )
 
 
@@ -410,9 +389,7 @@ def format_report_table(reports: list[VerificationReport]) -> str:
             return "-"
         if isinstance(x, bool):
             return "yes" if x else "no"
-        if isinstance(x, float):
-            return format(x, ".10g")
-        return str(x)
+        return format(x, ".10g")
 
     headers = [
         "degrees", "n", "trees", "z1", "z2", "greedy_SO",

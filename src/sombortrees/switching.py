@@ -170,7 +170,7 @@ def _contract_scores(tree: LabeledTree, q: float) -> ScoreAssignment:
     return scores
 
 
-def find_violation(tree: LabeledTree, scores: ScoreAssignment) -> Violation | None:
+def find_violation(tree: LabeledTree, q: float) -> Violation | None:
     """Locate a score/level disorder and a switch that removes it.
 
     First scans levels outward from the root for the smallest level j
@@ -180,13 +180,13 @@ def find_violation(tree: LabeledTree, scores: ScoreAssignment) -> Violation | No
     Failing that, looks for two same-level vertices whose children are
     score-misordered and swaps those children.
 
-    Returns None exactly when neither disorder exists; under the contract
-    of ``descend`` (degree-ordered labels, scores deg(u) - u*q strictly
-    decreasing with q in (0, 1/(2n)]) that means the tree is the greedy tree. Every returned
-    plan has switch_sign DECREASE. Raises ValueError outside that contract.
+    Scores are deg(u) - u*q. Returns None exactly when neither disorder
+    exists; under the contract of ``descend`` (degree-ordered labels, scores
+    strictly decreasing with q in (0, 1/(2n)]) that means the tree is the
+    greedy tree. Every returned plan has switch_sign DECREASE. Raises
+    ValueError outside that contract.
     """
-    if scores != _contract_scores(tree, scores.q):
-        raise ValueError("scores must be the tree's deg(u) - u*q")
+    scores = _contract_scores(tree, q)
     info = tree.bfs_levels()
     depth = max(info.level.values())
     by_level: list[list[int]] = [[] for _ in range(depth + 1)]
@@ -242,9 +242,8 @@ class DescentStep:
 
 @dataclass(frozen=True)
 class DescentTrace:
-    """Record of one descent: the constant q and every applied switch."""
+    """Record of one descent: every applied switch."""
 
-    q: float
     steps: tuple[DescentStep, ...]
 
     def to_json(self) -> list[dict]:
@@ -281,7 +280,7 @@ def descend(tree: LabeledTree, q: float) -> tuple[LabeledTree, DescentTrace]:
     pso_current = pseudo_sombor(current, scores)
     so_current = sombor(current)
     steps = []
-    while (violation := find_violation(current, scores)) is not None:
+    while (violation := find_violation(current, q)) is not None:
         switched = apply_switch(current, violation.plan)
         pso_next = pseudo_sombor(switched, scores)
         if not pso_next < pso_current:
@@ -305,4 +304,4 @@ def descend(tree: LabeledTree, q: float) -> tuple[LabeledTree, DescentTrace]:
         raise DescentInvariantError(
             "descent stalled on a tree that is not the greedy construction"
         )
-    return current, DescentTrace(q=q, steps=tuple(steps))
+    return current, DescentTrace(tuple(steps))

@@ -68,13 +68,14 @@ class LabeledTree:
             comp[ru] = rv
             canon.append(edge)
         canon.sort()
+        # Filled from the sorted edges, so every neighbour list is ascending.
         adj: list[list[int]] = [[] for _ in range(n + 1)]
         for u, v in canon:
             adj[u].append(v)
             adj[v].append(u)
         self.n = n
         self.edges = tuple(canon)
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self._adj = tuple(tuple(nbrs) for nbrs in adj)
 
     def _check_label(self, u: int) -> None:
         if not isinstance(u, int) or isinstance(u, bool) or not 1 <= u <= self.n:
@@ -149,19 +150,12 @@ class LabeledTree:
             pairs.append((item[0], item[1]))
         return cls(n, pairs)
 
-    def to_dot(self, annotate: bool = False) -> str:
-        """Undirected DOT rendering; with ``annotate`` each vertex carries
-        its degree and level."""
+    def to_dot(self) -> str:
+        """Undirected DOT rendering; each vertex carries its degree and level."""
         lines = ["graph {"]
-        if annotate:
-            info = self.bfs_levels()
-            for u in range(1, self.n + 1):
-                lines.append(
-                    f'  {u} [label="{u}\\ndeg={self.degree(u)}, level={info.level[u]}"];'
-                )
-        else:
-            for u in range(1, self.n + 1):
-                lines.append(f"  {u};")
+        info = self.bfs_levels()
+        for u in range(1, self.n + 1):
+            lines.append(f'  {u} [label="{u}\\ndeg={self.degree(u)}, level={info.level[u]}"];')
         for u, v in self.edges:
             lines.append(f"  {u} -- {v};")
         lines.append("}")

@@ -158,6 +158,14 @@ def test_verify_sweep_requires_max_n(capsys):
     assert "--max-n" in err
 
 
+@pytest.mark.parametrize("max_n", ["1", "0", "-5"])
+def test_verify_sweep_refuses_max_n_below_two(capsys, max_n):
+    code, out, err = run_cli(capsys, "verify", "--sweep", "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --max-n must be at least 2, got {max_n}\n"
+
+
 def test_verify_cap_exit_4(capsys):
     code, _, err = run_cli(capsys, "verify", "-d", "2,2,1,1", "--cap", "1")
     assert code == 4
@@ -232,20 +240,25 @@ def test_verify_oracle_invariant_exit_5(capsys, monkeypatch, name, fake):
     "argv, stdout_sha",
     [
         (
-            ("-d", "4,3,3,2,2,1,1,1,1,1,1"),
+            ("verify", "-d", "4,3,3,2,2,1,1,1,1,1,1"),
             "b89bf5d879218cd3612a318b05748c0af7b73050e7f29668e2f1259390a18300",
         ),
         (
-            ("--sweep", "--max-n", "8"),
+            ("verify", "--sweep", "--max-n", "8"),
             "a2896fc8f53d2dfed9ab096c62c40731f5701d7d909044a2676b05c0c5d0be22",
         ),
+        (
+            ("greedy", "-d", "4,3,3,2,1,1,1,1,1,1", "--format", "dot"),
+            "6d1bab77433c9ea8216b7f558a50fb5ac6e1f7413737ff2393c3d571c76b45dd",
+        ),
     ],
-    ids=["n11-class", "sweep-8"],
+    ids=["n11-class", "sweep-8", "greedy-dot"],
 )
 def test_verify_golden(capsys, argv, stdout_sha):
     # Pins the exact bytes of verify, so a rewrite of the class walk or of
-    # the index sums must reproduce every printed digit and verdict.
-    code, out, _ = run_cli(capsys, "verify", *argv)
+    # the index sums must reproduce every printed digit and verdict, and of
+    # the annotated DOT rendering of the figure tree.
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
 
@@ -322,6 +335,15 @@ def test_descend_requires_some_input(capsys):
 def test_descend_random_requires_degrees(capsys):
     code, _, _ = run_cli(capsys, "descend", "--random")
     assert code == 2
+
+
+def test_descend_refuses_file_and_random(tmp_path, capsys):
+    path = tmp_path / "edge.txt"
+    path.write_text("1 2\n")
+    code, out, err = run_cli(capsys, "descend", str(path), "--random", "-d", "1,1")
+    assert code == 2
+    assert out == ""
+    assert "not both" in err
 
 
 def test_descend_rejects_bad_q(tmp_path, capsys):

@@ -12,26 +12,23 @@ from sombortrees.oracle import realizable_sequences
 
 
 def test_parse_comma_separated():
-    seq, was_sorted = parse_degree_sequence("4,3,3,2,1,1,1,1,1,1")
+    seq = parse_degree_sequence("4,3,3,2,1,1,1,1,1,1")
     assert seq.degrees == (4, 3, 3, 2, 1, 1, 1, 1, 1, 1)
-    assert was_sorted
 
 
 def test_parse_whitespace_separated():
-    seq, was_sorted = parse_degree_sequence("1 1")
+    seq = parse_degree_sequence("1 1")
     assert seq.degrees == (1, 1)
-    assert was_sorted
 
 
 def test_parse_unsorted_input_is_sorted_with_flag():
-    seq, was_sorted = parse_degree_sequence("1,3,2")
+    seq = parse_degree_sequence("1,3,2")
     assert seq.degrees == (3, 2, 1)
-    assert not was_sorted
 
 
 @pytest.mark.parametrize("text", ["[2,1,1]", "(2, 1, 1)", "  2 1,1  "])
 def test_parse_brackets_and_mixed_separators(text):
-    seq, _ = parse_degree_sequence(text)
+    seq = parse_degree_sequence(text)
     assert seq.degrees == (2, 1, 1)
 
 
@@ -56,6 +53,14 @@ def test_sequence_must_be_non_increasing():
         DegreeSequence((1, 2))
 
 
+@pytest.mark.parametrize(
+    "degrees, message", [((), "non-empty"), ((2, -1, 1), "negative")], ids=["empty", "negative"]
+)
+def test_sequence_rejects_empty_and_negative(degrees, message):
+    with pytest.raises(DegreeSequenceError, match=message):
+        DegreeSequence(degrees)
+
+
 def test_sequence_rejects_non_integers():
     with pytest.raises(DegreeSequenceError):
         DegreeSequence((2.0, 1, 1))
@@ -69,9 +74,7 @@ def test_render_is_canonical():
 def test_parse_render_round_trip():
     for degrees in [(0,), (1, 1), (4, 3, 3, 2, 1, 1, 1, 1, 1, 1)]:
         seq = DegreeSequence(degrees)
-        parsed, was_sorted = parse_degree_sequence(seq.render())
-        assert parsed == seq
-        assert was_sorted
+        assert parse_degree_sequence(seq.render()) == seq
 
 
 def test_realizable_examples():

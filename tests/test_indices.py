@@ -99,6 +99,8 @@ def test_spectrum_summary_validation():
         SpectrumSummary((1.0, 1.0), (1, 1))
     with pytest.raises(ValueError):
         SpectrumSummary((1.0, 2.0), (1,))
+    with pytest.raises(ValueError, match="multiplicities must be positive"):
+        SpectrumSummary((1.0,), (0,))
     summary = SpectrumSummary((1.0, 2.0), (3, 4))
     assert summary.z1 == 1.0
     assert summary.z2 == 2.0

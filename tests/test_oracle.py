@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from collections import Counter
@@ -131,6 +130,11 @@ def test_spectrum_clustering_tolerance():
     assert split.distinct_count == 3
 
 
+def test_spectrum_from_counts_refuses_empty_counts():
+    with pytest.raises(ValueError, match="no values"):
+        spectrum_from_counts(Counter())
+
+
 def test_verify_six_vertices():
     report = verify_greedy_minimum(DegreeSequence((3, 2, 2, 1, 1, 1)))
     assert report.minimum_attained
@@ -160,16 +164,6 @@ def test_verify_single_value_class():
 def test_verify_resource_cap():
     with pytest.raises(ResourceCapExceededError):
         verify_greedy_minimum(DegreeSequence((2, 2, 1, 1)), cap=1)
-
-
-def test_report_json_round_trip():
-    report = verify_greedy_minimum(DegreeSequence((3, 2, 2, 1, 1, 1)))
-    blob = json.dumps(report.to_json_dict())
-    data = json.loads(blob)
-    assert data["degrees"] == "3,2,2,1,1,1"
-    assert data["tree_count"] == 12
-    assert data["minimum_attained"] is True
-    assert data["q_branch"] == "spectrum-gap"
 
 
 def test_report_table_layout():

@@ -35,6 +35,9 @@ def test_edges_are_canonicalized():
     tree = LabeledTree(3, [(3, 1), (2, 1)])
     assert tree.edges == ((1, 2), (1, 3))
     assert tree.neighbors(1) == (2, 3)
+    # a vertex with neighbours on both sides of its label, given out of order
+    mixed = LabeledTree(5, [(3, 5), (4, 3), (1, 3), (3, 2)])
+    assert mixed.neighbors(3) == (1, 2, 4, 5)
 
 
 def test_triangle_reports_cycle():
@@ -195,6 +198,7 @@ def test_edge_text_round_trip():
     assert LabeledTree.from_edge_text(tree.to_edge_text()) == tree
     assert tree.to_edge_text().splitlines()[0] == "1 2"
     assert LabeledTree.from_edge_text("") == LabeledTree(1, [])
+    assert LabeledTree.from_edge_text("1 2\n\n  \n2 3\n") == LabeledTree(3, [(1, 2), (2, 3)])
 
 
 def test_edge_text_parse_errors():
@@ -216,10 +220,12 @@ def test_json_validation():
         LabeledTree.from_json_dict({"edges": [[1, 2]]})
     with pytest.raises(TreeError):
         LabeledTree.from_json_dict({"n": 2, "edges": [[1]]})
+    with pytest.raises(TreeError, match="'edges' must be a list"):
+        LabeledTree.from_json_dict({"n": 2, "edges": "1 2"})
 
 
 def test_dot_output():
-    plain = LabeledTree(2, [(1, 2)]).to_dot()
-    assert plain.startswith("graph {") and "1 -- 2;" in plain
-    annotated = figure_tree().to_dot(annotate=True)
-    assert 'label="1\\ndeg=4, level=0"' in annotated
+    dot = figure_tree().to_dot()
+    assert dot.startswith("graph {") and "1 -- 2;" in dot
+    assert 'label="1\\ndeg=4, level=0"' in dot
+    assert 'label="10\\ndeg=1, level=2"' in dot
