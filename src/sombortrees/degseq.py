@@ -62,9 +62,6 @@ def parse_degree_sequence(text: str) -> DegreeSequence:
             values.append(int(token))
         except ValueError:
             raise DegreeSequenceError(f"non-integer token {token!r}") from None
-    for v in values:
-        if v < 0:
-            raise DegreeSequenceError(f"degree {v} is negative")
     return DegreeSequence(tuple(sorted(values, reverse=True)))
 
 

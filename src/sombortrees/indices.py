@@ -28,7 +28,6 @@ class ScoreAssignment:
     a q small enough to round equal-degree scores together breaks that.
     """
 
-    q: float
     values: tuple[float, ...]
 
     @property
@@ -51,7 +50,7 @@ def score_assignment(tree: LabeledTree, q: float) -> ScoreAssignment:
     if not (math.isfinite(q) and q > 0):
         raise ValueError(f"q must be finite and positive, got {q}")
     values = tuple(tree.degree(u) - u * q for u in range(1, tree.n + 1))
-    return ScoreAssignment(q, values)
+    return ScoreAssignment(values)
 
 
 def pseudo_sombor(tree: LabeledTree, scores: ScoreAssignment) -> float:

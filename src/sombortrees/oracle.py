@@ -105,10 +105,8 @@ def _class_walk(seq: DegreeSequence) -> Iterator[list[tuple[int, int]]]:
         yield []
         return
     items = _code_multiset(seq)
-    degree = [0, *seq.degrees]
-    leaves = [u for u, d in enumerate(seq.degrees, start=1) if d == 1]
     while True:
-        yield prufer_edges(items, degree.copy(), leaves.copy())
+        yield prufer_edges(items, seq.degrees)
         if not _next_permutation(items):
             return
 
@@ -359,26 +357,26 @@ def verify_greedy_minimum(
     )
 
 
-def _partitions(total: int, parts: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """Non-increasing tuples of ``parts`` positive integers summing to
-    ``total``, first part at most ``max_part``, in descending lex order."""
-    if parts == 1:
-        if 1 <= total <= max_part:
-            yield (total,)
-        return
-    lowest = -(-total // parts)  # ceil: keep the remainder fillable non-increasingly
-    highest = min(max_part, total - (parts - 1))
-    for first in range(highest, lowest - 1, -1):
-        for rest in _partitions(total - first, parts - 1, first):
+def _partitions(total: int, max_part: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``total`` into parts at most ``max_part``, as
+    non-increasing tuples in descending lex order."""
+    if total == 0:
+        yield ()
+    for first in range(min(total, max_part), 0, -1):
+        for rest in _partitions(total - first, first):
             yield (first,) + rest
 
 
 def realizable_sequences(max_n: int) -> Iterator[DegreeSequence]:
     """All non-increasing tree-realizable degree sequences with
-    2 <= n <= max_n, ordered by length then descending lexicographically."""
+    2 <= n <= max_n, ordered by length then descending lexicographically.
+
+    The degrees minus one are a partition of n - 2 padded with zeros, the
+    leaves."""
     for n in range(2, max_n + 1):
-        for partition in _partitions(2 * (n - 1), n, n - 1):
-            yield DegreeSequence(partition)
+        for partition in _partitions(n - 2, n - 2):
+            inner = tuple(part + 1 for part in partition)
+            yield DegreeSequence(inner + (1,) * (n - len(inner)))
 
 
 def format_report_table(reports: list[VerificationReport]) -> str:

@@ -5,7 +5,6 @@ trees compare equal exactly when their edge sets coincide. Trees are
 immutable after validation and safe to share.
 """
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -205,59 +204,51 @@ class PruferCode:
 
 def prufer_encode(tree: LabeledTree) -> PruferCode:
     """Repeatedly record the neighbor of the smallest-labeled leaf and delete
-    the leaf, n - 2 times."""
+    the leaf, n - 2 times, finding leaves as ``prufer_edges`` does."""
     if tree.n < 2:
         raise TreeError("Prufer encoding needs at least 2 vertices")
     n = tree.n
-    degree = [0] * (n + 1)
-    adj = [set() for _ in range(n + 1)]
-    for u in range(1, n + 1):
-        nbrs = tree.neighbors(u)
-        degree[u] = len(nbrs)
-        adj[u] = set(nbrs)
-    leaves = [u for u in range(1, n + 1) if degree[u] == 1]
-    heapq.heapify(leaves)
+    adj = tree._adj
+    degree = [len(nbrs) for nbrs in adj]
+    removed = [False] * (n + 1)
+    leaf = pointer = degree.index(1)
     out = []
     for _ in range(n - 2):
-        leaf = heapq.heappop(leaves)
-        neighbor = next(iter(adj[leaf]))
-        out.append(neighbor)
-        adj[neighbor].discard(leaf)
-        degree[neighbor] -= 1
-        if degree[neighbor] == 1:
-            heapq.heappush(leaves, neighbor)
+        removed[leaf] = True
+        entry = next(v for v in adj[leaf] if not removed[v])
+        out.append(entry)
+        degree[entry] -= 1
+        if entry < pointer and degree[entry] == 1:
+            leaf = entry
+        else:
+            leaf = pointer = degree.index(1, pointer + 1)
     return PruferCode(n, tuple(out))
 
 
-def prufer_edges(
-    code: Sequence[int], degree: list[int], leaves: list[int]
-) -> list[tuple[int, int]]:
+def prufer_edges(code: Sequence[int], degrees: Sequence[int]) -> list[tuple[int, int]]:
     """The n - 1 edges of the tree with this Prufer code, each as a (min, max)
-    pair, in the order the decoder joins them.
+    pair, in the order the decoder joins them; ``degrees[u - 1]`` is deg(u).
 
-    ``degree[u]`` must start at the tree's deg(u), that is the occurrences of
-    u in the code plus one, and ``leaves`` must be a heap of the labels of
-    degree one. Both are consumed.
-    """
+    A pointer walks up the labels once: a code entry that turns into a leaf
+    below it is the smallest leaf (all others below are gone), else the next
+    degree-one label past it is. Vertex n stays to the end."""
+    degree = [0, *degrees]
+    leaf = pointer = degree.index(1)
     edges = []
     for entry in code:
-        leaf = heapq.heappop(leaves)
         edges.append((leaf, entry) if leaf < entry else (entry, leaf))
         degree[entry] -= 1
-        if degree[entry] == 1:
-            heapq.heappush(leaves, entry)
-    a = heapq.heappop(leaves)
-    edges.append((a, heapq.heappop(leaves)))  # the smaller label pops first
+        if entry < pointer and degree[entry] == 1:
+            leaf = entry
+        else:
+            leaf = pointer = degree.index(1, pointer + 1)
+    edges.append((leaf, len(degrees)))
     return edges
 
 
 def prufer_decode(code: PruferCode) -> LabeledTree:
     """Inverse of prufer_encode: vertex u gets (occurrences of u) + 1 edges."""
-    n = code.n
-    degree = [1] * (n + 1)
-    degree[0] = 0
+    degrees = [1] * code.n
     for entry in code.code:
-        degree[entry] += 1
-    # Listed in ascending order, so already a heap.
-    leaves = [u for u in range(1, n + 1) if degree[u] == 1]
-    return LabeledTree(n, prufer_edges(code.code, degree, leaves))
+        degrees[entry - 1] += 1
+    return LabeledTree(code.n, prufer_edges(code.code, degrees))

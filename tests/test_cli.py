@@ -248,11 +248,15 @@ def test_verify_oracle_invariant_exit_5(capsys, monkeypatch, name, fake):
             "a2896fc8f53d2dfed9ab096c62c40731f5701d7d909044a2676b05c0c5d0be22",
         ),
         (
+            ("verify", "--sweep", "--max-n", "9"),
+            "43603c72b5910f4362f64480a428a2b9e632a68736c9a681690d0d44f5c1ddb1",
+        ),
+        (
             ("greedy", "-d", "4,3,3,2,1,1,1,1,1,1", "--format", "dot"),
             "6d1bab77433c9ea8216b7f558a50fb5ac6e1f7413737ff2393c3d571c76b45dd",
         ),
     ],
-    ids=["n11-class", "sweep-8", "greedy-dot"],
+    ids=["n11-class", "sweep-8", "sweep-9", "greedy-dot"],
 )
 def test_verify_golden(capsys, argv, stdout_sha):
     # Pins the exact bytes of verify, so a rewrite of the class walk or of

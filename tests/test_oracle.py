@@ -23,7 +23,7 @@ from sombortrees.oracle import (
 )
 from sombortrees.tree_core import LabeledTree, PruferCode, degree_sequence_of, prufer_decode
 
-from brute import pseudo_sombor_value, sombor_value, trees_with_degrees
+from brute import pseudo_sombor_value, sombor_value, tree_degree_sequences, trees_with_degrees
 
 
 def test_count_examples():
@@ -193,6 +193,12 @@ def test_realizable_sequences_order_is_deterministic():
     second = [s.render() for s in realizable_sequences(6)]
     assert first == second
     assert first[0] == "1,1"
+
+
+def test_realizable_sequences_match_brute_force_order():
+    sequences = [seq.degrees for seq in realizable_sequences(11)]
+    expected = [degrees for n in range(2, 12) for degrees in tree_degree_sequences(n)]
+    assert sequences == expected
 
 
 def test_sample_tree_is_seeded_and_in_class():

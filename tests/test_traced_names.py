@@ -1,16 +1,26 @@
-"""Every name the benchmark's tracer wraps must still exist in the package.
+"""Every name the benchmark's tracer wraps must still exist in the package,
+and every layer a benchmark workload requires must still be called.
 
 ``perfbench/child.py`` wraps each ``TRACED`` target in place, so a
-refactor that drops or renames one fails a traced benchmark run. This test
-reads that table from the benchmark and resolves each target the way the
-tracer does, without wrapping anything.
+refactor that drops or renames one, or stops calling a required layer
+through it, fails a traced benchmark run. These tests read the benchmark's
+tables, resolve each target the way the tracer does, and run the traced
+child on a small input of each workload. Nothing under ``perfbench/`` is
+written.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+CHILD = BENCH / "child.py"
 
 
 def _traced_table() -> dict:
@@ -33,3 +43,48 @@ def test_every_traced_target_resolves_to_a_callable():
             if not callable(owner):
                 missing.append(f"{layer}: {target}")
     assert missing == []
+
+
+def _bench_run(monkeypatch):
+    """``perfbench/run.py`` loaded by path, with the benchmark's own modules
+    dropped from ``sys.modules`` again afterwards."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    before = set(sys.modules)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        for name in set(sys.modules) - before:
+            if Path(getattr(sys.modules[name], "__file__", None) or "/").parent == BENCH:
+                del sys.modules[name]
+    return module
+
+
+@pytest.mark.parametrize(
+    "workload, argv",
+    [
+        ("verify-class", ["verify", "-d", "3,2,2,1,1,1"]),
+        # --max-n 5 calls neither pseudo_sombor nor score_assignment
+        ("verify-sweep", ["verify", "--sweep", "--max-n", "6"]),
+        ("descend-random", ["descend", "--random", "-d", "4,3,3,2,1,1,1,1,1,1",
+                            "--seed", "7", "--trace-json", "{tmp}/trace.json"]),
+    ],
+    ids=["verify-class", "verify-sweep", "descend-random"],
+)
+def test_traced_child_calls_every_required_layer(monkeypatch, tmp_path, workload, argv):
+    run = _bench_run(monkeypatch)
+    spec = {
+        "argv": [arg.format(tmp=tmp_path) for arg in argv],
+        "trace": True,
+        "required": run.WORKLOADS[workload].required,
+    }
+    proc = subprocess.run(
+        [sys.executable, str(CHILD), json.dumps(spec)],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    # exit TRACE_SETUP_EXIT names a required layer that was never called
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    assert json.loads(proc.stdout.splitlines()[-1])["exit_code"] == 0

@@ -11,10 +11,11 @@ from sombortrees.tree_core import (
     TreeError,
     degree_sequence_of,
     prufer_decode,
+    prufer_edges,
     prufer_encode,
 )
 
-from brute import all_labeled_trees
+from brute import all_labeled_trees, heap_prufer_edges
 
 FIGURE_EDGES = [
     (1, 2), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (3, 8), (3, 9), (4, 10),
@@ -171,6 +172,17 @@ def test_prufer_round_trip_exhaustive_small():
         assert {t.edges for t in decoded} == set(all_labeled_trees(n))
         for code_tuple, tree in zip(codes, decoded):
             assert prufer_encode(tree).code == code_tuple
+
+
+def test_prufer_edges_match_heap_decoder():
+    # same edges in the same order as the heap decoder, on every code with
+    # 2 <= n <= 7, and neither argument is touched
+    for n in range(2, 8):
+        for code_tuple in product(range(1, n + 1), repeat=n - 2):
+            degrees = tuple(code_tuple.count(u) + 1 for u in range(1, n + 1))
+            code, degree_list = list(code_tuple), list(degrees)
+            assert prufer_edges(code, degree_list) == heap_prufer_edges(n, code_tuple)
+            assert code == list(code_tuple) and degree_list == list(degrees)
 
 
 def test_prufer_against_networkx():
