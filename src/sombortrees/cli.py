@@ -18,10 +18,8 @@ from .greedy import build_greedy
 from .indices import pseudo_sombor, score_assignment, sombor
 from .oracle import (
     DEFAULT_TREE_CAP,
-    DEFAULT_VALUE_TOLERANCE,
     OracleInvariantError,
     ResourceCapExceededError,
-    _require_tolerance,
     _require_within_cap,
     format_report_table,
     realizable_sequences,
@@ -107,36 +105,39 @@ def cmd_index(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _require_tolerance(args.tolerance)
     if args.sweep:
         if args.max_n is None:
             raise CommandLineError("--sweep requires --max-n")
         if args.max_n < 2:
             raise CommandLineError(f"--max-n must be at least 2, got {args.max_n}")
-        # A sweep is all-or-nothing: refuse an over-cap class before
-        # verifying any. The walk stops at the first such class, so a
-        # large --max-n never lists all its sequences first.
-        sequences = []
-        for seq in realizable_sequences(args.max_n):
-            _require_within_cap(seq, args.cap)
-            sequences.append(seq)
-        reports = [verify_greedy_minimum(seq, args.tolerance, args.cap) for seq in sequences]
-        sys.stdout.write(format_report_table(reports))
-        failures = sum(1 for r in reports if not r.minimum_attained)
+        candidates = realizable_sequences(args.max_n)
+    else:
+        if args.max_n is not None:
+            raise CommandLineError("--max-n applies only to --sweep")
+        candidates = [parse_degree_sequence(args.degrees)]
+    # Verification is all-or-nothing: refuse an over-cap class before
+    # verifying any. The walk stops at the first such class, so a
+    # large --max-n never lists all its sequences first.
+    sequences = []
+    for seq in candidates:
+        _require_within_cap(seq, args.cap)
+        sequences.append(seq)
+    reports = [verify_greedy_minimum(seq, args.cap) for seq in sequences]
+    sys.stdout.write(format_report_table(reports))
+    failures = sum(1 for r in reports if not r.minimum_attained)
+    if args.sweep:
         print(
             f"checked {len(reports)} degree sequences with 2 <= n <= {args.max_n}; "
             f"failures: {failures}"
         )
-        return EXIT_OK if failures == 0 else 1
-    seq = parse_degree_sequence(args.degrees)
-    report = verify_greedy_minimum(seq, args.tolerance, args.cap)
-    sys.stdout.write(format_report_table([report]))
-    return EXIT_OK if report.minimum_attained else 1
+    return EXIT_OK if failures == 0 else 1
 
 
 def cmd_descend(args) -> int:
     if args.random and args.tree_file:
         raise CommandLineError("give either a tree file or --random, not both")
+    if args.degrees is not None and not args.random:
+        raise CommandLineError("-d/--degrees applies only to --random")
     if args.random:
         if not args.degrees:
             raise CommandLineError("--random requires -d/--degrees")
@@ -197,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("-d", "--degrees")
     source.add_argument("--sweep", action="store_true", help="all realizable sequences up to --max-n")
     p_verify.add_argument("--max-n", dest="max_n", type=int, default=None)
-    p_verify.add_argument("--tolerance", type=float, default=DEFAULT_VALUE_TOLERANCE)
     p_verify.add_argument("--cap", type=int, default=DEFAULT_TREE_CAP,
                           help="refuse classes holding more trees than this")
     p_verify.set_defaults(func=cmd_verify)

@@ -65,14 +65,6 @@ def _require_within_cap(seq: DegreeSequence, cap: int) -> int:
     return total
 
 
-def _require_tolerance(tolerance: float) -> None:
-    """Refuses a clustering tolerance that is not a finite positive number:
-    NaN would keep every value apart and fail every comparison, and an
-    infinite one would merge the spectrum into a single value."""
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
-
-
 def _code_multiset(seq: DegreeSequence) -> list[int]:
     """Label u repeated deg(u) - 1 times, in ascending order."""
     items: list[int] = []
@@ -196,8 +188,8 @@ def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: floa
 class SpectrumSummary:
     """Distinct index values over one tree class, with multiplicities.
 
-    Values are strictly increasing under the clustering tolerance that
-    produced them; multiplicities count the labeled trees attaining each.
+    Values are strictly increasing; multiplicities count the labeled trees
+    attaining each.
     """
 
     values: tuple[float, ...]
@@ -234,19 +226,17 @@ class SpectrumSummary:
         return len(self.values)
 
 
-def spectrum_from_counts(
-    counts: Counter, tolerance: float = DEFAULT_VALUE_TOLERANCE
-) -> SpectrumSummary:
-    """Cluster exact values whose consecutive gap is at most the tolerance;
-    each cluster is represented by its smallest member."""
-    _require_tolerance(tolerance)
+def spectrum_from_counts(counts: Counter) -> SpectrumSummary:
+    """Cluster exact values whose consecutive gap is at most
+    ``DEFAULT_VALUE_TOLERANCE``; each cluster is represented by its smallest
+    member."""
     if not counts:
         raise ValueError("no values to summarize")
     values: list[float] = []
     multiplicities: list[int] = []
     previous = None
     for value in sorted(counts):
-        if previous is not None and value - previous <= tolerance:
+        if previous is not None and value - previous <= DEFAULT_VALUE_TOLERANCE:
             multiplicities[-1] += counts[value]
         else:
             values.append(value)
@@ -255,11 +245,9 @@ def spectrum_from_counts(
     return SpectrumSummary(tuple(values), tuple(multiplicities))
 
 
-def sombor_spectrum(
-    seq: DegreeSequence, tolerance: float = DEFAULT_VALUE_TOLERANCE
-) -> SpectrumSummary:
+def sombor_spectrum(seq: DegreeSequence) -> SpectrumSummary:
     """Distinct Sombor values over the whole tree class, with multiplicities."""
-    return spectrum_from_counts(sombor_value_counts(seq), tolerance)
+    return spectrum_from_counts(sombor_value_counts(seq))
 
 
 @dataclass(frozen=True)
@@ -297,10 +285,10 @@ def compute_q(seq: DegreeSequence, spectrum: SpectrumSummary) -> QConstant:
 class VerificationReport:
     """Outcome of the exhaustive minimality check for one degree sequence.
 
-    ``minimum_attained`` is |SO(greedy) - z1| <= tolerance. ``sandwich_holds``
-    reports whether every tree's pseudo index lies strictly between
-    SO - (z2 - z1)/2 and SO; it is None when the class has a single value
-    (no gap to measure) or n = 1.
+    ``minimum_attained`` is |SO(greedy) - z1| <= DEFAULT_VALUE_TOLERANCE.
+    ``sandwich_holds`` reports whether every tree's pseudo index lies
+    strictly between SO - (z2 - z1)/2 and SO; it is None when the class has
+    a single value (no gap to measure) or n = 1.
     """
 
     seq: DegreeSequence
@@ -314,26 +302,22 @@ class VerificationReport:
 
 
 def verify_greedy_minimum(
-    seq: DegreeSequence,
-    tolerance: float = DEFAULT_VALUE_TOLERANCE,
-    cap: int = DEFAULT_TREE_CAP,
+    seq: DegreeSequence, cap: int = DEFAULT_TREE_CAP
 ) -> VerificationReport:
     """Exhaustively check that the greedy tree attains the smallest Sombor
     value of its class, and that every pseudo index respects the half-gap
     sandwich when at least two distinct values exist.
 
-    Refuses a tolerance that is not finite and positive, and classes larger
-    than ``cap`` trees, before any enumeration: verification is
-    all-or-nothing, never truncated.
+    Refuses classes larger than ``cap`` trees before any enumeration:
+    verification is all-or-nothing, never truncated.
     """
-    _require_tolerance(tolerance)
     total = _require_within_cap(seq, cap)
     greedy_tree = build_greedy(seq)
     greedy_so = sombor(greedy_tree)
     # The one-vertex class holds one tree and has no score constant.
     z1, z2, q, sandwich = greedy_so, None, None, None
     if seq.n > 1:
-        spectrum = sombor_spectrum(seq, tolerance)
+        spectrum = sombor_spectrum(seq)
         if spectrum.tree_count != total:
             raise OracleInvariantError(
                 f"enumeration yielded {spectrum.tree_count} trees, expected {total}"
@@ -351,7 +335,7 @@ def verify_greedy_minimum(
         z1=z1,
         z2=z2,
         greedy_so=greedy_so,
-        minimum_attained=abs(greedy_so - z1) <= tolerance,
+        minimum_attained=abs(greedy_so - z1) <= DEFAULT_VALUE_TOLERANCE,
         sandwich_holds=sandwich,
         q_used=q,
     )

@@ -70,7 +70,7 @@ def test_criterion_2_minimum_sweep(capsys):
     failures = []
     checked = 0
     for seq in realizable_sequences(9):
-        report = verify_greedy_minimum(seq, tolerance=1e-9)
+        report = verify_greedy_minimum(seq)
         checked += 1
         if not (report.minimum_attained and abs(report.greedy_so - report.z1) <= 1e-9):
             failures.append(seq.render())
@@ -109,7 +109,7 @@ def test_criterion_4_sandwich_bound(capsys):
     violations = []
     classes = 0
     for seq in realizable_sequences(8):
-        spectrum = sombor_spectrum(seq, tolerance=1e-9)
+        spectrum = sombor_spectrum(seq)
         if spectrum.z2 is None:
             continue
         classes += 1
@@ -134,7 +134,7 @@ def test_criterion_4_sandwich_bound(capsys):
 def test_criterion_5_argmin_transfer(capsys):
     offenders = []
     for seq in realizable_sequences(8):
-        spectrum = sombor_spectrum(seq, tolerance=1e-9)
+        spectrum = sombor_spectrum(seq)
         q = compute_q(seq, spectrum)
         scores = score_assignment(build_greedy(seq), q.value)
         records = [

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -196,22 +197,61 @@ def test_verify_non_realizable_exit_3(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("-d", "3,2,2,1,1,1", "--tolerance", "nan"),
-        ("-d", "3,2,2,1,1,1", "--tolerance", "inf"),
-        ("-d", "0", "--tolerance", "-1"),
-        ("--sweep", "--max-n", "5", "--tolerance", "-1"),
-        ("--sweep", "--max-n", "5", "--tolerance", "nan"),
-        ("--sweep", "--max-n", "1", "--tolerance", "nan"),
-        ("--sweep", "--max-n", "12", "--cap", "100", "--tolerance", "nan"),
+        ("-d", "4,3,3,2,2,1,1,1,1,1,1", "--tolerance", "2"),
+        ("--sweep", "--max-n", "5", "--tolerance", "1e-9"),
     ],
-    ids=["nan", "inf", "negative-one-vertex", "negative-sweep", "nan-sweep",
-         "nan-empty-sweep", "nan-over-cap-sweep"],
+    ids=["merging-class", "sweep"],
 )
-def test_verify_refuses_bad_tolerance(capsys, argv):
+def test_verify_has_no_tolerance_flag(capsys, argv):
+    # A tolerance wide enough to merge the spectrum into one value would
+    # report the minimum attained without checking anything.
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: tolerance must be finite and positive")
+    assert "unrecognized arguments: --tolerance" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "-d", "3,2,2,1,1,1", "--max-n", "5"), "--max-n applies only to --sweep"),
+        (("descend", "TREE_FILE", "-d", "9,9,9"), "-d/--degrees applies only to --random"),
+    ],
+    ids=["verify-max-n", "descend-degrees"],
+)
+def test_flags_the_mode_ignores_are_refused(tmp_path, capsys, argv, message):
+    path = tmp_path / "edge.txt"
+    path.write_text("1 2\n")
+    argv = [str(path) if arg == "TREE_FILE" else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+OPTION_SURFACE = {
+    "greedy": {"-d/--degrees", "--format"},
+    "index": {"--q"},
+    "verify": {"-d/--degrees", "--sweep", "--max-n", "--cap"},
+    "descend": {"-d/--degrees", "--random", "--seed", "--q", "--trace-json"},
+}
+
+
+def test_option_surface(capsys):
+    # Every option is a setting to test and document: adding one means
+    # editing this table.
+    surface = {}
+    for command in OPTION_SURFACE:
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        options = surface[command] = set()
+        for line in out.splitlines():
+            match = re.match(r"\s+(-.*?)(?:\s{2,}|$)", line)
+            if match:
+                options.add("/".join(re.findall(r"(?:^|, )(-[\w-]+)", match.group(1))))
+    assert surface == {
+        command: options | {"-h/--help"} for command, options in OPTION_SURFACE.items()
+    }
 
 
 def _shift_up(fn):
@@ -244,6 +284,14 @@ def test_verify_oracle_invariant_exit_5(capsys, monkeypatch, name, fake):
             "b89bf5d879218cd3612a318b05748c0af7b73050e7f29668e2f1259390a18300",
         ),
         (
+            ("verify", "-d", "0"),
+            "04756621b2bb1c785cc4a90aafdaf7e4a37ffe0548279295e5348606fa19a178",
+        ),
+        (
+            ("verify", "-d", "1,1"),
+            "a3b96b0a8cf3b4d34db6c186c7734dea86e34286a5b4d69fe70cb1f3b6c7abd9",
+        ),
+        (
             ("verify", "--sweep", "--max-n", "8"),
             "a2896fc8f53d2dfed9ab096c62c40731f5701d7d909044a2676b05c0c5d0be22",
         ),
@@ -256,7 +304,7 @@ def test_verify_oracle_invariant_exit_5(capsys, monkeypatch, name, fake):
             "6d1bab77433c9ea8216b7f558a50fb5ac6e1f7413737ff2393c3d571c76b45dd",
         ),
     ],
-    ids=["n11-class", "sweep-8", "sweep-9", "greedy-dot"],
+    ids=["n11-class", "one-vertex", "one-edge", "sweep-8", "sweep-9", "greedy-dot"],
 )
 def test_verify_golden(capsys, argv, stdout_sha):
     # Pins the exact bytes of verify, so a rewrite of the class walk or of

@@ -123,11 +123,12 @@ def test_spectrum_merge_is_order_independent():
 
 def test_spectrum_clustering_tolerance():
     counts = Counter({1.0: 2, 1.0 + 5e-10: 1, 2.0: 3})
-    summary = spectrum_from_counts(counts, tolerance=1e-9)
+    summary = spectrum_from_counts(counts)
     assert summary.values == (1.0, 2.0)
     assert summary.multiplicities == (3, 3)
-    split = spectrum_from_counts(counts, tolerance=1e-10)
-    assert split.distinct_count == 3
+    split = spectrum_from_counts(Counter({1.0: 2, 1.0 + 2e-9: 1}))
+    assert split.values == (1.0, 1.0 + 2e-9)
+    assert split.multiplicities == (2, 1)
 
 
 def test_spectrum_from_counts_refuses_empty_counts():
@@ -280,17 +281,6 @@ def test_class_walk_matches_slow_path(seq):
         slow_verdict = all(so - half_gap < pso < so for so, pso in slow_pairs)
         assert oracle._sandwich_holds(seq, scores, half_gap) == slow_verdict
     assert report.sandwich_holds
-
-
-@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-def test_tolerance_must_be_finite_and_positive(tolerance):
-    with pytest.raises(ValueError, match="tolerance"):
-        spectrum_from_counts(Counter({1.0: 1}), tolerance)
-    # Refused before the realizability test, so before any enumeration.
-    with pytest.raises(ValueError, match="tolerance"):
-        verify_greedy_minimum(DegreeSequence((2, 2, 2)), tolerance)
-    with pytest.raises(ValueError, match="tolerance"):
-        verify_greedy_minimum(DegreeSequence((0,)), tolerance)
 
 
 def test_tree_count_mismatch_raises_oracle_invariant_error(monkeypatch):
