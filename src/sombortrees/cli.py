@@ -138,11 +138,13 @@ def cmd_descend(args) -> int:
         raise CommandLineError("give either a tree file or --random, not both")
     if args.degrees is not None and not args.random:
         raise CommandLineError("-d/--degrees applies only to --random")
+    if args.seed is not None and not args.random:
+        raise CommandLineError("--seed applies only to --random")
     if args.random:
         if not args.degrees:
             raise CommandLineError("--random requires -d/--degrees")
         seq = parse_degree_sequence(args.degrees)
-        tree = sample_tree(seq, random.Random(args.seed))
+        tree = sample_tree(seq, random.Random(args.seed or 0))
     elif args.tree_file:
         tree = _load_tree(args.tree_file)
     else:
@@ -207,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_descend.add_argument("--random", action="store_true",
                            help="start from a seeded uniform sample of the class of -d")
     p_descend.add_argument("-d", "--degrees", default=None)
-    p_descend.add_argument("--seed", type=int, default=0)
+    p_descend.add_argument("--seed", type=int, default=None,
+                           help="seed of the --random sample (default 0)")
     p_descend.add_argument("--q", type=_q_flag, default="auto")
     p_descend.add_argument("--trace-json", dest="trace_json", default=None,
                            help="write the step trace to this path as JSON")

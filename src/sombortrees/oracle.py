@@ -6,19 +6,27 @@ Enumeration walks the distinct permutations of the code multiset in which
 label u occurs deg(u) - 1 times, decoding each permutation; that visits
 every labeled tree of the class exactly once.
 
-The spectrum and sandwich passes sum per-edge terms over each decoded edge
-list without building a tree: every tree of the class shares the per-label
-degrees, and ``math.fsum`` rounds exactly, so the sums carry the same bits
-as ``sombor`` and ``pseudo_sombor`` of the tree. Each pass also takes the
-class's first tree through ``prufer_decode`` and those two functions, and
-raises ``OracleInvariantError`` unless both routes agree bit for bit.
+The spectrum comes from the rooted unlabeled trees of the class instead.
+SO depends only on the multiset of edge degree pairs, so every labeling of
+one unlabeled tree has the same value. Each tree R rooted at a vertex of the
+largest degree d_1 adds prod(m_d!) / |Aut_r(R)| to its value, m_d being the
+number of vertices of degree d; a labeled tree is counted once per root it
+can take, so the weights are prod(m_d!) / (|Aut_r(R)| * m_{d_1}). Only the
+sandwich pass walks Prufer codes: it sums per-edge terms over each decoded
+edge list without building a tree. Every tree of the class shares the
+per-label degrees, and ``math.fsum`` rounds exactly, so all these sums
+carry the same bits as ``sombor`` and ``pseudo_sombor`` of the tree. As a
+spot check, each pass takes the class's first tree through
+``prufer_decode`` and those functions, and raises ``OracleInvariantError``
+when the spectrum lacks its value or the walk disagrees with it by a bit.
 """
 
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations_with_replacement, count, product, repeat
+from operator import sub
 from typing import Iterator, Sequence
 
 from .degseq import DegreeSequence, require_tree_realizable
@@ -37,9 +45,10 @@ class ResourceCapExceededError(RuntimeError):
 
 
 class OracleInvariantError(RuntimeError):
-    """The enumeration disagrees with itself: the class walk yielded a tree
-    count other than the formula's, or its fast index sums differ from the
-    slow path on the class's first tree."""
+    """The enumeration disagrees with itself: the spectrum counts a number
+    of trees other than the formula's, a rooted-tree weight is not a
+    multiple of the number of roots, or a fast value differs from the slow
+    path on the class's first tree."""
 
 
 def count_trees(seq: DegreeSequence) -> int:
@@ -138,46 +147,164 @@ class _EdgeTerms(dict):
         return term
 
 
-def _checked_walk(seq: DegreeSequence, scores: ScoreAssignment | None = None):
-    """The class walk with its edge-term lookups, for degrees and (given
-    scores) for scores. Rebuilds the class's first tree the slow way and
-    raises ``OracleInvariantError`` unless its edges, Sombor value and
-    (given scores) pseudo value equal the walk's."""
-    so_term = _EdgeTerms(seq.degrees).__getitem__
-    pso_term = _EdgeTerms(scores.values).__getitem__ if scores is not None else None
-    walk = _class_walk(seq)
-    first = next(walk)
+def _first_tree(seq: DegreeSequence) -> LabeledTree:
+    """The class's first tree, built the slow way through ``prufer_decode``."""
     if seq.n == 1:
-        tree = LabeledTree(1, [])
-    else:
-        tree = prufer_decode(PruferCode(seq.n, tuple(_code_multiset(seq))))
-    if (
-        tree.edges != tuple(sorted(first))
-        or sombor(tree) != math.fsum(map(so_term, first))
-        or scores is not None
-        and pseudo_sombor(tree, scores) != math.fsum(map(pso_term, first))
-    ):
-        raise OracleInvariantError(
-            f"class walk of {seq.render()} disagrees with prufer_decode on its first tree"
+        return LabeledTree(1, [])
+    return prufer_decode(PruferCode(seq.n, tuple(_code_multiset(seq))))
+
+
+def _rooted_trees(
+    kinds: Sequence[int], counts: Sequence[int]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(|Aut_r(R)|, edge profile) of every rooted unlabeled tree R with
+    ``counts[i]`` vertices of degree ``kinds[i]`` (``kinds`` decreasing),
+    rooted at a vertex of degree ``kinds[0]``; each R appears once.
+
+    A branch is a non-root vertex with its descendants: a vertex of degree
+    d has d - 1 child branches, the root has d. ``branches`` builds the
+    branches of each vertex multiset once, memoized, so a branch's creation
+    index is a canonical key. A vertex takes its children in decreasing key
+    order, each distinct branch together with its multiplicity, so the
+    recursion depth grows with the height of the trees, not with the number
+    of siblings. |Aut_r| multiplies the children's counts and the factorial
+    of each multiplicity. An edge profile counts the edges of each degree
+    pair (i, j), i <= j, in the order ``combinations_with_replacement``
+    lists the pairs.
+    """
+    width = len(kinds)
+    pair_index = {
+        pair: index for index, pair in enumerate(combinations_with_replacement(range(width), 2))
+    }
+    memo: dict[tuple[int, ...], list] = {}
+    new_key = count()
+
+    def branches(multiset):
+        """(key, multiset, top kind, |Aut_r|, edge profile) of every branch
+        whose vertices make up exactly ``multiset``."""
+        found = memo.get(multiset)
+        if found is None:
+            found = memo[multiset] = []
+            for top in range(width):
+                if multiset[top]:
+                    rest = (*multiset[:top], multiset[top] - 1, *multiset[top + 1 :])
+                    for aut, profile in forests(top, kinds[top] - 1, rest):
+                        found.append((next(new_key), multiset, top, aut, profile))
+        return found
+
+    def forests(parent, slots, pool):
+        """(|Aut_r|, edge profile) of every multiset of ``slots`` branches
+        whose vertices make up ``pool``, with their edges up to a vertex of
+        kind ``parent`` counted in."""
+        # A branch on multiset M has |M| - 1 edges, so its degrees sum to
+        # 2|M| - 1.
+        candidates = sorted(
+            (
+                branch
+                for part in product(*(range(c + 1) for c in pool))
+                if sum(c * (kinds[i] - 2) for i, c in enumerate(part)) == -1
+                for branch in branches(part)
+            ),
+            reverse=True,
         )
-    return chain((first,), walk), so_term, pso_term
+        found = []
+
+        def pick(options, slots, pool, aut, profile):
+            if not slots:
+                if not any(pool):
+                    found.append((aut, profile))
+                return
+            options = [option for option in options if min(map(sub, pool, option[1])) >= 0]
+            for index, (_, used, top, child_aut, child_profile) in enumerate(options):
+                most = min(slots, *(have // need for have, need in zip(pool, used) if need))
+                # The last option has to fill every slot left.
+                least = slots if index == len(options) - 1 else 1
+                edge = pair_index[min(parent, top), max(parent, top)]
+                for times in range(least, most + 1):
+                    grown = [p + times * c for p, c in zip(profile, child_profile)]
+                    grown[edge] += times
+                    pick(
+                        options[index + 1 :],
+                        slots - times,
+                        tuple(have - times * need for have, need in zip(pool, used)),
+                        aut * child_aut**times * math.factorial(times),
+                        tuple(grown),
+                    )
+
+        pick(candidates, slots, pool, 1, (0,) * len(pair_index))
+        return found
+
+    return forests(0, kinds[0], (counts[0] - 1, *counts[1:]))
 
 
 def sombor_value_counts(seq: DegreeSequence) -> Counter:
-    """Exact index value -> number of trees attaining it.
+    """Exact index value -> number of labeled trees attaining it.
 
-    Counter addition merges partial counts from any partition of the
-    enumeration, in any order, without changing the final spectrum.
+    SO depends only on the multiset of edge degree pairs, so every labeling
+    of one unlabeled tree has the same value. The counts come from the
+    rooted unlabeled trees R of the class, rooted at a vertex of the largest
+    degree d_1: each adds prod(m_d!) / |Aut_r(R)| labeled trees to its
+    value, m_d being the number of vertices of degree d, and each labeled
+    tree is counted once per root it can take, so the total of every edge
+    profile is divided by m_{d_1}. A value is the ``math.fsum`` of its
+    ``hypot`` edge terms, which rounds exactly, so it carries the bits of
+    ``sombor`` of any labeled tree with those edges. The class's first
+    tree, decoded through ``prufer_decode``, must have a value among the
+    keys.
+
+    Counter addition merges partial counts from any partition of the class,
+    in any order, without changing the final spectrum.
     """
-    walk, term, _ = _checked_walk(seq)
-    return Counter(math.fsum(map(term, edges)) for edges in walk)
+    require_tree_realizable(seq)
+    tally = Counter(seq.degrees)
+    kinds = sorted(tally, reverse=True)
+    counts = [tally[d] for d in kinds]
+    labelings = math.prod(map(math.factorial, counts))
+    weights: Counter = Counter()
+    for aut, profile in _rooted_trees(kinds, counts):
+        weights[profile] += labelings // aut
+    terms = [
+        math.hypot(kinds[i], kinds[j])
+        for i, j in combinations_with_replacement(range(len(kinds)), 2)
+    ]
+    values: Counter = Counter()
+    for profile, weight in weights.items():
+        # Every rooting of one unlabeled tree has its edge profile.
+        trees, rest = divmod(weight, counts[0])
+        if rest:
+            raise OracleInvariantError(
+                f"rooted trees of {seq.render()} weigh {weight} on one edge profile, "
+                f"not a multiple of its {counts[0]} roots"
+            )
+        values[math.fsum(chain.from_iterable(map(repeat, terms, profile)))] += trees
+    if sombor(_first_tree(seq)) not in values:
+        raise OracleInvariantError(
+            f"spectrum of {seq.render()} disagrees with prufer_decode on its first tree"
+        )
+    return values
 
 
 def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: float) -> bool:
     """Whether every tree of the class has SO - half_gap < pSO < SO; stops
-    at the first tree that breaks it."""
-    walk, so_term, pso_term = _checked_walk(seq, scores)
-    for edges in walk:
+    at the first tree that breaks it.
+
+    Walks the labeled class with edge-term lookups for degrees and scores.
+    Raises ``OracleInvariantError`` unless the class's first tree, rebuilt
+    the slow way, has the walk's edges, Sombor value and pseudo value."""
+    so_term = _EdgeTerms(seq.degrees).__getitem__
+    pso_term = _EdgeTerms(scores.values).__getitem__
+    walk = _class_walk(seq)
+    first = next(walk)
+    tree = _first_tree(seq)
+    if (
+        tree.edges != tuple(sorted(first))
+        or sombor(tree) != math.fsum(map(so_term, first))
+        or pseudo_sombor(tree, scores) != math.fsum(map(pso_term, first))
+    ):
+        raise OracleInvariantError(
+            f"class walk of {seq.render()} disagrees with prufer_decode on its first tree"
+        )
+    for edges in chain((first,), walk):
         so = math.fsum(map(so_term, edges))
         if not (so - half_gap < math.fsum(map(pso_term, edges)) < so):
             return False

@@ -216,8 +216,9 @@ def test_verify_has_no_tolerance_flag(capsys, argv):
     [
         (("verify", "-d", "3,2,2,1,1,1", "--max-n", "5"), "--max-n applies only to --sweep"),
         (("descend", "TREE_FILE", "-d", "9,9,9"), "-d/--degrees applies only to --random"),
+        (("descend", "TREE_FILE", "--seed", "5"), "--seed applies only to --random"),
     ],
-    ids=["verify-max-n", "descend-degrees"],
+    ids=["verify-max-n", "descend-degrees", "descend-seed"],
 )
 def test_flags_the_mode_ignores_are_refused(tmp_path, capsys, argv, message):
     path = tmp_path / "edge.txt"
@@ -259,17 +260,21 @@ def _shift_up(fn):
 
 
 @pytest.mark.parametrize(
-    "name, fake",
+    "name, fake, degrees",
     [
-        ("count_trees", lambda real: lambda seq: real(seq) + 1),
-        ("sombor", _shift_up),
-        ("pseudo_sombor", _shift_up),
+        ("count_trees", lambda real: lambda seq: real(seq) + 1, "3,2,2,1,1,1"),
+        ("sombor", _shift_up, "3,2,2,1,1,1"),
+        ("pseudo_sombor", _shift_up, "3,2,2,1,1,1"),
+        # One value, so no sandwich pass: only the spectrum's spot check
+        # sees the shift.
+        ("sombor", _shift_up, "2,2,1,1"),
     ],
-    ids=["tree-count", "spectrum-spot-check", "sandwich-spot-check"],
+    ids=["tree-count", "spectrum-spot-check", "sandwich-spot-check",
+         "one-value-spectrum-spot-check"],
 )
-def test_verify_oracle_invariant_exit_5(capsys, monkeypatch, name, fake):
+def test_verify_oracle_invariant_exit_5(capsys, monkeypatch, name, fake, degrees):
     monkeypatch.setattr(oracle, name, fake(getattr(oracle, name)))
-    code, out, err = run_cli(capsys, "verify", "-d", "3,2,2,1,1,1")
+    code, out, err = run_cli(capsys, "verify", "-d", degrees)
     assert code == 5
     assert out == ""
     assert err.startswith("internal invariant violated: ")
@@ -300,11 +305,17 @@ def test_verify_oracle_invariant_exit_5(capsys, monkeypatch, name, fake):
             "43603c72b5910f4362f64480a428a2b9e632a68736c9a681690d0d44f5c1ddb1",
         ),
         (
+            # A 1,501-vertex star: 1,500 equal sibling branches at the root.
+            ("verify", "-d", ",".join(["1500"] + ["1"] * 1500)),
+            "7132d84c329eae6721f276cd7b3164e0d147bc8ec805e6d2c88599e1317f32f0",
+        ),
+        (
             ("greedy", "-d", "4,3,3,2,1,1,1,1,1,1", "--format", "dot"),
             "6d1bab77433c9ea8216b7f558a50fb5ac6e1f7413737ff2393c3d571c76b45dd",
         ),
     ],
-    ids=["n11-class", "one-vertex", "one-edge", "sweep-8", "sweep-9", "greedy-dot"],
+    ids=["n11-class", "one-vertex", "one-edge", "sweep-8", "sweep-9", "star-1501",
+         "greedy-dot"],
 )
 def test_verify_golden(capsys, argv, stdout_sha):
     # Pins the exact bytes of verify, so a rewrite of the class walk or of

@@ -7,6 +7,7 @@ import pytest
 
 from sombortrees import oracle
 from sombortrees.degseq import DegreeSequence, NotTreeRealizableError
+from sombortrees.greedy import build_greedy
 from sombortrees.indices import pseudo_sombor, score_assignment, sombor
 from sombortrees.oracle import (
     compute_q,
@@ -281,6 +282,30 @@ def test_class_walk_matches_slow_path(seq):
         slow_verdict = all(so - half_gap < pso < so for so, pso in slow_pairs)
         assert oracle._sandwich_holds(seq, scores, half_gap) == slow_verdict
     assert report.sandwich_holds
+
+
+def labeled_value_counts(seq):
+    """The labeled spectrum pass the rooted-tree count replaced, kept as its
+    slow reference: the ``fsum`` of each walked edge list's ``hypot`` terms."""
+    term = oracle._EdgeTerms(seq.degrees).__getitem__
+    return Counter(math.fsum(map(term, edges)) for edges in oracle._class_walk(seq))
+
+
+@pytest.mark.parametrize("seq", list(realizable_sequences(10)), ids=lambda s: s.render())
+def test_value_counts_match_labeled_walk(seq):
+    assert sombor_value_counts(seq) == labeled_value_counts(seq)
+
+
+def test_value_counts_total_the_class_size():
+    for seq in realizable_sequences(14):
+        assert sum(sombor_value_counts(seq).values()) == count_trees(seq), seq.render()
+
+
+def test_value_counts_of_a_class_too_large_to_walk():
+    seq = DegreeSequence((24, 3, 2, 2, 2) + (1,) * 25)
+    counts = sombor_value_counts(seq)
+    assert sum(counts.values()) == count_trees(seq) == 5_896_800
+    assert min(counts) == sombor(build_greedy(seq))
 
 
 def test_tree_count_mismatch_raises_oracle_invariant_error(monkeypatch):

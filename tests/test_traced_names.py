@@ -63,17 +63,20 @@ def _bench_run(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "workload, argv",
+    "workload, argv, calls",
     [
-        ("verify-class", ["verify", "-d", "3,2,2,1,1,1"]),
+        # One prufer_decode spot check per pass: the spectrum counts rooted
+        # unlabeled trees, and only the sandwich pass walks labeled ones.
+        ("verify-class", ["verify", "-d", "3,2,2,1,1,1"],
+         {"tree_core.prufer_decode": 2, "oracle.sombor_spectrum": 1}),
         # --max-n 5 calls neither pseudo_sombor nor score_assignment
-        ("verify-sweep", ["verify", "--sweep", "--max-n", "6"]),
+        ("verify-sweep", ["verify", "--sweep", "--max-n", "6"], {}),
         ("descend-random", ["descend", "--random", "-d", "4,3,3,2,1,1,1,1,1,1",
-                            "--seed", "7", "--trace-json", "{tmp}/trace.json"]),
+                            "--seed", "7", "--trace-json", "{tmp}/trace.json"], {}),
     ],
     ids=["verify-class", "verify-sweep", "descend-random"],
 )
-def test_traced_child_calls_every_required_layer(monkeypatch, tmp_path, workload, argv):
+def test_traced_child_calls_every_required_layer(monkeypatch, tmp_path, workload, argv, calls):
     run = _bench_run(monkeypatch)
     spec = {
         "argv": [arg.format(tmp=tmp_path) for arg in argv],
@@ -87,4 +90,7 @@ def test_traced_child_calls_every_required_layer(monkeypatch, tmp_path, workload
     )
     # exit TRACE_SETUP_EXIT names a required layer that was never called
     assert proc.returncode == 0, (proc.returncode, proc.stderr)
-    assert json.loads(proc.stdout.splitlines()[-1])["exit_code"] == 0
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["exit_code"] == 0
+    for layer, expected in calls.items():
+        assert result["layers"][f"{layer}.calls"] == expected, layer
