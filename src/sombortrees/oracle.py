@@ -11,12 +11,17 @@ SO depends only on the multiset of edge degree pairs, so every labeling of
 one unlabeled tree has the same value. Each tree R rooted at a vertex of the
 largest degree d_1 adds prod(m_d!) / |Aut_r(R)| to its value, m_d being the
 number of vertices of degree d; a labeled tree is counted once per root it
-can take, so the weights are prod(m_d!) / (|Aut_r(R)| * m_{d_1}). Only the
-sandwich pass walks Prufer codes: it sums per-edge terms over each decoded
-edge list without building a tree. Every tree of the class shares the
-per-label degrees, and ``math.fsum`` rounds exactly, so all these sums
-carry the same bits as ``sombor`` and ``pseudo_sombor`` of the tree. As a
-spot check, each pass takes the class's first tree through
+can take, so the weights are prod(m_d!) / (|Aut_r(R)| * m_{d_1}).
+
+Only the sandwich pass walks Prufer codes, depth first over the prefix tree
+of the code multiset's distinct arrangements: the decoder's state after a
+prefix, and the edges it has joined, depend on the prefix only, so codes
+that share a prefix share its decoding. Each edge term is an exact integer
+on one power-of-two grid, prefix sums are exact, and each tree's SO and pSO
+are rounded once. Every tree of the class shares the per-label degrees, and
+a single correct rounding of the exact sum is what ``math.fsum`` returns,
+so these values carry the same bits as ``sombor`` and ``pseudo_sombor`` of
+the tree. As a spot check, each pass takes the class's first tree through
 ``prufer_decode`` and those functions, and raises ``OracleInvariantError``
 when the spectrum lacks its value or the walk disagrees with it by a bit.
 """
@@ -25,9 +30,9 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, count, product, repeat
+from itertools import chain, combinations_with_replacement, count, repeat
 from operator import sub
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .degseq import DegreeSequence, require_tree_realizable
 from .greedy import build_greedy
@@ -130,23 +135,6 @@ def sample_tree(seq: DegreeSequence, rng: random.Random) -> LabeledTree:
     return prufer_decode(PruferCode(seq.n, tuple(items)))
 
 
-class _EdgeTerms(dict):
-    """Edge (a, b) -> hypot(w_a, w_b), the edge's term in an index over the
-    label weights w (degrees or scores). A term is computed on its first
-    lookup, so the table holds only the edges the walk meets."""
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights: Sequence[float]):
-        super().__init__()
-        self.weights = weights
-
-    def __missing__(self, edge: tuple[int, int]) -> float:
-        a, b = edge
-        term = self[edge] = math.hypot(self.weights[a - 1], self.weights[b - 1])
-        return term
-
-
 def _first_tree(seq: DegreeSequence) -> LabeledTree:
     """The class's first tree, built the slow way through ``prufer_decode``."""
     if seq.n == 1:
@@ -192,20 +180,28 @@ def _rooted_trees(
                         found.append((next(new_key), multiset, top, aut, profile))
         return found
 
+    def parts(pool):
+        """Every sub-multiset of ``pool`` that a branch can be made of. A
+        branch on multiset M has |M| - 1 edges, so its degrees sum to
+        2|M| - 1: sum(c_d * (d - 2)) = -1, which fixes the number of leaves
+        (the last kind) by the other counts."""
+        *inner, leaves = pool
+        found = [((), 0)]  # (counts of the kinds so far, sum of c_d * (d - 2))
+        for kind, have in zip(kinds, inner):
+            found = [
+                ((*part, c), load + c * (kind - 2))
+                for part, load in found
+                for c in range(have + 1)
+                if load + c * (kind - 2) < leaves
+            ]
+        return [(*part, load + 1) for part, load in found]
+
     def forests(parent, slots, pool):
         """(|Aut_r|, edge profile) of every multiset of ``slots`` branches
         whose vertices make up ``pool``, with their edges up to a vertex of
         kind ``parent`` counted in."""
-        # A branch on multiset M has |M| - 1 edges, so its degrees sum to
-        # 2|M| - 1.
         candidates = sorted(
-            (
-                branch
-                for part in product(*(range(c + 1) for c in pool))
-                if sum(c * (kinds[i] - 2) for i, c in enumerate(part)) == -1
-                for branch in branches(part)
-            ),
-            reverse=True,
+            (branch for part in parts(pool) for branch in branches(part)), reverse=True
         )
         found = []
 
@@ -214,7 +210,12 @@ def _rooted_trees(
                 if not any(pool):
                     found.append((aut, profile))
                 return
-            options = [option for option in options if min(map(sub, pool, option[1])) >= 0]
+            # One slot left takes a branch made of the whole pool.
+            options = [
+                option
+                for option in options
+                if (option[1] == pool if slots == 1 else min(map(sub, pool, option[1])) >= 0)
+            ]
             for index, (_, used, top, child_aut, child_profile) in enumerate(options):
                 most = min(slots, *(have // need for have, need in zip(pool, used) if need))
                 # The last option has to fill every slot left.
@@ -284,29 +285,109 @@ def sombor_value_counts(seq: DegreeSequence) -> Counter:
     return values
 
 
-def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: float) -> bool:
-    """Whether every tree of the class has SO - half_gap < pSO < SO; stops
-    at the first tree that breaks it.
+def _grid_terms(weights: Sequence[float], heads: Iterable[int]) -> tuple[float, dict]:
+    """Edge terms hypot(w_a, w_b), a < b, over positive label weights w, as
+    exact integers on one grid: ``(scale, columns)`` such that
+    ``columns[e][a] * scale`` is the term of the edge {a, e} for each label
+    e in ``heads`` and every label a (entry 0 is unused).
 
-    Walks the labeled class with edge-term lookups for degrees and scores.
+    ``scale`` is 2**-k for a k that makes every term an integer: a term is
+    at least the smallest weight w_min = f * 2**E, 1/2 <= f < 1, up to its
+    rounding, so its exponent is at least E - 1 and its last bit no finer
+    than 2**(E - 54). Integer sums on the grid are exact, and
+    ``float(sum) * scale`` rounds once, half to even, then scales by a power
+    of two, so it carries the bits ``math.fsum`` gives for the terms."""
+    shift = 54 - math.frexp(min(weights))[1]
+    w = (0.0, *weights)
+    columns = {}
+    for e in heads:
+        column = columns[e] = [0]
+        for a in range(1, len(w)):
+            num, den = math.hypot(w[min(a, e)], w[max(a, e)]).as_integer_ratio()
+            column.append(num << (shift + 1 - den.bit_length()))
+    return math.ldexp(1.0, -shift), columns
+
+
+def _prefix_walk(seq: DegreeSequence, scores: ScoreAssignment) -> Iterator[tuple[float, float]]:
+    """(SO, pSO) of every tree of the class (n >= 2), in the lexicographic
+    order of the codes, as ``sombor`` and ``pseudo_sombor`` give them.
+
+    A depth-first walk over the prefix tree of the code multiset's distinct
+    arrangements. Every label's count in the code is fixed, so the state of
+    ``prufer_edges``' decoder after a prefix (degrees, pointer, leaf) and
+    the edges it has joined depend on the prefix only. The walk keeps that
+    state, with the exact integer sums of the joined edges' terms (see
+    ``_grid_terms``), for every prefix of the current code; the next code
+    undoes and redoes only the steps past the prefix the two share. Each
+    value is rounded once. The walk keeps its own stack, so its depth does
+    not grow with n."""
+    n = seq.n
+    code = _code_multiset(seq)
+    heads = {*code, n}
+    so_scale, so_terms = _grid_terms(seq.degrees, heads)
+    pso_scale, pso_terms = _grid_terms(scores.values, heads)
+    # The decoder joins its last leaf to vertex n.
+    so_last, pso_last = so_terms[n], pso_terms[n]
+    degree = [0, *seq.degrees]
+    size = len(code)
+    end = size - 1
+    leaf = degree.index(1)
+    # states[i]: leaf, pointer and the two sums after the first i entries.
+    states = [(leaf, leaf, 0, 0)] * (size + 1)
+    start = 0
+    while True:
+        leaf, pointer, so, pso = states[start]
+        for i in range(start, size):
+            entry = code[i]
+            so += so_terms[entry][leaf]
+            pso += pso_terms[entry][leaf]
+            degree[entry] -= 1
+            if entry < pointer and degree[entry] == 1:
+                leaf = entry
+            else:
+                leaf = pointer = degree.index(1, pointer + 1)
+            if i < end:
+                states[i + 1] = (leaf, pointer, so, pso)
+        yield float(so + so_last[leaf]) * so_scale, float(pso + pso_last[leaf]) * pso_scale
+        # Lexicographic successor. Walk back over the longest non-increasing
+        # suffix to the entry before it, undoing their decoder steps; that
+        # entry takes the next larger label of the suffix, whose rest is
+        # then put back in ascending order.
+        start = size
+        later = 0
+        while True:
+            start -= 1
+            if start < 0:
+                return
+            entry = code[start]
+            degree[entry] += 1
+            if entry < later:
+                break
+            later = entry
+        swap = end
+        while code[swap] <= entry:
+            swap -= 1
+        code[start] = code[swap]
+        code[swap] = entry
+        code[start + 1 :] = code[:start:-1]
+
+
+def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: float) -> bool:
+    """Whether every tree of the class has SO - half_gap < pSO < SO, over
+    the values of ``_prefix_walk``; stops at the first tree that breaks it.
+
     Raises ``OracleInvariantError`` unless the class's first tree, rebuilt
-    the slow way, has the walk's edges, Sombor value and pseudo value."""
-    so_term = _EdgeTerms(seq.degrees).__getitem__
-    pso_term = _EdgeTerms(scores.values).__getitem__
-    walk = _class_walk(seq)
+    through ``prufer_decode``, has the walk's first Sombor and pseudo
+    value."""
+    walk = _prefix_walk(seq, scores)
     first = next(walk)
     tree = _first_tree(seq)
-    if (
-        tree.edges != tuple(sorted(first))
-        or sombor(tree) != math.fsum(map(so_term, first))
-        or pseudo_sombor(tree, scores) != math.fsum(map(pso_term, first))
-    ):
+    if first != (sombor(tree), pseudo_sombor(tree, scores)):
         raise OracleInvariantError(
-            f"class walk of {seq.render()} disagrees with prufer_decode on its first tree"
+            f"prefix walk of {seq.render()} disagrees with prufer_decode on its first tree"
         )
-    for edges in chain((first,), walk):
-        so = math.fsum(map(so_term, edges))
-        if not (so - half_gap < math.fsum(map(pso_term, edges)) < so):
+    for so, pso in chain((first,), walk):
+        if not (so - half_gap < pso < so):
             return False
     return True
 

@@ -281,6 +281,11 @@ def test_verify_oracle_invariant_exit_5(capsys, monkeypatch, name, fake, degrees
     assert "Traceback" not in err
 
 
+# 103 vertices, 101 code entries, 10,100 trees in 20 values.
+BROOM_103 = ("verify", "-d", ",".join(["100", "2", "2"] + ["1"] * 100))
+BROOM_103_SHA = "54a4fc8af14126275a811e322654b1bbdcedc58dc0aff1c6b7ff430f037d5f05"
+
+
 @pytest.mark.parametrize(
     "argv, stdout_sha",
     [
@@ -305,17 +310,22 @@ def test_verify_oracle_invariant_exit_5(capsys, monkeypatch, name, fake, degrees
             "43603c72b5910f4362f64480a428a2b9e632a68736c9a681690d0d44f5c1ddb1",
         ),
         (
+            ("verify", "--sweep", "--max-n", "10"),
+            "3e1e6c6e7817808e66565d1a48f07d370ee0637b3d7b1c80ca7e94f328f6390b",
+        ),
+        (
             # A 1,501-vertex star: 1,500 equal sibling branches at the root.
             ("verify", "-d", ",".join(["1500"] + ["1"] * 1500)),
             "7132d84c329eae6721f276cd7b3164e0d147bc8ec805e6d2c88599e1317f32f0",
         ),
+        (BROOM_103, BROOM_103_SHA),
         (
             ("greedy", "-d", "4,3,3,2,1,1,1,1,1,1", "--format", "dot"),
             "6d1bab77433c9ea8216b7f558a50fb5ac6e1f7413737ff2393c3d571c76b45dd",
         ),
     ],
-    ids=["n11-class", "one-vertex", "one-edge", "sweep-8", "sweep-9", "star-1501",
-         "greedy-dot"],
+    ids=["n11-class", "one-vertex", "one-edge", "sweep-8", "sweep-9", "sweep-10",
+         "star-1501", "broom-103", "greedy-dot"],
 )
 def test_verify_golden(capsys, argv, stdout_sha):
     # Pins the exact bytes of verify, so a rewrite of the class walk or of
@@ -324,6 +334,23 @@ def test_verify_golden(capsys, argv, stdout_sha):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+
+
+def test_verify_stack_depth_does_not_grow_with_n(capsys):
+    # verify needs under 30 frames above its caller on this class. A walk
+    # that recursed once per code entry would need more than 100, and a
+    # RecursionError would end verify with a traceback.
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        code, out, err = run_cli(capsys, *BROOM_103)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == BROOM_103_SHA
 
 
 def test_descend_fixed_point_from_file(tmp_path, capsys):

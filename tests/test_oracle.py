@@ -269,9 +269,8 @@ def test_class_walk_matches_slow_path(seq):
         return
     spectrum = sombor_spectrum(seq)
     scores = score_assignment(slow[0], compute_q(seq, spectrum).value)
-    pso_term = oracle._EdgeTerms(scores.values).__getitem__
     slow_pairs = [(sombor(t), pseudo_sombor(t, scores)) for t in slow]
-    assert [math.fsum(map(pso_term, edges)) for edges in walk] == [p for _, p in slow_pairs]
+    assert list(oracle._prefix_walk(seq, scores)) == slow_pairs
     report = verify_greedy_minimum(seq)
     if spectrum.z2 is None:
         assert report.sandwich_holds is None
@@ -284,11 +283,72 @@ def test_class_walk_matches_slow_path(seq):
     assert report.sandwich_holds
 
 
+class EdgeTerms(dict):
+    """Edge (a, b) -> hypot(w_a, w_b), the edge's term in an index over the
+    label weights w (degrees or scores), computed on its first lookup."""
+
+    def __init__(self, weights):
+        super().__init__()
+        self.weights = weights
+
+    def __missing__(self, edge):
+        a, b = edge
+        term = self[edge] = math.hypot(self.weights[a - 1], self.weights[b - 1])
+        return term
+
+
 def labeled_value_counts(seq):
     """The labeled spectrum pass the rooted-tree count replaced, kept as its
     slow reference: the ``fsum`` of each walked edge list's ``hypot`` terms."""
-    term = oracle._EdgeTerms(seq.degrees).__getitem__
+    term = EdgeTerms(seq.degrees).__getitem__
     return Counter(math.fsum(map(term, edges)) for edges in oracle._class_walk(seq))
+
+
+def _class_scores(seq):
+    """Scores of the class's labels under the q that verify picks for it."""
+    q = compute_q(seq, sombor_spectrum(seq)).value
+    return score_assignment(build_greedy(seq), q)
+
+
+@pytest.mark.parametrize(
+    "seq", [s for s in realizable_sequences(9) if s.n >= 3], ids=lambda s: s.render()
+)
+def test_grid_sums_round_like_fsum(seq):
+    # One rounding of the exact integer sum must give the bits of fsum on
+    # every edge list of the class, over degrees and over scores.
+    labels = range(1, seq.n + 1)
+    for weights in (seq.degrees, _class_scores(seq).values):
+        scale, columns = oracle._grid_terms(weights, labels)
+        term = EdgeTerms(weights).__getitem__
+        for edges in oracle._class_walk(seq):
+            exact = float(sum(columns[b][a] for a, b in edges)) * scale
+            assert exact == math.fsum(map(term, edges)), edges
+
+
+@pytest.mark.parametrize(
+    "seq", [s for s in realizable_sequences(10) if s.n == 10], ids=lambda s: s.render()
+)
+def test_sandwich_matches_labeled_walk(seq):
+    # The prefix walk must give the labeled walk's values, tree by tree,
+    # and its verdict at the class's half gap and at the bands of the
+    # smallest and largest SO - pSO, where an error of one ulp in either
+    # value can flip the strict test.
+    scores = _class_scores(seq)
+    so_term = EdgeTerms(seq.degrees).__getitem__
+    pso_term = EdgeTerms(scores.values).__getitem__
+    pairs = [
+        (math.fsum(map(so_term, edges)), math.fsum(map(pso_term, edges)))
+        for edges in oracle._class_walk(seq)
+    ]
+    assert list(oracle._prefix_walk(seq, scores)) == pairs
+    gaps = [so - pso for so, pso in pairs]
+    bands = [min(gaps), max(gaps)]
+    spectrum = sombor_spectrum(seq)
+    if spectrum.z2 is not None:
+        bands.append((spectrum.z2 - spectrum.z1) / 2)
+    for half_gap in bands:
+        verdict = all(so - half_gap < pso < so for so, pso in pairs)
+        assert oracle._sandwich_holds(seq, scores, half_gap) == verdict, half_gap
 
 
 @pytest.mark.parametrize("seq", list(realizable_sequences(10)), ids=lambda s: s.render())
