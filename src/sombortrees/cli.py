@@ -118,11 +118,8 @@ def cmd_verify(args) -> int:
     # Verification is all-or-nothing: refuse an over-cap class before
     # verifying any. The walk stops at the first such class, so a
     # large --max-n never lists all its sequences first.
-    sequences = []
-    for seq in candidates:
-        _require_within_cap(seq, args.cap)
-        sequences.append(seq)
-    reports = [verify_greedy_minimum(seq, args.cap) for seq in sequences]
+    sized = [(seq, _require_within_cap(seq, args.cap)) for seq in candidates]
+    reports = [verify_greedy_minimum(seq, tree_count=total) for seq, total in sized]
     sys.stdout.write(format_report_table(reports))
     failures = sum(1 for r in reports if not r.minimum_attained)
     if args.sweep:

@@ -13,17 +13,17 @@ largest degree d_1 adds prod(m_d!) / |Aut_r(R)| to its value, m_d being the
 number of vertices of degree d; a labeled tree is counted once per root it
 can take, so the weights are prod(m_d!) / (|Aut_r(R)| * m_{d_1}).
 
-Only the sandwich pass walks Prufer codes, depth first over the prefix tree
-of the code multiset's distinct arrangements: the decoder's state after a
-prefix, and the edges it has joined, depend on the prefix only, so codes
-that share a prefix share its decoding. Each edge term is an exact integer
-on one power-of-two grid, prefix sums are exact, and each tree's SO and pSO
-are rounded once. Every tree of the class shares the per-label degrees, and
-a single correct rounding of the exact sum is what ``math.fsum`` returns,
-so these values carry the same bits as ``sombor`` and ``pseudo_sombor`` of
-the tree. As a spot check, each pass takes the class's first tree through
-``prufer_decode`` and those functions, and raises ``OracleInvariantError``
-when the spectrum lacks its value or the walk disagrees with it by a bit.
+The sandwich pass does not visit trees one by one either. It runs forward
+over the Prufer decoder's states (remaining count of each code label, leaf,
+pointer), keeping per state and per exact SO sum of the edges joined so far
+the least and greatest exact pSO sum. Edge terms are exact integers on one
+power-of-two grid, and one correct rounding of an exact sum is what
+``math.fsum`` returns, so a tree's rounded sums carry the bits of ``sombor``
+and ``pseudo_sombor``. Rounding is monotone, so the strict float sandwich
+test holds for every tree with one SO exactly when it holds for that SO's
+least and greatest pSO. Each pass spot-checks the class's first tree,
+rebuilt through ``prufer_decode``, and raises ``OracleInvariantError`` when
+the fast values disagree with it.
 """
 
 import math
@@ -308,88 +308,89 @@ def _grid_terms(weights: Sequence[float], heads: Iterable[int]) -> tuple[float, 
     return math.ldexp(1.0, -shift), columns
 
 
-def _prefix_walk(seq: DegreeSequence, scores: ScoreAssignment) -> Iterator[tuple[float, float]]:
-    """(SO, pSO) of every tree of the class (n >= 2), in the lexicographic
-    order of the codes, as ``sombor`` and ``pseudo_sombor`` give them.
+def _shift_into(target: dict, sums: dict, so_add: int, pso_add: int) -> None:
+    """Merge ``sums`` (exact SO -> (least, greatest) pSO), grown by one edge, into ``target``."""
+    for so, (low, high) in sums.items():
+        so += so_add
+        low += pso_add
+        high += pso_add
+        old = target.get(so)
+        if old is None:
+            target[so] = (low, high)
+        elif low < old[0] or high > old[1]:
+            target[so] = (low if low < old[0] else old[0], high if high > old[1] else old[1])
 
-    A depth-first walk over the prefix tree of the code multiset's distinct
-    arrangements. Every label's count in the code is fixed, so the state of
-    ``prufer_edges``' decoder after a prefix (degrees, pointer, leaf) and
-    the edges it has joined depend on the prefix only. The walk keeps that
-    state, with the exact integer sums of the joined edges' terms (see
-    ``_grid_terms``), for every prefix of the current code; the next code
-    undoes and redoes only the steps past the prefix the two share. Each
-    value is rounded once. The walk keeps its own stack, so its depth does
-    not grow with n."""
+
+def _sandwich_extremes(seq: DegreeSequence, scores: ScoreAssignment) -> tuple[float, float, dict]:
+    """``(so_scale, pso_scale, extremes)`` over the trees of the class
+    (n >= 2): ``extremes`` maps each exact SO sum on the grid of
+    ``_grid_terms`` to the least and greatest exact pSO sum of its trees.
+
+    One layer per code position over the states of ``prufer_edges``'
+    decoder. The code labels 1..k (degree 2 or more) lie below the pointer,
+    which starts at the first leaf k + 1, so a state is (remaining count of
+    each code label, leaf, pointer). A step takes each label e with a
+    positive count and joins {e, leaf}; the last one joins {leaf, n}. Every
+    tree is one path through the layers.
+
+    Raises ``OracleInvariantError`` unless the class's first tree, rebuilt
+    through ``prufer_decode``, has ``sombor`` and ``pseudo_sombor`` values
+    equal to its grid sums, and those lie within the extremes."""
     n = seq.n
-    code = _code_multiset(seq)
-    heads = {*code, n}
+    k = sum(d > 1 for d in seq.degrees)
+    heads = [*range(1, k + 1), n]
     so_scale, so_terms = _grid_terms(seq.degrees, heads)
     pso_scale, pso_terms = _grid_terms(scores.values, heads)
-    # The decoder joins its last leaf to vertex n.
-    so_last, pso_last = so_terms[n], pso_terms[n]
-    degree = [0, *seq.degrees]
-    size = len(code)
-    end = size - 1
-    leaf = degree.index(1)
-    # states[i]: leaf, pointer and the two sums after the first i entries.
-    states = [(leaf, leaf, 0, 0)] * (size + 1)
-    start = 0
-    while True:
-        leaf, pointer, so, pso = states[start]
-        for i in range(start, size):
-            entry = code[i]
-            so += so_terms[entry][leaf]
-            pso += pso_terms[entry][leaf]
-            degree[entry] -= 1
-            if entry < pointer and degree[entry] == 1:
-                leaf = entry
-            else:
-                leaf = pointer = degree.index(1, pointer + 1)
-            if i < end:
-                states[i + 1] = (leaf, pointer, so, pso)
-        yield float(so + so_last[leaf]) * so_scale, float(pso + pso_last[leaf]) * pso_scale
-        # Lexicographic successor. Walk back over the longest non-increasing
-        # suffix to the entry before it, undoing their decoder steps; that
-        # entry takes the next larger label of the suffix, whose rest is
-        # then put back in ascending order.
-        start = size
-        later = 0
-        while True:
-            start -= 1
-            if start < 0:
-                return
-            entry = code[start]
-            degree[entry] += 1
-            if entry < later:
-                break
-            later = entry
-        swap = end
-        while code[swap] <= entry:
-            swap -= 1
-        code[start] = code[swap]
-        code[swap] = entry
-        code[start + 1 :] = code[:start:-1]
+    layer = {(tuple(d - 1 for d in seq.degrees[:k]), k + 1, k + 1): {0: (0, 0)}}
+    for _ in range(n - 2):
+        grown: dict = {}
+        for (counts, leaf, pointer), sums in layer.items():
+            for e, c in enumerate(counts, start=1):
+                if c:
+                    # A label whose count runs out is the next leaf, else the next untouched one.
+                    rest = (*counts[: e - 1], c - 1, *counts[e:])
+                    key = (rest, e, pointer) if c == 1 else (rest, pointer + 1, pointer + 1)
+                    so_add, pso_add = so_terms[e][leaf], pso_terms[e][leaf]
+                    if key in grown:
+                        _shift_into(grown[key], sums, so_add, pso_add)
+                    else:
+                        grown[key] = {
+                            so + so_add: (low + pso_add, high + pso_add)
+                            for so, (low, high) in sums.items()
+                        }
+        layer = grown
+    extremes: dict = {}
+    for (_, leaf, _), sums in layer.items():
+        _shift_into(extremes, sums, so_terms[n][leaf], pso_terms[n][leaf])
+    tree = _first_tree(seq)
+    first_so, first_pso = (
+        sum(terms[b][a] if b in terms else terms[a][b] for a, b in tree.edges)
+        for terms in (so_terms, pso_terms)
+    )
+    low, high = extremes.get(first_so, (math.inf, -math.inf))
+    if not (
+        float(first_so) * so_scale == sombor(tree)
+        and float(first_pso) * pso_scale == pseudo_sombor(tree, scores)
+        and low <= first_pso <= high
+    ):
+        raise OracleInvariantError(
+            f"sandwich pass of {seq.render()} disagrees with prufer_decode on its first tree"
+        )
+    return so_scale, pso_scale, extremes
 
 
 def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: float) -> bool:
-    """Whether every tree of the class has SO - half_gap < pSO < SO, over
-    the values of ``_prefix_walk``; stops at the first tree that breaks it.
-
-    Raises ``OracleInvariantError`` unless the class's first tree, rebuilt
-    through ``prufer_decode``, has the walk's first Sombor and pseudo
-    value."""
-    walk = _prefix_walk(seq, scores)
-    first = next(walk)
-    tree = _first_tree(seq)
-    if first != (sombor(tree), pseudo_sombor(tree, scores)):
-        raise OracleInvariantError(
-            f"prefix walk of {seq.render()} disagrees with prufer_decode on its first tree"
-        )
-    for so, pso in chain((first,), walk):
-        if not (so - half_gap < pso < so):
-            return False
-    return True
+    """Whether every tree of the class has SO - half_gap < pSO < SO, in the
+    floats ``sombor`` and ``pseudo_sombor`` give it. Rounding is monotone,
+    so among the trees with one exact SO the test holds for all exactly when
+    it holds for the least and greatest pSO: this verdict over
+    ``_sandwich_extremes`` is the per-tree verdict, bit for bit."""
+    so_scale, pso_scale, extremes = _sandwich_extremes(seq, scores)
+    return all(
+        float(so) * so_scale - half_gap < float(low) * pso_scale
+        and float(high) * pso_scale < float(so) * so_scale
+        for so, (low, high) in extremes.items()
+    )
 
 
 @dataclass(frozen=True)
@@ -510,16 +511,17 @@ class VerificationReport:
 
 
 def verify_greedy_minimum(
-    seq: DegreeSequence, cap: int = DEFAULT_TREE_CAP
+    seq: DegreeSequence, cap: int = DEFAULT_TREE_CAP, *, tree_count: int | None = None
 ) -> VerificationReport:
     """Exhaustively check that the greedy tree attains the smallest Sombor
     value of its class, and that every pseudo index respects the half-gap
     sandwich when at least two distinct values exist.
 
     Refuses classes larger than ``cap`` trees before any enumeration:
-    verification is all-or-nothing, never truncated.
+    verification is all-or-nothing, never truncated. A caller that has
+    sized the class against the cap already passes that ``tree_count``.
     """
-    total = _require_within_cap(seq, cap)
+    total = _require_within_cap(seq, cap) if tree_count is None else tree_count
     greedy_tree = build_greedy(seq)
     greedy_so = sombor(greedy_tree)
     # The one-vertex class holds one tree and has no score constant.

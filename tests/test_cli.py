@@ -189,6 +189,17 @@ def test_verify_sweep_refuses_cap_before_verifying(capsys, monkeypatch):
     assert err == "error: class of 2,2,2,2,2,1,1 holds 120 trees, over the cap of 100\n"
 
 
+def test_verify_sizes_each_class_once(capsys, monkeypatch):
+    # The cap pre-walk's class sizes are the ones the reports carry; no
+    # layer counts a class a second time.
+    sized = []
+    count = oracle.count_trees
+    monkeypatch.setattr(oracle, "count_trees", lambda seq: sized.append(seq.render()) or count(seq))
+    code, out, _ = run_cli(capsys, "verify", "--sweep", "--max-n", "7")
+    assert code == 0
+    assert sized == [line.split()[0] for line in out.splitlines()[1:-1]]
+
+
 def test_verify_non_realizable_exit_3(capsys):
     code, _, _ = run_cli(capsys, "verify", "-d", "3,1")
     assert code == 3
@@ -284,6 +295,9 @@ def test_verify_oracle_invariant_exit_5(capsys, monkeypatch, name, fake, degrees
 # 103 vertices, 101 code entries, 10,100 trees in 20 values.
 BROOM_103 = ("verify", "-d", ",".join(["100", "2", "2"] + ["1"] * 100))
 BROOM_103_SHA = "54a4fc8af14126275a811e322654b1bbdcedc58dc0aff1c6b7ff430f037d5f05"
+# 2,403 vertices, 2,401 code entries, 1,441,200 trees: codes that differ
+# early, each ending in a long forced run of label 1.
+BROOM_2403 = ("verify", "-d", ",".join(["1200", "2", "2"] + ["1"] * 1200))
 
 
 @pytest.mark.parametrize(
@@ -320,12 +334,17 @@ BROOM_103_SHA = "54a4fc8af14126275a811e322654b1bbdcedc58dc0aff1c6b7ff430f037d5f0
         ),
         (BROOM_103, BROOM_103_SHA),
         (
+            ("verify", "--sweep", "--max-n", "12"),
+            "3ffdf35a70dfc4e2453176a26dcf19d8667445aceef1042331d31acf1b24e9d7",
+        ),
+        (BROOM_2403, "5fdcd9fd78485dcaf1463cfb0432c58172c54ceabd5efb6e96eac1531567e779"),
+        (
             ("greedy", "-d", "4,3,3,2,1,1,1,1,1,1", "--format", "dot"),
             "6d1bab77433c9ea8216b7f558a50fb5ac6e1f7413737ff2393c3d571c76b45dd",
         ),
     ],
     ids=["n11-class", "one-vertex", "one-edge", "sweep-8", "sweep-9", "sweep-10",
-         "star-1501", "broom-103", "greedy-dot"],
+         "star-1501", "broom-103", "sweep-12", "broom-2403", "greedy-dot"],
 )
 def test_verify_golden(capsys, argv, stdout_sha):
     # Pins the exact bytes of verify, so a rewrite of the class walk or of

@@ -8,7 +8,7 @@ import pytest
 from sombortrees import oracle
 from sombortrees.degseq import DegreeSequence, NotTreeRealizableError
 from sombortrees.greedy import build_greedy
-from sombortrees.indices import pseudo_sombor, score_assignment, sombor
+from sombortrees.indices import ScoreAssignment, pseudo_sombor, score_assignment, sombor
 from sombortrees.oracle import (
     compute_q,
     ResourceCapExceededError,
@@ -244,6 +244,72 @@ def test_greedy_never_beaten_small_brute_force():
         assert report.sandwich_holds == brute_verdict
 
 
+def _prefix_walk(seq, scores):
+    """(SO, pSO) of every tree of the class (n >= 2), in the lexicographic
+    order of the codes, as ``sombor`` and ``pseudo_sombor`` give them: the
+    per-tree sandwich walk the decoder-state pass replaced, kept as its
+    reference.
+
+    A depth-first walk over the prefix tree of the code multiset's distinct
+    arrangements. Every label's count in the code is fixed, so the state of
+    ``prufer_edges``' decoder after a prefix (degrees, pointer, leaf) and
+    the edges it has joined depend on the prefix only. The walk keeps that
+    state, with the exact integer sums of the joined edges' terms (see
+    ``_grid_terms``), for every prefix of the current code; the next code
+    undoes and redoes only the steps past the prefix the two share. Each
+    value is rounded once. The walk keeps its own stack, so its depth does
+    not grow with n."""
+    n = seq.n
+    code = oracle._code_multiset(seq)
+    heads = {*code, n}
+    so_scale, so_terms = oracle._grid_terms(seq.degrees, heads)
+    pso_scale, pso_terms = oracle._grid_terms(scores.values, heads)
+    # The decoder joins its last leaf to vertex n.
+    so_last, pso_last = so_terms[n], pso_terms[n]
+    degree = [0, *seq.degrees]
+    size = len(code)
+    end = size - 1
+    leaf = degree.index(1)
+    # states[i]: leaf, pointer and the two sums after the first i entries.
+    states = [(leaf, leaf, 0, 0)] * (size + 1)
+    start = 0
+    while True:
+        leaf, pointer, so, pso = states[start]
+        for i in range(start, size):
+            entry = code[i]
+            so += so_terms[entry][leaf]
+            pso += pso_terms[entry][leaf]
+            degree[entry] -= 1
+            if entry < pointer and degree[entry] == 1:
+                leaf = entry
+            else:
+                leaf = pointer = degree.index(1, pointer + 1)
+            if i < end:
+                states[i + 1] = (leaf, pointer, so, pso)
+        yield float(so + so_last[leaf]) * so_scale, float(pso + pso_last[leaf]) * pso_scale
+        # Lexicographic successor. Walk back over the longest non-increasing
+        # suffix to the entry before it, undoing their decoder steps; that
+        # entry takes the next larger label of the suffix, whose rest is
+        # then put back in ascending order.
+        start = size
+        later = 0
+        while True:
+            start -= 1
+            if start < 0:
+                return
+            entry = code[start]
+            degree[entry] += 1
+            if entry < later:
+                break
+            later = entry
+        swap = end
+        while code[swap] <= entry:
+            swap -= 1
+        code[start] = code[swap]
+        code[swap] = entry
+        code[start + 1 :] = code[:start:-1]
+
+
 def _slow_trees(seq):
     """Every tree of the class through the validated codec, with the codes
     listed by itertools rather than by the oracle's own successor step."""
@@ -270,17 +336,49 @@ def test_class_walk_matches_slow_path(seq):
     spectrum = sombor_spectrum(seq)
     scores = score_assignment(slow[0], compute_q(seq, spectrum).value)
     slow_pairs = [(sombor(t), pseudo_sombor(t, scores)) for t in slow]
-    assert list(oracle._prefix_walk(seq, scores)) == slow_pairs
+    assert list(_prefix_walk(seq, scores)) == slow_pairs
     report = verify_greedy_minimum(seq)
     if spectrum.z2 is None:
         assert report.sandwich_holds is None
         return
-    gaps = [so - pso for so, pso in slow_pairs]
     # The class's own half gap, and bands that some or all trees break.
-    for half_gap in ((spectrum.z2 - spectrum.z1) / 2, min(gaps), max(gaps), 0.0):
+    for half_gap in _bands(slow_pairs, (spectrum.z2 - spectrum.z1) / 2) + [0.0]:
         slow_verdict = all(so - half_gap < pso < so for so, pso in slow_pairs)
         assert oracle._sandwich_holds(seq, scores, half_gap) == slow_verdict
     assert report.sandwich_holds
+
+
+def _flip_point(pairs):
+    """The least half gap h at which every pair has so - h < pso, in
+    floats. The test is monotone in h, and only the pairs with the largest
+    SO - pSO, up to far more than an ulp of SO, can bind."""
+    worst = max(so - pso for so, pso in pairs)
+    near = [(so, pso) for so, pso in pairs if so - pso >= worst - 1e-6]
+    low, high = worst - 1.0, worst + 1.0
+    while math.nextafter(low, math.inf) < high:
+        middle = low + (high - low) / 2
+        if middle in (low, high):
+            middle = math.nextafter(low, math.inf)
+        if all(so - middle < pso for so, pso in near):
+            high = middle
+        else:
+            low = middle
+    return high
+
+
+def _bands(pairs, half_gap=None):
+    """Half gaps at which the strict sandwich test can flip on these
+    (SO, pSO) pairs: the smallest and largest SO - pSO, the least half gap
+    that every pair passes, the class's own half gap when given, and the
+    next float on either side of each."""
+    gaps = [so - pso for so, pso in pairs]
+    centres = [min(gaps), max(gaps), _flip_point(pairs)]
+    centres += [] if half_gap is None else [half_gap]
+    return [
+        band
+        for centre in centres
+        for band in (math.nextafter(centre, -math.inf), centre, math.nextafter(centre, math.inf))
+    ]
 
 
 class EdgeTerms(dict):
@@ -340,15 +438,63 @@ def test_sandwich_matches_labeled_walk(seq):
         (math.fsum(map(so_term, edges)), math.fsum(map(pso_term, edges)))
         for edges in oracle._class_walk(seq)
     ]
-    assert list(oracle._prefix_walk(seq, scores)) == pairs
-    gaps = [so - pso for so, pso in pairs]
-    bands = [min(gaps), max(gaps)]
+    assert list(_prefix_walk(seq, scores)) == pairs
     spectrum = sombor_spectrum(seq)
-    if spectrum.z2 is not None:
-        bands.append((spectrum.z2 - spectrum.z1) / 2)
-    for half_gap in bands:
+    half_gap = None if spectrum.z2 is None else (spectrum.z2 - spectrum.z1) / 2
+    for half_gap in _bands(pairs, half_gap):
         verdict = all(so - half_gap < pso < so for so, pso in pairs)
         assert oracle._sandwich_holds(seq, scores, half_gap) == verdict, half_gap
+
+
+def _extremes_by_value(pairs):
+    """SO -> (least, greatest) pSO over (SO, pSO) pairs."""
+    extremes = {}
+    for so, pso in pairs:
+        low, high = extremes.get(so, (pso, pso))
+        extremes[so] = (min(low, pso), max(high, pso))
+    return extremes
+
+
+def _rounded_extremes(seq, scores):
+    """The decoder-state pass's exact per-SO extremes, rounded the way
+    ``sombor`` and ``pseudo_sombor`` round a tree's sums."""
+    so_scale, pso_scale, extremes = oracle._sandwich_extremes(seq, scores)
+    return _extremes_by_value(
+        (float(so) * so_scale, float(pso) * pso_scale)
+        for so, bounds in extremes.items()
+        for pso in bounds
+    )
+
+
+MULTI_VALUE_UP_TO_10 = [
+    seq for seq in realizable_sequences(10) if len(sombor_value_counts(seq)) > 1
+]
+
+
+@pytest.mark.parametrize("seq", MULTI_VALUE_UP_TO_10, ids=lambda s: s.render())
+def test_sandwich_extremes_match_reference_walk(seq):
+    # Rounding is monotone, so the rounded exact extremes of each exact SO
+    # must be the least and greatest pSO the per-tree walk gives that SO.
+    scores = _class_scores(seq)
+    reference = _extremes_by_value(_prefix_walk(seq, scores))
+    assert _rounded_extremes(seq, scores) == reference
+
+
+@pytest.mark.parametrize(
+    "seq", [DegreeSequence((3, 3, 2, 2, 1, 1, 1, 1)), DegreeSequence((4, 3, 2, 2, 1, 1, 1, 1, 1))],
+    ids=lambda s: s.render(),
+)
+def test_sandwich_verdict_where_pso_can_pass_so(seq):
+    # Weights within 1e-3 of the degrees, some above: on some trees pSO
+    # reaches or passes SO, so the upper side of the test binds too.
+    rng = random.Random(seq.n)
+    for _ in range(20):
+        scores = ScoreAssignment(tuple(d + rng.uniform(-1e-3, 1e-3) for d in seq.degrees))
+        pairs = list(_prefix_walk(seq, scores))
+        assert _rounded_extremes(seq, scores) == _extremes_by_value(pairs)
+        for half_gap in _bands(pairs) + [math.inf]:
+            verdict = all(so - half_gap < pso < so for so, pso in pairs)
+            assert oracle._sandwich_holds(seq, scores, half_gap) == verdict, half_gap
 
 
 @pytest.mark.parametrize("seq", list(realizable_sequences(10)), ids=lambda s: s.render())
@@ -380,3 +526,12 @@ def test_spot_check_catches_a_wrong_fast_value(monkeypatch):
     monkeypatch.setattr(oracle, "sombor", lambda tree: math.nextafter(real(tree), math.inf))
     with pytest.raises(oracle.OracleInvariantError, match="first tree"):
         sombor_value_counts(DegreeSequence((2, 2, 1, 1)))
+
+
+def test_sandwich_spot_check_catches_a_wrong_pseudo_value(monkeypatch):
+    real = oracle.pseudo_sombor
+    monkeypatch.setattr(
+        oracle, "pseudo_sombor", lambda tree, scores: math.nextafter(real(tree, scores), 0.0)
+    )
+    with pytest.raises(oracle.OracleInvariantError, match="sandwich pass .* first tree"):
+        verify_greedy_minimum(DegreeSequence((3, 2, 2, 1, 1, 1)))
