@@ -90,11 +90,13 @@ def cmd_greedy(args) -> int:
 
 def cmd_index(args) -> int:
     tree = _load_tree(args.tree_file)
+    if args.q is not None:
+        # A bad q exits 2 before anything is printed.
+        q_value = _resolve_q(args.q, tree.n)
+        scores = score_assignment(tree, q_value)
     print(f"n = {tree.n}")
     print(f"SO = {_fmt(sombor(tree))}")
     if args.q is not None:
-        q_value = _resolve_q(args.q, tree.n)
-        scores = score_assignment(tree, q_value)
         origin = "auto: 1/(2n)" if args.q == "auto" else "given"
         print(f"q = {_fmt(q_value)} ({origin})")
         print(f"pSO = {_fmt(pseudo_sombor(tree, scores))}")
@@ -105,6 +107,8 @@ def cmd_index(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.cap < 0:
+        raise CommandLineError(f"--cap must be at least 0, got {args.cap}")
     if args.sweep:
         if args.max_n is None:
             raise CommandLineError("--sweep requires --max-n")

@@ -6,33 +6,25 @@ Enumeration walks the distinct permutations of the code multiset in which
 label u occurs deg(u) - 1 times, decoding each permutation; that visits
 every labeled tree of the class exactly once.
 
-The spectrum comes from the rooted unlabeled trees of the class instead.
-SO depends only on the multiset of edge degree pairs, so every labeling of
-one unlabeled tree has the same value. Each tree R rooted at a vertex of the
-largest degree d_1 adds prod(m_d!) / |Aut_r(R)| to its value, m_d being the
-number of vertices of degree d; a labeled tree is counted once per root it
-can take, so the weights are prod(m_d!) / (|Aut_r(R)| * m_{d_1}).
-
-The sandwich pass does not visit trees one by one either. It runs forward
-over the Prufer decoder's states (remaining count of each code label, leaf,
-pointer), keeping per state and per exact SO sum of the edges joined so far
-the least and greatest exact pSO sum. Edge terms are exact integers on one
-power-of-two grid, and one correct rounding of an exact sum is what
-``math.fsum`` returns, so a tree's rounded sums carry the bits of ``sombor``
-and ``pseudo_sombor``. Rounding is monotone, so the strict float sandwich
-test holds for every tree with one SO exactly when it holds for that SO's
-least and greatest pSO. Each pass spot-checks the class's first tree,
-rebuilt through ``prufer_decode``, and raises ``OracleInvariantError`` when
-the fast values disagree with it.
+The spectrum and the sandwich check do not visit trees one by one. Both run
+one forward pass over the Prufer decoder's states (remaining count of each
+code label, leaf, pointer), keeping per state and per exact SO sum of the
+edges joined so far either the number of code prefixes (the spectrum) or
+the least and greatest exact pSO sum (the sandwich). Edge terms are exact
+integers on one power-of-two grid, and one correct rounding of an exact sum
+is what ``math.fsum`` returns, so a tree's rounded sums carry the bits of
+``sombor`` and ``pseudo_sombor``. Rounding is monotone, so the strict float
+sandwich test holds for every tree with one SO exactly when it holds for
+that SO's least and greatest pSO. Each pass spot-checks the class's first
+tree, rebuilt through ``prufer_decode``, and raises ``OracleInvariantError``
+when the fast values disagree with it.
 """
 
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, count, repeat
-from operator import sub
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .degseq import DegreeSequence, require_tree_realizable
 from .greedy import build_greedy
@@ -51,9 +43,8 @@ class ResourceCapExceededError(RuntimeError):
 
 class OracleInvariantError(RuntimeError):
     """The enumeration disagrees with itself: the spectrum counts a number
-    of trees other than the formula's, a rooted-tree weight is not a
-    multiple of the number of roots, or a fast value differs from the slow
-    path on the class's first tree."""
+    of trees other than the formula's, or a fast value differs from the
+    slow path on the class's first tree."""
 
 
 def count_trees(seq: DegreeSequence) -> int:
@@ -142,149 +133,6 @@ def _first_tree(seq: DegreeSequence) -> LabeledTree:
     return prufer_decode(PruferCode(seq.n, tuple(_code_multiset(seq))))
 
 
-def _rooted_trees(
-    kinds: Sequence[int], counts: Sequence[int]
-) -> list[tuple[int, tuple[int, ...]]]:
-    """(|Aut_r(R)|, edge profile) of every rooted unlabeled tree R with
-    ``counts[i]`` vertices of degree ``kinds[i]`` (``kinds`` decreasing),
-    rooted at a vertex of degree ``kinds[0]``; each R appears once.
-
-    A branch is a non-root vertex with its descendants: a vertex of degree
-    d has d - 1 child branches, the root has d. ``branches`` builds the
-    branches of each vertex multiset once, memoized, so a branch's creation
-    index is a canonical key. A vertex takes its children in decreasing key
-    order, each distinct branch together with its multiplicity, so the
-    recursion depth grows with the height of the trees, not with the number
-    of siblings. |Aut_r| multiplies the children's counts and the factorial
-    of each multiplicity. An edge profile counts the edges of each degree
-    pair (i, j), i <= j, in the order ``combinations_with_replacement``
-    lists the pairs.
-    """
-    width = len(kinds)
-    pair_index = {
-        pair: index for index, pair in enumerate(combinations_with_replacement(range(width), 2))
-    }
-    memo: dict[tuple[int, ...], list] = {}
-    new_key = count()
-
-    def branches(multiset):
-        """(key, multiset, top kind, |Aut_r|, edge profile) of every branch
-        whose vertices make up exactly ``multiset``."""
-        found = memo.get(multiset)
-        if found is None:
-            found = memo[multiset] = []
-            for top in range(width):
-                if multiset[top]:
-                    rest = (*multiset[:top], multiset[top] - 1, *multiset[top + 1 :])
-                    for aut, profile in forests(top, kinds[top] - 1, rest):
-                        found.append((next(new_key), multiset, top, aut, profile))
-        return found
-
-    def parts(pool):
-        """Every sub-multiset of ``pool`` that a branch can be made of. A
-        branch on multiset M has |M| - 1 edges, so its degrees sum to
-        2|M| - 1: sum(c_d * (d - 2)) = -1, which fixes the number of leaves
-        (the last kind) by the other counts."""
-        *inner, leaves = pool
-        found = [((), 0)]  # (counts of the kinds so far, sum of c_d * (d - 2))
-        for kind, have in zip(kinds, inner):
-            found = [
-                ((*part, c), load + c * (kind - 2))
-                for part, load in found
-                for c in range(have + 1)
-                if load + c * (kind - 2) < leaves
-            ]
-        return [(*part, load + 1) for part, load in found]
-
-    def forests(parent, slots, pool):
-        """(|Aut_r|, edge profile) of every multiset of ``slots`` branches
-        whose vertices make up ``pool``, with their edges up to a vertex of
-        kind ``parent`` counted in."""
-        candidates = sorted(
-            (branch for part in parts(pool) for branch in branches(part)), reverse=True
-        )
-        found = []
-
-        def pick(options, slots, pool, aut, profile):
-            if not slots:
-                if not any(pool):
-                    found.append((aut, profile))
-                return
-            # One slot left takes a branch made of the whole pool.
-            options = [
-                option
-                for option in options
-                if (option[1] == pool if slots == 1 else min(map(sub, pool, option[1])) >= 0)
-            ]
-            for index, (_, used, top, child_aut, child_profile) in enumerate(options):
-                most = min(slots, *(have // need for have, need in zip(pool, used) if need))
-                # The last option has to fill every slot left.
-                least = slots if index == len(options) - 1 else 1
-                edge = pair_index[min(parent, top), max(parent, top)]
-                for times in range(least, most + 1):
-                    grown = [p + times * c for p, c in zip(profile, child_profile)]
-                    grown[edge] += times
-                    pick(
-                        options[index + 1 :],
-                        slots - times,
-                        tuple(have - times * need for have, need in zip(pool, used)),
-                        aut * child_aut**times * math.factorial(times),
-                        tuple(grown),
-                    )
-
-        pick(candidates, slots, pool, 1, (0,) * len(pair_index))
-        return found
-
-    return forests(0, kinds[0], (counts[0] - 1, *counts[1:]))
-
-
-def sombor_value_counts(seq: DegreeSequence) -> Counter:
-    """Exact index value -> number of labeled trees attaining it.
-
-    SO depends only on the multiset of edge degree pairs, so every labeling
-    of one unlabeled tree has the same value. The counts come from the
-    rooted unlabeled trees R of the class, rooted at a vertex of the largest
-    degree d_1: each adds prod(m_d!) / |Aut_r(R)| labeled trees to its
-    value, m_d being the number of vertices of degree d, and each labeled
-    tree is counted once per root it can take, so the total of every edge
-    profile is divided by m_{d_1}. A value is the ``math.fsum`` of its
-    ``hypot`` edge terms, which rounds exactly, so it carries the bits of
-    ``sombor`` of any labeled tree with those edges. The class's first
-    tree, decoded through ``prufer_decode``, must have a value among the
-    keys.
-
-    Counter addition merges partial counts from any partition of the class,
-    in any order, without changing the final spectrum.
-    """
-    require_tree_realizable(seq)
-    tally = Counter(seq.degrees)
-    kinds = sorted(tally, reverse=True)
-    counts = [tally[d] for d in kinds]
-    labelings = math.prod(map(math.factorial, counts))
-    weights: Counter = Counter()
-    for aut, profile in _rooted_trees(kinds, counts):
-        weights[profile] += labelings // aut
-    terms = [
-        math.hypot(kinds[i], kinds[j])
-        for i, j in combinations_with_replacement(range(len(kinds)), 2)
-    ]
-    values: Counter = Counter()
-    for profile, weight in weights.items():
-        # Every rooting of one unlabeled tree has its edge profile.
-        trees, rest = divmod(weight, counts[0])
-        if rest:
-            raise OracleInvariantError(
-                f"rooted trees of {seq.render()} weigh {weight} on one edge profile, "
-                f"not a multiple of its {counts[0]} roots"
-            )
-        values[math.fsum(chain.from_iterable(map(repeat, terms, profile)))] += trees
-    if sombor(_first_tree(seq)) not in values:
-        raise OracleInvariantError(
-            f"spectrum of {seq.render()} disagrees with prufer_decode on its first tree"
-        )
-    return values
-
-
 def _grid_terms(weights: Sequence[float], heads: Iterable[int]) -> tuple[float, dict]:
     """Edge terms hypot(w_a, w_b), a < b, over positive label weights w, as
     exact integers on one grid: ``(scale, columns)`` such that
@@ -308,17 +156,104 @@ def _grid_terms(weights: Sequence[float], heads: Iterable[int]) -> tuple[float, 
     return math.ldexp(1.0, -shift), columns
 
 
-def _shift_into(target: dict, sums: dict, so_add: int, pso_add: int) -> None:
-    """Merge ``sums`` (exact SO -> (least, greatest) pSO), grown by one edge, into ``target``."""
-    for so, (low, high) in sums.items():
-        so += so_add
-        low += pso_add
-        high += pso_add
-        old = target.get(so)
-        if old is None:
-            target[so] = (low, high)
-        elif low < old[0] or high > old[1]:
-            target[so] = (low if low < old[0] else old[0], high if high > old[1] else old[1])
+def _edge_heads(seq: DegreeSequence) -> list[int]:
+    """The labels the decoder joins each leaf to: the code labels 1..k
+    (degree 2 or more) and n."""
+    return [*range(1, sum(d > 1 for d in seq.degrees) + 1), seq.n]
+
+
+def _decoder_pass(seq: DegreeSequence, start: dict, join: Callable) -> dict:
+    """Fold every tree of the class (n >= 2) through the states of
+    ``prufer_edges``' decoder, one layer per code position.
+
+    The code labels 1..k (degree 2 or more) lie below the pointer, which
+    starts at the first leaf k + 1, so after a prefix of the code the state
+    is (remaining count of each code label, leaf, pointer). A step takes
+    each label e with a positive count and joins {e, leaf}; the last layer
+    joins {leaf, n}. Every tree is one path through the layers.
+
+    A layer maps the remaining counts, one int in mixed radix (label e's
+    digit runs over 0..d_e - 1), to the leaves of its states. The pointer is
+    not stored: after s steps it is s + 1 plus the number of labels still in
+    the code. The next leaf depends on the counts and the label taken only,
+    so the counts are decoded once for all their leaves.
+
+    The first state carries ``start``. ``join(payload, e, leaf, into)``
+    returns ``payload`` grown by the edge {e, leaf} and merged into
+    ``into``, the payload the next state has gathered so far, or None. The
+    result merges every last state's payload, grown by its last edge."""
+    n = seq.n
+    labels = []  # (label e, its radix d_e, what one use of e takes off the counts)
+    code = 0
+    place = 1
+    for e, d in enumerate(seq.degrees, start=1):
+        if d > 1:
+            labels.append((e, d, place))
+            code += (d - 1) * place
+            place *= d
+    layer = {code: {len(labels) + 1: start}}
+    for step in range(n - 2):
+        grown: dict = {}
+        for code, leaves in layer.items():
+            rest = code
+            live = []
+            for e, d, place in labels:
+                rest, c = divmod(rest, d)
+                if c:
+                    live.append((e, c, place))
+            pointer = step + 1 + len(live)
+            for e, c, place in live:
+                # A label whose count runs out is the next leaf, else the next untouched one.
+                following = e if c == 1 else pointer + 1
+                target = grown.setdefault(code - place, {})
+                for leaf, payload in leaves.items():
+                    target[following] = join(payload, e, leaf, target.get(following))
+        layer = grown
+    folded = None
+    for leaves in layer.values():
+        for leaf, payload in leaves.items():
+            folded = join(payload, n, leaf, folded)
+    return folded
+
+
+def sombor_value_counts(seq: DegreeSequence) -> Counter:
+    """Exact index value -> number of labeled trees attaining it.
+
+    One ``_decoder_pass``: each state maps every exact SO sum of the edges
+    joined so far, on the grid of ``_grid_terms``, to the number of code
+    prefixes that reach it. Each final sum rounds once to the float
+    ``math.fsum`` gives for its terms, so it carries the bits of ``sombor``
+    of every tree with those edges. The cost follows the decoder states,
+    not the class size: ``2^m,1,1`` holds m! trees in one value, and its
+    states grow like 2^m. The class's first tree, decoded through
+    ``prufer_decode``, must have a value among the keys.
+
+    Counter addition merges partial counts from any partition of the class,
+    in any order, without changing the final spectrum.
+    """
+    require_tree_realizable(seq)
+    values: Counter = Counter()
+    if seq.n == 1:
+        values[0.0] = 1
+    else:
+        scale, terms = _grid_terms(seq.degrees, _edge_heads(seq))
+
+        def join(sums, e, leaf, into):
+            add = terms[e][leaf]
+            if into is None:
+                return {so + add: trees for so, trees in sums.items()}
+            for so, trees in sums.items():
+                so += add
+                into[so] = into.get(so, 0) + trees
+            return into
+
+        for so, trees in _decoder_pass(seq, {0: 1}, join).items():
+            values[float(so) * scale] += trees
+    if sombor(_first_tree(seq)) not in values:
+        raise OracleInvariantError(
+            f"spectrum of {seq.render()} disagrees with prufer_decode on its first tree"
+        )
+    return values
 
 
 def _sandwich_extremes(seq: DegreeSequence, scores: ScoreAssignment) -> tuple[float, float, dict]:
@@ -326,42 +261,35 @@ def _sandwich_extremes(seq: DegreeSequence, scores: ScoreAssignment) -> tuple[fl
     (n >= 2): ``extremes`` maps each exact SO sum on the grid of
     ``_grid_terms`` to the least and greatest exact pSO sum of its trees.
 
-    One layer per code position over the states of ``prufer_edges``'
-    decoder. The code labels 1..k (degree 2 or more) lie below the pointer,
-    which starts at the first leaf k + 1, so a state is (remaining count of
-    each code label, leaf, pointer). A step takes each label e with a
-    positive count and joins {e, leaf}; the last one joins {leaf, n}. Every
-    tree is one path through the layers.
+    One ``_decoder_pass``: each state maps every exact SO sum of the edges
+    joined so far to the least and greatest exact pSO sum among the code
+    prefixes that reach it.
 
     Raises ``OracleInvariantError`` unless the class's first tree, rebuilt
     through ``prufer_decode``, has ``sombor`` and ``pseudo_sombor`` values
     equal to its grid sums, and those lie within the extremes."""
-    n = seq.n
-    k = sum(d > 1 for d in seq.degrees)
-    heads = [*range(1, k + 1), n]
+    heads = _edge_heads(seq)
     so_scale, so_terms = _grid_terms(seq.degrees, heads)
     pso_scale, pso_terms = _grid_terms(scores.values, heads)
-    layer = {(tuple(d - 1 for d in seq.degrees[:k]), k + 1, k + 1): {0: (0, 0)}}
-    for _ in range(n - 2):
-        grown: dict = {}
-        for (counts, leaf, pointer), sums in layer.items():
-            for e, c in enumerate(counts, start=1):
-                if c:
-                    # A label whose count runs out is the next leaf, else the next untouched one.
-                    rest = (*counts[: e - 1], c - 1, *counts[e:])
-                    key = (rest, e, pointer) if c == 1 else (rest, pointer + 1, pointer + 1)
-                    so_add, pso_add = so_terms[e][leaf], pso_terms[e][leaf]
-                    if key in grown:
-                        _shift_into(grown[key], sums, so_add, pso_add)
-                    else:
-                        grown[key] = {
-                            so + so_add: (low + pso_add, high + pso_add)
-                            for so, (low, high) in sums.items()
-                        }
-        layer = grown
-    extremes: dict = {}
-    for (_, leaf, _), sums in layer.items():
-        _shift_into(extremes, sums, so_terms[n][leaf], pso_terms[n][leaf])
+
+    def join(sums, e, leaf, into):
+        so_add, pso_add = so_terms[e][leaf], pso_terms[e][leaf]
+        if into is None:
+            return {
+                so + so_add: (low + pso_add, high + pso_add) for so, (low, high) in sums.items()
+            }
+        for so, (low, high) in sums.items():
+            so += so_add
+            low += pso_add
+            high += pso_add
+            old = into.get(so)
+            if old is None:
+                into[so] = (low, high)
+            elif low < old[0] or high > old[1]:
+                into[so] = (low if low < old[0] else old[0], high if high > old[1] else old[1])
+        return into
+
+    extremes = _decoder_pass(seq, {0: (0, 0)}, join)
     tree = _first_tree(seq)
     first_so, first_pso = (
         sum(terms[b][a] if b in terms else terms[a][b] for a, b in tree.edges)

@@ -112,13 +112,14 @@ def test_index_bad_q_flag_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("q", ["nan", "inf"])
+@pytest.mark.parametrize("q", ["nan", "inf", "-0.0", "0", "-1"])
 def test_index_refuses_non_finite_q(tmp_path, capsys, q):
+    # q is checked before the first line is printed.
     path = tmp_path / "path.txt"
     path.write_text("1 2\n2 3\n")
     code, out, err = run_cli(capsys, "index", str(path), "--q", q)
     assert code == 2
-    assert "pSO" not in out
+    assert out == ""
     assert "finite and positive" in err
 
 
@@ -168,9 +169,20 @@ def test_verify_sweep_refuses_max_n_below_two(capsys, max_n):
 
 
 def test_verify_cap_exit_4(capsys):
-    code, _, err = run_cli(capsys, "verify", "-d", "2,2,1,1", "--cap", "1")
-    assert code == 4
-    assert "cap" in err
+    for cap in ("1", "0"):
+        code, _, err = run_cli(capsys, "verify", "-d", "2,2,1,1", "--cap", cap)
+        assert code == 4
+        assert f"over the cap of {cap}" in err
+
+
+@pytest.mark.parametrize("argv", [("-d", "3,2,2,1,1,1"), ("--sweep", "--max-n", "6")])
+def test_verify_refuses_negative_cap_before_sizing(capsys, monkeypatch, argv):
+    sized = []
+    count = oracle.count_trees
+    monkeypatch.setattr(oracle, "count_trees", lambda seq: sized.append(seq) or count(seq))
+    code, out, err = run_cli(capsys, "verify", *argv, "--cap", "-1")
+    assert (code, out, sized) == (2, "", [])
+    assert err == "error: --cap must be at least 0, got -1\n"
 
 
 def test_verify_sweep_refuses_cap_before_verifying(capsys, monkeypatch):

@@ -396,8 +396,9 @@ class EdgeTerms(dict):
 
 
 def labeled_value_counts(seq):
-    """The labeled spectrum pass the rooted-tree count replaced, kept as its
-    slow reference: the ``fsum`` of each walked edge list's ``hypot`` terms."""
+    """The labeled spectrum pass the decoder-state count replaced, kept as
+    its slow reference: the ``fsum`` of each walked edge list's ``hypot``
+    terms."""
     term = EdgeTerms(seq.degrees).__getitem__
     return Counter(math.fsum(map(term, edges)) for edges in oracle._class_walk(seq))
 
@@ -497,7 +498,9 @@ def test_sandwich_verdict_where_pso_can_pass_so(seq):
             assert oracle._sandwich_holds(seq, scores, half_gap) == verdict, half_gap
 
 
-@pytest.mark.parametrize("seq", list(realizable_sequences(10)), ids=lambda s: s.render())
+@pytest.mark.parametrize(
+    "seq", [DegreeSequence((0,))] + list(realizable_sequences(10)), ids=lambda s: s.render()
+)
 def test_value_counts_match_labeled_walk(seq):
     assert sombor_value_counts(seq) == labeled_value_counts(seq)
 
