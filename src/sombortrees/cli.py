@@ -123,7 +123,7 @@ def cmd_verify(args) -> int:
     # verifying any. The walk stops at the first such class, so a
     # large --max-n never lists all its sequences first.
     sized = [(seq, _require_within_cap(seq, args.cap)) for seq in candidates]
-    reports = [verify_greedy_minimum(seq, tree_count=total) for seq, total in sized]
+    reports = [verify_greedy_minimum(seq, args.cap) for seq, _ in sized]
     sys.stdout.write(format_report_table(reports))
     failures = sum(1 for r in reports if not r.minimum_attained)
     if args.sweep:
@@ -153,6 +153,11 @@ def cmd_descend(args) -> int:
     q_value = _resolve_q(args.q, tree.n)
     start_scores = score_assignment(tree, q_value)
     terminal, trace = descend(tree, q_value)
+    if args.trace_json:
+        try:
+            Path(args.trace_json).write_text(json.dumps(trace.to_json(), indent=2) + "\n")
+        except OSError as exc:
+            raise CommandLineError(f"cannot write trace file {args.trace_json}: {exc}") from exc
     print(f"n = {tree.n}")
     print(f"q = {_fmt(q_value)}")
     print(f"start pSO = {_fmt(pseudo_sombor(tree, start_scores))}")
@@ -166,8 +171,6 @@ def cmd_descend(args) -> int:
     print(f"terminal SO = {_fmt(sombor(terminal))}")
     print("terminal edges:")
     sys.stdout.write(terminal.to_edge_text())
-    if args.trace_json:
-        Path(args.trace_json).write_text(json.dumps(trace.to_json(), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -202,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--sweep", action="store_true", help="all realizable sequences up to --max-n")
     p_verify.add_argument("--max-n", dest="max_n", type=int, default=None)
     p_verify.add_argument("--cap", type=int, default=DEFAULT_TREE_CAP,
-                          help="refuse classes holding more trees than this")
+                          help="labeled trees a class may hold (the cost follows decoder states)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_descend = sub.add_parser("descend", help="switch any tree down to the greedy tree")

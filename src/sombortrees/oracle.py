@@ -48,15 +48,19 @@ class OracleInvariantError(RuntimeError):
 
 
 def count_trees(seq: DegreeSequence) -> int:
-    """Number of labeled trees realizing the sequence:
-    (n-2)! / prod((d_i - 1)!) for n >= 2, and 1 for the one-vertex tree."""
+    """Number of labeled trees realizing the sequence, (n-2)! / prod((d_u - 1)!):
+    each run of m labels of degree d > 1 places its m(d-1) code entries, then splits them."""
     require_tree_realizable(seq)
-    if seq.n == 1:
-        return 1
-    denominator = 1
-    for d in seq.degrees:
-        denominator *= math.factorial(d - 1)
-    return math.factorial(seq.n - 2) // denominator
+    free = seq.n - 2
+    total = 1
+    for d, m in Counter(seq.degrees).items():
+        k = d - 1
+        if k > 0:
+            total *= math.comb(free, m * k)
+            free -= m * k
+            if m > 1:
+                total *= math.factorial(m * k) // math.factorial(k) ** m
+    return total
 
 
 def _require_within_cap(seq: DegreeSequence, cap: int) -> int:
@@ -119,18 +123,16 @@ def sample_tree(seq: DegreeSequence, rng: random.Random) -> LabeledTree:
     """Uniform sample from the tree class: shuffle the code multiset and
     decode (every distinct arrangement is equally likely)."""
     require_tree_realizable(seq)
-    if seq.n == 1:
-        return LabeledTree(1, [])
     items = _code_multiset(seq)
     rng.shuffle(items)
-    return prufer_decode(PruferCode(seq.n, tuple(items)))
+    return _decoded(seq, items)
 
 
-def _first_tree(seq: DegreeSequence) -> LabeledTree:
-    """The class's first tree, built the slow way through ``prufer_decode``."""
+def _decoded(seq: DegreeSequence, code: list[int]) -> LabeledTree:
+    """The class's tree with this code, built the slow way through ``prufer_decode``."""
     if seq.n == 1:
         return LabeledTree(1, [])
-    return prufer_decode(PruferCode(seq.n, tuple(_code_multiset(seq))))
+    return prufer_decode(PruferCode(seq.n, tuple(code)))
 
 
 def _grid_terms(weights: Sequence[float], heads: Iterable[int]) -> tuple[float, dict]:
@@ -249,7 +251,7 @@ def sombor_value_counts(seq: DegreeSequence) -> Counter:
 
         for so, trees in _decoder_pass(seq, {0: 1}, join).items():
             values[float(so) * scale] += trees
-    if sombor(_first_tree(seq)) not in values:
+    if sombor(_decoded(seq, _code_multiset(seq))) not in values:
         raise OracleInvariantError(
             f"spectrum of {seq.render()} disagrees with prufer_decode on its first tree"
         )
@@ -290,7 +292,7 @@ def _sandwich_extremes(seq: DegreeSequence, scores: ScoreAssignment) -> tuple[fl
         return into
 
     extremes = _decoder_pass(seq, {0: (0, 0)}, join)
-    tree = _first_tree(seq)
+    tree = _decoded(seq, _code_multiset(seq))
     first_so, first_pso = (
         sum(terms[b][a] if b in terms else terms[a][b] for a, b in tree.edges)
         for terms in (so_terms, pso_terms)
@@ -438,30 +440,25 @@ class VerificationReport:
     q_used: QConstant | None
 
 
-def verify_greedy_minimum(
-    seq: DegreeSequence, cap: int = DEFAULT_TREE_CAP, *, tree_count: int | None = None
-) -> VerificationReport:
+def verify_greedy_minimum(seq: DegreeSequence, cap: int = DEFAULT_TREE_CAP) -> VerificationReport:
     """Exhaustively check that the greedy tree attains the smallest Sombor
     value of its class, and that every pseudo index respects the half-gap
     sandwich when at least two distinct values exist.
 
-    Refuses classes larger than ``cap`` trees before any enumeration:
-    verification is all-or-nothing, never truncated. A caller that has
-    sized the class against the cap already passes that ``tree_count``.
+    Sizes the class and refuses it when it holds more than ``cap`` trees,
+    before any enumeration: verification is all-or-nothing, never truncated.
     """
-    total = _require_within_cap(seq, cap) if tree_count is None else tree_count
+    total = _require_within_cap(seq, cap)
     greedy_tree = build_greedy(seq)
     greedy_so = sombor(greedy_tree)
-    # The one-vertex class holds one tree and has no score constant.
-    z1, z2, q, sandwich = greedy_so, None, None, None
-    if seq.n > 1:
-        spectrum = sombor_spectrum(seq)
-        if spectrum.tree_count != total:
-            raise OracleInvariantError(
-                f"enumeration yielded {spectrum.tree_count} trees, expected {total}"
-            )
-        q = compute_q(seq, spectrum)
-        z1, z2 = spectrum.z1, spectrum.z2
+    spectrum = sombor_spectrum(seq)
+    if spectrum.tree_count != total:
+        raise OracleInvariantError(
+            f"enumeration yielded {spectrum.tree_count} trees, expected {total}"
+        )
+    z1, z2, sandwich = spectrum.z1, spectrum.z2, None
+    # The one-vertex class has no score constant.
+    q = compute_q(seq, spectrum) if seq.n > 1 else None
     if z2 is not None:
         # Scores depend only on the per-label degrees, which every tree of
         # the class shares, so one assignment serves the whole pass.

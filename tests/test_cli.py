@@ -201,15 +201,22 @@ def test_verify_sweep_refuses_cap_before_verifying(capsys, monkeypatch):
     assert err == "error: class of 2,2,2,2,2,1,1 holds 120 trees, over the cap of 100\n"
 
 
-def test_verify_sizes_each_class_once(capsys, monkeypatch):
-    # The cap pre-walk's class sizes are the ones the reports carry; no
-    # layer counts a class a second time.
-    sized = []
-    count = oracle.count_trees
-    monkeypatch.setattr(oracle, "count_trees", lambda seq: sized.append(seq.render()) or count(seq))
-    code, out, _ = run_cli(capsys, "verify", "--sweep", "--max-n", "7")
-    assert code == 0
-    assert sized == [line.split()[0] for line in out.splitlines()[1:-1]]
+# 13 vertices, 19,958,400 trees: over the default cap.
+OVER_DEFAULT_CAP = ",".join(["3"] + ["2"] * 9 + ["1"] * 3)
+
+
+@pytest.mark.parametrize("cap, code", [("19958400", 0), ("19958399", 4)])
+def test_verify_library_check_uses_the_given_cap(capsys, cap, code):
+    # The pre-walk and verify_greedy_minimum each size the class; a library
+    # check that fell back to the default cap would refuse this class.
+    exit_code, out, err = run_cli(capsys, "verify", "-d", OVER_DEFAULT_CAP, "--cap", cap)
+    assert exit_code == code
+    if code == 0:
+        header, row = out.splitlines()
+        assert row.split()[header.split().index("trees")] == "19958400"
+    else:
+        assert out == ""
+        assert "holds 19958400 trees, over the cap of 19958399" in err
 
 
 def test_verify_non_realizable_exit_3(capsys):
@@ -445,6 +452,18 @@ def test_descend_random_golden(tmp_path, capsys, degrees, seed, stdout_sha, trac
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
     assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == trace_sha
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_descend_unwritable_trace_exits_2_before_printing(tmp_path, capsys, where):
+    trace_path = tmp_path if where == "directory" else tmp_path / "missing" / "trace.json"
+    code, out, err = run_cli(
+        capsys, "descend", "--random", "-d", "3,2,2,1,1,1", "--trace-json", str(trace_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write trace file {trace_path}: ")
+    assert "Traceback" not in err
 
 
 def test_descend_requires_some_input(capsys):

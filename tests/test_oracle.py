@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 from itertools import permutations
 
@@ -32,6 +33,39 @@ def test_count_examples():
     assert count_trees(DegreeSequence((4, 3, 3, 2, 1, 1, 1, 1, 1, 1))) == 1680
     assert count_trees(DegreeSequence((1, 1))) == 1
     assert count_trees(DegreeSequence((0,))) == 1
+
+
+def factorial_count(seq):
+    """The class size straight from the formula (n-2)! / prod((d_u - 1)!)."""
+    if seq.n == 1:
+        return 1
+    return math.factorial(seq.n - 2) // math.prod(math.factorial(d - 1) for d in seq.degrees)
+
+
+@pytest.mark.parametrize(
+    "seq", [DegreeSequence((0,))] + list(realizable_sequences(16)), ids=lambda s: s.render()
+)
+def test_count_matches_factorial_formula(seq):
+    assert count_trees(seq) == factorial_count(seq)
+
+
+@pytest.mark.parametrize(
+    "degrees, expected",
+    [
+        ((1200, 2, 2) + (1,) * 1200, 1_441_200),
+        ((2,) * 20000 + (1, 1), math.factorial(20000)),
+    ],
+    ids=["broom-2403", "path-20002"],
+)
+def test_count_large_classes(degrees, expected):
+    assert count_trees(DegreeSequence(degrees)) == expected
+
+
+def test_count_star_without_the_factorials():
+    # (n-2)! of this star has 1.5 million bits; the class holds one tree.
+    start = time.perf_counter()
+    assert count_trees(DegreeSequence((100000,) + (1,) * 100000)) == 1
+    assert time.perf_counter() - start < 0.5
 
 
 def test_count_rejects_non_realizable():
