@@ -6,18 +6,27 @@ Enumeration walks the distinct permutations of the code multiset in which
 label u occurs deg(u) - 1 times, decoding each permutation; that visits
 every labeled tree of the class exactly once.
 
-The spectrum and the sandwich check do not visit trees one by one. Both run
-one forward pass over the Prufer decoder's states (remaining count of each
-code label, leaf, pointer), keeping per state and per exact SO sum of the
-edges joined so far either the number of code prefixes (the spectrum) or
-the least and greatest exact pSO sum (the sandwich). Edge terms are exact
-integers on one power-of-two grid, and one correct rounding of an exact sum
-is what ``math.fsum`` returns, so a tree's rounded sums carry the bits of
-``sombor`` and ``pseudo_sombor``. Rounding is monotone, so the strict float
-sandwich test holds for every tree with one SO exactly when it holds for
-that SO's least and greatest pSO. Each pass spot-checks the class's first
-tree, rebuilt through ``prufer_decode``, and raises ``OracleInvariantError``
-when the fast values disagree with it.
+The spectrum and the sandwich check do not visit trees one by one. Each
+runs forward passes over the Prufer decoder's states (remaining count of
+each code label, leaf, pointer). Edge terms are exact integers on one
+power-of-two grid, and one correct rounding of an exact sum is what
+``math.fsum`` returns, so a tree's rounded sums carry the bits of
+``sombor`` and ``pseudo_sombor``.
+
+- The spectrum keeps per state and per exact SO sum of the edges joined so
+  far the number of code prefixes.
+- The sandwich first keeps per state only the least and greatest exact
+  D = SO - pSO. When every D exceeds u and stays below half_gap - 2u, with
+  u the ulp of a bound on every SO and on half_gap, each float rounding of
+  the test is too small to flip it, so every tree passes: a certified True
+  is the per-tree verdict. Otherwise a second pass keeps per state and per
+  exact SO sum the least and greatest exact pSO sum. Rounding is monotone,
+  so the strict float test holds for every tree with one SO exactly when it
+  holds for that SO's least and greatest pSO.
+
+Each pass spot-checks the class's first tree, rebuilt through
+``prufer_decode``, and raises ``OracleInvariantError`` when the fast values
+disagree with it.
 """
 
 import math
@@ -63,13 +72,27 @@ def count_trees(seq: DegreeSequence) -> int:
     return total
 
 
+def _size_text(total: int) -> str:
+    """``total`` in decimal up to 30 digits, else ``at least 10^k`` for its
+    k + 1 digits: Python refuses to print an int of more than 4,300 digits."""
+    if total < 10**30:
+        return str(total)
+    k = int(math.log10(total))
+    # The float logarithm can be off by one next to a power of ten.
+    if 10**k > total:
+        k -= 1
+    elif 10 ** (k + 1) <= total:
+        k += 1
+    return f"at least 10^{k}"
+
+
 def _require_within_cap(seq: DegreeSequence, cap: int) -> int:
     """Class size of the sequence; refuses classes holding more than
     ``cap`` trees."""
     total = count_trees(seq)
     if total > cap:
         raise ResourceCapExceededError(
-            f"class of {seq.render()} holds {total} trees, over the cap of {cap}"
+            f"class of {seq.render()} holds {_size_text(total)} trees, over the cap of {cap}"
         )
     return total
 
@@ -258,6 +281,29 @@ def sombor_value_counts(seq: DegreeSequence) -> Counter:
     return values
 
 
+def _sandwich_spot_check(
+    seq: DegreeSequence, scores: ScoreAssignment, so_grid: tuple, pso_grid: tuple, within: Callable
+) -> None:
+    """Raises ``OracleInvariantError`` unless the class's first tree, rebuilt
+    through ``prufer_decode``, has ``sombor`` and ``pseudo_sombor`` values
+    equal to its exact grid sums on ``so_grid`` and ``pso_grid`` (``_grid_terms``
+    results), rounded, and ``within(so_sum, pso_sum)`` holds for those sums."""
+    tree = _decoded(seq, _code_multiset(seq))
+    (so_scale, so_terms), (pso_scale, pso_terms) = so_grid, pso_grid
+    first_so, first_pso = (
+        sum(terms[b][a] if b in terms else terms[a][b] for a, b in tree.edges)
+        for terms in (so_terms, pso_terms)
+    )
+    if not (
+        float(first_so) * so_scale == sombor(tree)
+        and float(first_pso) * pso_scale == pseudo_sombor(tree, scores)
+        and within(first_so, first_pso)
+    ):
+        raise OracleInvariantError(
+            f"sandwich pass of {seq.render()} disagrees with prufer_decode on its first tree"
+        )
+
+
 def _sandwich_extremes(seq: DegreeSequence, scores: ScoreAssignment) -> tuple[float, float, dict]:
     """``(so_scale, pso_scale, extremes)`` over the trees of the class
     (n >= 2): ``extremes`` maps each exact SO sum on the grid of
@@ -265,14 +311,11 @@ def _sandwich_extremes(seq: DegreeSequence, scores: ScoreAssignment) -> tuple[fl
 
     One ``_decoder_pass``: each state maps every exact SO sum of the edges
     joined so far to the least and greatest exact pSO sum among the code
-    prefixes that reach it.
-
-    Raises ``OracleInvariantError`` unless the class's first tree, rebuilt
-    through ``prufer_decode``, has ``sombor`` and ``pseudo_sombor`` values
-    equal to its grid sums, and those lie within the extremes."""
+    prefixes that reach it. The first tree's sums must lie within the
+    extremes (``_sandwich_spot_check``)."""
     heads = _edge_heads(seq)
-    so_scale, so_terms = _grid_terms(seq.degrees, heads)
-    pso_scale, pso_terms = _grid_terms(scores.values, heads)
+    so_scale, so_terms = so_grid = _grid_terms(seq.degrees, heads)
+    pso_scale, pso_terms = pso_grid = _grid_terms(scores.values, heads)
 
     def join(sums, e, leaf, into):
         so_add, pso_add = so_terms[e][leaf], pso_terms[e][leaf]
@@ -292,29 +335,80 @@ def _sandwich_extremes(seq: DegreeSequence, scores: ScoreAssignment) -> tuple[fl
         return into
 
     extremes = _decoder_pass(seq, {0: (0, 0)}, join)
-    tree = _decoded(seq, _code_multiset(seq))
-    first_so, first_pso = (
-        sum(terms[b][a] if b in terms else terms[a][b] for a, b in tree.edges)
-        for terms in (so_terms, pso_terms)
+    _sandwich_spot_check(
+        seq, scores, so_grid, pso_grid,
+        lambda so, pso: so in extremes and extremes[so][0] <= pso <= extremes[so][1],
     )
-    low, high = extremes.get(first_so, (math.inf, -math.inf))
-    if not (
-        float(first_so) * so_scale == sombor(tree)
-        and float(first_pso) * pso_scale == pseudo_sombor(tree, scores)
-        and low <= first_pso <= high
-    ):
-        raise OracleInvariantError(
-            f"sandwich pass of {seq.render()} disagrees with prufer_decode on its first tree"
-        )
     return so_scale, pso_scale, extremes
+
+
+def _sandwich_certified(seq: DegreeSequence, scores: ScoreAssignment, half_gap: float) -> bool:
+    """Whether a two-integer certificate proves the sandwich for every tree
+    of the class (n >= 2); False leaves the check undecided.
+
+    One ``_decoder_pass`` keeps per state only the least and greatest exact
+    D = SO - pSO of the code prefixes that reach it, as integers on the
+    finer of the two ``_grid_terms`` grids, the other shifted onto it. Let u
+    be the ulp of a bound on every tree's SO and on ``half_gap``. Every value
+    the float test rounds (SO, pSO, SO - half_gap) lies within that bound,
+    so each rounding moves it by at most u/2. Then fl(SO) - fl(pSO) >= D - u,
+    and fl(fl(SO) - half_gap) <= SO - half_gap + u < pSO - u/2 <= fl(pSO)
+    once D < half_gap - 3u/2. So when the least D exceeds u and the greatest
+    is below half_gap - 2u, compared exactly, every tree passes the float
+    test and True is the per-tree verdict. The first tree's D must lie in
+    the pass's range (``_sandwich_spot_check``)."""
+    heads = _edge_heads(seq)
+    so_scale, so_terms = so_grid = _grid_terms(seq.degrees, heads)
+    pso_scale, pso_terms = pso_grid = _grid_terms(scores.values, heads)
+    scale = min(so_scale, pso_scale)
+    so_up, pso_up = int(so_scale / scale), int(pso_scale / scale)
+    d_terms = {
+        e: [a * so_up - b * pso_up for a, b in zip(so_terms[e], pso_terms[e])] for e in heads
+    }
+
+    def join(bounds, e, leaf, into):
+        add = d_terms[e][leaf]
+        low, high = bounds[0] + add, bounds[1] + add
+        if into is None:
+            return low, high
+        return (low if low < into[0] else into[0], high if high > into[1] else into[1])
+
+    low, high = _decoder_pass(seq, (0, 0), join)
+    _sandwich_spot_check(
+        seq, scores, so_grid, pso_grid, lambda so, pso: low <= so * so_up - pso * pso_up <= high
+    )
+    if not math.isfinite(half_gap):
+        return False
+    # Each tree's n - 1 terms are at most the largest term. float() keeps
+    # the bound within its binade or rounds it up to the next power of two,
+    # so every value up to the exact bound still rounds by at most u/2.
+    so_bound = float((seq.n - 1) * max(map(max, so_terms.values()))) * so_scale
+    u = math.ulp(max(so_bound, half_gap))
+    # low * scale > u and high * scale + 2u < half_gap, over a common denominator.
+    (g_num, g_den), (u_num, u_den), (h_num, h_den) = (
+        x.as_integer_ratio() for x in (scale, u, half_gap)
+    )
+    return (
+        low * g_num * u_den > u_num * g_den
+        and (high * g_num * u_den + 2 * u_num * g_den) * h_den < h_num * g_den * u_den
+    )
 
 
 def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: float) -> bool:
     """Whether every tree of the class has SO - half_gap < pSO < SO, in the
-    floats ``sombor`` and ``pseudo_sombor`` give it. Rounding is monotone,
-    so among the trees with one exact SO the test holds for all exactly when
-    it holds for the least and greatest pSO: this verdict over
+    floats ``sombor`` and ``pseudo_sombor`` give it.
+
+    First the certificate: with u the ulp of a bound on every SO and on
+    ``half_gap``, the verdict is True when every exact D = SO - pSO exceeds
+    u and stays below half_gap - 2u, since no float rounding of the test can
+    then flip it on any tree (``_sandwich_certified``). Otherwise (a
+    non-finite ``half_gap``, a failing class, or a D within that margin of
+    an edge) the exact per-SO fold decides: rounding is monotone, so among
+    the trees with one exact SO the test holds for all exactly when it
+    holds for the least and greatest pSO, and this verdict over
     ``_sandwich_extremes`` is the per-tree verdict, bit for bit."""
+    if _sandwich_certified(seq, scores, half_gap):
+        return True
     so_scale, pso_scale, extremes = _sandwich_extremes(seq, scores)
     return all(
         float(so) * so_scale - half_gap < float(low) * pso_scale

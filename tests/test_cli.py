@@ -175,6 +175,14 @@ def test_verify_cap_exit_4(capsys):
         assert f"over the cap of {cap}" in err
 
 
+def test_verify_cap_exit_4_on_a_class_too_large_to_print(capsys):
+    # 2000! trees: 5,736 digits, past the 4,300 that Python turns into text.
+    code, out, err = run_cli(capsys, "verify", "-d", ",".join(["2"] * 2000 + ["1", "1"]))
+    assert (code, out) == (4, "")
+    assert err.endswith(" holds at least 10^5735 trees, over the cap of 10000000\n")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [("-d", "3,2,2,1,1,1"), ("--sweep", "--max-n", "6")])
 def test_verify_refuses_negative_cap_before_sizing(capsys, monkeypatch, argv):
     sized = []

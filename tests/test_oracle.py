@@ -68,6 +68,13 @@ def test_count_star_without_the_factorials():
     assert time.perf_counter() - start < 0.5
 
 
+def test_size_text_bounds_long_sizes():
+    assert oracle._size_text(10**30 - 1) == "9" * 30
+    assert oracle._size_text(10**30) == "at least 10^30"
+    assert oracle._size_text(10**5000 - 1) == "at least 10^4999"
+    assert oracle._size_text(math.factorial(2000)) == "at least 10^5735"
+
+
 def test_count_rejects_non_realizable():
     with pytest.raises(NotTreeRealizableError):
         count_trees(DegreeSequence((2, 2, 2)))
@@ -530,6 +537,88 @@ def test_sandwich_verdict_where_pso_can_pass_so(seq):
         for half_gap in _bands(pairs) + [math.inf]:
             verdict = all(so - half_gap < pso < so for so, pso in pairs)
             assert oracle._sandwich_holds(seq, scores, half_gap) == verdict, half_gap
+
+
+def _counting_fold(monkeypatch):
+    """Patches ``_sandwich_extremes`` to record the classes it folds."""
+    folded = []
+    fold = oracle._sandwich_extremes
+    monkeypatch.setattr(
+        oracle, "_sandwich_extremes", lambda seq, scores: folded.append(seq) or fold(seq, scores)
+    )
+    return folded
+
+
+def test_certificate_settles_every_multi_value_class_up_to_12(monkeypatch):
+    # At the q verify picks, every tree's SO - pSO lies far inside
+    # (0, half_gap), so the two-integer certificate decides alone.
+    folded = _counting_fold(monkeypatch)
+    multi_value = 0
+    for seq in realizable_sequences(12):
+        report = verify_greedy_minimum(seq)
+        if report.z2 is not None:
+            multi_value += 1
+            assert report.sandwich_holds, seq.render()
+    assert (multi_value, folded) == (91, [])
+
+
+MULTI_VALUE_7_TO_9 = [
+    seq for seq in realizable_sequences(9) if seq.n >= 7 and len(sombor_value_counts(seq)) > 1
+]
+
+
+@pytest.mark.parametrize("seq", MULTI_VALUE_7_TO_9, ids=lambda s: s.render())
+def test_certificate_declines_an_oversized_q(monkeypatch, seq):
+    # q = 1/(2n) is far above the spectrum-gap rule's q here, so some tree
+    # has SO - pSO past the half gap: the certificate must not vouch for
+    # the class, and the exact fold gives the per-tree verdict.
+    spectrum = sombor_spectrum(seq)
+    half_gap = (spectrum.z2 - spectrum.z1) / 2
+    scores = score_assignment(build_greedy(seq), 1 / (2 * seq.n))
+    pairs = list(_prefix_walk(seq, scores))
+    assert not all(so - half_gap < pso < so for so, pso in pairs)
+    folded = _counting_fold(monkeypatch)
+    assert not oracle._sandwich_certified(seq, scores, half_gap)
+    assert oracle._sandwich_holds(seq, scores, half_gap) is False
+    assert folded == [seq]
+
+
+@pytest.mark.parametrize("seq", MULTI_VALUE_7_TO_9, ids=lambda s: s.render())
+def test_certificate_declines_a_shrunk_half_gap(monkeypatch, seq):
+    # At the least half gap every tree passes, the largest SO - pSO lies
+    # within the certificate's ulp margin, so the fold decides: the
+    # sandwich holds there and fails one float below.
+    scores = _class_scores(seq)
+    pairs = list(_prefix_walk(seq, scores))
+    flip = _flip_point(pairs)
+    folded = _counting_fold(monkeypatch)
+    for half_gap, verdict in ((flip, True), (math.nextafter(flip, 0.0), False)):
+        assert all(so - half_gap < pso < so for so, pso in pairs) == verdict
+        assert not oracle._sandwich_certified(seq, scores, half_gap)
+        assert oracle._sandwich_holds(seq, scores, half_gap) is verdict
+    assert folded == [seq, seq]
+
+
+def test_certificate_declines_pso_within_an_ulp_below_so(monkeypatch):
+    # The last leaf's score sits 2e-15 below its degree, so every tree's
+    # exact pSO is below its SO by less than an ulp of SO, and every tree
+    # rounds to pSO == SO: a certificate without its ulp margin would pass
+    # the class.
+    seq = DegreeSequence((3, 3, 2, 2, 1, 1, 1, 1))
+    scores = ScoreAssignment(seq.degrees[:-1] + (1 - 2e-15,))
+    assert all(pso == so for so, pso in _prefix_walk(seq, scores))
+    folded = _counting_fold(monkeypatch)
+    assert not oracle._sandwich_certified(seq, scores, 0.5)
+    assert oracle._sandwich_holds(seq, scores, 0.5) is False
+    assert folded == [seq]
+
+
+def test_certificate_declines_a_non_finite_half_gap(monkeypatch):
+    seq = DegreeSequence((3, 2, 2, 1, 1, 1))
+    folded = _counting_fold(monkeypatch)
+    assert not oracle._sandwich_certified(seq, _class_scores(seq), math.inf)
+    assert oracle._sandwich_holds(seq, _class_scores(seq), math.inf)
+    assert folded == [seq]
 
 
 @pytest.mark.parametrize(
