@@ -8,10 +8,10 @@ every labeled tree of the class exactly once.
 
 The spectrum and the sandwich check do not visit trees one by one. Each
 runs forward passes over the Prufer decoder's states (remaining count of
-each code label, leaf, pointer). Edge terms are exact integers on one
-power-of-two grid, and one correct rounding of an exact sum is what
-``math.fsum`` returns, so a tree's rounded sums carry the bits of
-``sombor`` and ``pseudo_sombor``.
+each code label, leaf, pointer). Edge terms, over the degrees and over the
+scores, are exact integers on one power-of-two grid, and one correct
+rounding of an exact sum is what ``math.fsum`` returns, so a tree's rounded
+sums carry the bits of ``sombor`` and ``pseudo_sombor``.
 
 - The spectrum keeps per state and per exact SO sum of the edges joined so
   far the number of code prefixes.
@@ -24,9 +24,9 @@ power-of-two grid, and one correct rounding of an exact sum is what
   so the strict float test holds for every tree with one SO exactly when it
   holds for that SO's least and greatest pSO.
 
-Each pass spot-checks the class's first tree, rebuilt through
-``prufer_decode``, and raises ``OracleInvariantError`` when the fast values
-disagree with it.
+The spectrum and the sandwich each rebuild the class's first tree once
+through ``prufer_decode`` as a spot check, and raise
+``OracleInvariantError`` when their fast values disagree with it.
 """
 
 import math
@@ -158,26 +158,30 @@ def _decoded(seq: DegreeSequence, code: list[int]) -> LabeledTree:
     return prufer_decode(PruferCode(seq.n, tuple(code)))
 
 
-def _grid_terms(weights: Sequence[float], heads: Iterable[int]) -> tuple[float, dict]:
-    """Edge terms hypot(w_a, w_b), a < b, over positive label weights w, as
-    exact integers on one grid: ``(scale, columns)`` such that
-    ``columns[e][a] * scale`` is the term of the edge {a, e} for each label
-    e in ``heads`` and every label a (entry 0 is unused).
+def _grid_terms(rows: Sequence[Sequence[float]], heads: Iterable[int]) -> tuple[float, list]:
+    """Edge terms hypot(w_a, w_b), a < b, over each row of positive label
+    weights w, as exact integers on one grid shared by all rows:
+    ``(scale, columns)`` such that ``columns[r][e][a] * scale`` is the term
+    of the edge {a, e} over row r for each label e in ``heads`` and every
+    label a (entry 0 is unused).
 
     ``scale`` is 2**-k for a k that makes every term an integer: a term is
-    at least the smallest weight w_min = f * 2**E, 1/2 <= f < 1, up to its
-    rounding, so its exponent is at least E - 1 and its last bit no finer
-    than 2**(E - 54). Integer sums on the grid are exact, and
+    at least the smallest weight of all rows w_min = f * 2**E, 1/2 <= f < 1,
+    up to its rounding, so its exponent is at least E - 1 and its last bit
+    no finer than 2**(E - 54). Integer sums on the grid are exact, and
     ``float(sum) * scale`` rounds once, half to even, then scales by a power
     of two, so it carries the bits ``math.fsum`` gives for the terms."""
-    shift = 54 - math.frexp(min(weights))[1]
-    w = (0.0, *weights)
-    columns = {}
-    for e in heads:
-        column = columns[e] = [0]
-        for a in range(1, len(w)):
-            num, den = math.hypot(w[min(a, e)], w[max(a, e)]).as_integer_ratio()
-            column.append(num << (shift + 1 - den.bit_length()))
+    shift = 54 - math.frexp(min(map(min, rows)))[1]
+    columns = []
+    for weights in rows:
+        w = (0.0, *weights)
+        row = {}
+        for e in heads:
+            column = row[e] = [0]
+            for a in range(1, len(w)):
+                num, den = math.hypot(w[min(a, e)], w[max(a, e)]).as_integer_ratio()
+                column.append(num << (shift + 1 - den.bit_length()))
+        columns.append(row)
     return math.ldexp(1.0, -shift), columns
 
 
@@ -261,7 +265,7 @@ def sombor_value_counts(seq: DegreeSequence) -> Counter:
     if seq.n == 1:
         values[0.0] = 1
     else:
-        scale, terms = _grid_terms(seq.degrees, _edge_heads(seq))
+        scale, (terms,) = _grid_terms((seq.degrees,), _edge_heads(seq))
 
         def join(sums, e, leaf, into):
             add = terms[e][leaf]
@@ -281,43 +285,74 @@ def sombor_value_counts(seq: DegreeSequence) -> Counter:
     return values
 
 
-def _sandwich_spot_check(
-    seq: DegreeSequence, scores: ScoreAssignment, so_grid: tuple, pso_grid: tuple, within: Callable
-) -> None:
-    """Raises ``OracleInvariantError`` unless the class's first tree, rebuilt
-    through ``prufer_decode``, has ``sombor`` and ``pseudo_sombor`` values
-    equal to its exact grid sums on ``so_grid`` and ``pso_grid`` (``_grid_terms``
-    results), rounded, and ``within(so_sum, pso_sum)`` holds for those sums."""
+def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: float) -> bool:
+    """Whether every tree of the class (n >= 2) has SO - half_gap < pSO < SO,
+    in the floats ``sombor`` and ``pseudo_sombor`` give it.
+
+    Edge terms over the degrees and over the scores share one
+    ``_grid_terms`` grid. First the certificate: one ``_decoder_pass`` keeps
+    per state only the least and greatest exact D = SO - pSO of the code
+    prefixes that reach it. Let u be the ulp of a bound on every tree's SO
+    and on ``half_gap``. Every value the float test rounds (SO, pSO,
+    SO - half_gap) lies within that bound, so each rounding moves it by at
+    most u/2. Then fl(SO) - fl(pSO) >= D - u, and fl(fl(SO) - half_gap) <=
+    SO - half_gap + u < pSO - u/2 <= fl(pSO) once D < half_gap - 3u/2. So
+    when the least D exceeds u and the greatest is below half_gap - 2u,
+    compared exactly, every tree passes the float test and True is the
+    per-tree verdict.
+
+    Otherwise (a non-finite ``half_gap``, a failing class, or a D within
+    that margin of an edge) the exact fold decides: a second pass maps each
+    exact SO sum to the least and greatest exact pSO sum of its trees.
+    Rounding is monotone, so among the trees with one exact SO the test
+    holds for all exactly when it holds for the least and greatest pSO, and
+    that verdict is the per-tree verdict, bit for bit.
+
+    The class's first tree, rebuilt once through ``prufer_decode``, must
+    have ``sombor`` and ``pseudo_sombor`` equal to its grid sums, rounded,
+    its D within the certificate's range and, when the fold runs, its pSO
+    within its SO's extremes; else ``OracleInvariantError``."""
+    heads = _edge_heads(seq)
+    scale, (so_terms, pso_terms) = _grid_terms((seq.degrees, scores.values), heads)
     tree = _decoded(seq, _code_multiset(seq))
-    (so_scale, so_terms), (pso_scale, pso_terms) = so_grid, pso_grid
     first_so, first_pso = (
         sum(terms[b][a] if b in terms else terms[a][b] for a, b in tree.edges)
         for terms in (so_terms, pso_terms)
     )
-    if not (
-        float(first_so) * so_scale == sombor(tree)
-        and float(first_pso) * pso_scale == pseudo_sombor(tree, scores)
-        and within(first_so, first_pso)
-    ):
-        raise OracleInvariantError(
-            f"sandwich pass of {seq.render()} disagrees with prufer_decode on its first tree"
-        )
 
+    def check(agrees):
+        if not agrees:
+            raise OracleInvariantError(
+                f"sandwich pass of {seq.render()} disagrees with prufer_decode on its first tree"
+            )
 
-def _sandwich_extremes(seq: DegreeSequence, scores: ScoreAssignment) -> tuple[float, float, dict]:
-    """``(so_scale, pso_scale, extremes)`` over the trees of the class
-    (n >= 2): ``extremes`` maps each exact SO sum on the grid of
-    ``_grid_terms`` to the least and greatest exact pSO sum of its trees.
+    d_terms = {e: [a - b for a, b in zip(so_terms[e], pso_terms[e])] for e in heads}
 
-    One ``_decoder_pass``: each state maps every exact SO sum of the edges
-    joined so far to the least and greatest exact pSO sum among the code
-    prefixes that reach it. The first tree's sums must lie within the
-    extremes (``_sandwich_spot_check``)."""
-    heads = _edge_heads(seq)
-    so_scale, so_terms = so_grid = _grid_terms(seq.degrees, heads)
-    pso_scale, pso_terms = pso_grid = _grid_terms(scores.values, heads)
+    def join_bounds(bounds, e, leaf, into):
+        add = d_terms[e][leaf]
+        low, high = bounds[0] + add, bounds[1] + add
+        if into is None:
+            return low, high
+        return (low if low < into[0] else into[0], high if high > into[1] else into[1])
 
-    def join(sums, e, leaf, into):
+    low, high = _decoder_pass(seq, (0, 0), join_bounds)
+    check(
+        float(first_so) * scale == sombor(tree)
+        and float(first_pso) * scale == pseudo_sombor(tree, scores)
+        and low <= first_so - first_pso <= high
+    )
+    if math.isfinite(half_gap):
+        # Each tree's n - 1 terms are at most the largest term. float() keeps
+        # the bound within its binade or rounds it up to the next power of two,
+        # so every value up to the exact bound still rounds by at most u/2.
+        so_bound = float((seq.n - 1) * max(map(max, so_terms.values()))) * scale
+        # In grid steps u is a power of two of at least 2 (inf past the float range);
+        # Python compares an int with a float exactly, and int(u) keeps high + 2u exact.
+        u = math.ulp(max(so_bound, half_gap)) / scale
+        if low > u and high + 2 * int(u) < half_gap / scale:
+            return True
+
+    def join_extremes(sums, e, leaf, into):
         so_add, pso_add = so_terms[e][leaf], pso_terms[e][leaf]
         if into is None:
             return {
@@ -334,85 +369,12 @@ def _sandwich_extremes(seq: DegreeSequence, scores: ScoreAssignment) -> tuple[fl
                 into[so] = (low if low < old[0] else old[0], high if high > old[1] else old[1])
         return into
 
-    extremes = _decoder_pass(seq, {0: (0, 0)}, join)
-    _sandwich_spot_check(
-        seq, scores, so_grid, pso_grid,
-        lambda so, pso: so in extremes and extremes[so][0] <= pso <= extremes[so][1],
-    )
-    return so_scale, pso_scale, extremes
-
-
-def _sandwich_certified(seq: DegreeSequence, scores: ScoreAssignment, half_gap: float) -> bool:
-    """Whether a two-integer certificate proves the sandwich for every tree
-    of the class (n >= 2); False leaves the check undecided.
-
-    One ``_decoder_pass`` keeps per state only the least and greatest exact
-    D = SO - pSO of the code prefixes that reach it, as integers on the
-    finer of the two ``_grid_terms`` grids, the other shifted onto it. Let u
-    be the ulp of a bound on every tree's SO and on ``half_gap``. Every value
-    the float test rounds (SO, pSO, SO - half_gap) lies within that bound,
-    so each rounding moves it by at most u/2. Then fl(SO) - fl(pSO) >= D - u,
-    and fl(fl(SO) - half_gap) <= SO - half_gap + u < pSO - u/2 <= fl(pSO)
-    once D < half_gap - 3u/2. So when the least D exceeds u and the greatest
-    is below half_gap - 2u, compared exactly, every tree passes the float
-    test and True is the per-tree verdict. The first tree's D must lie in
-    the pass's range (``_sandwich_spot_check``)."""
-    heads = _edge_heads(seq)
-    so_scale, so_terms = so_grid = _grid_terms(seq.degrees, heads)
-    pso_scale, pso_terms = pso_grid = _grid_terms(scores.values, heads)
-    scale = min(so_scale, pso_scale)
-    so_up, pso_up = int(so_scale / scale), int(pso_scale / scale)
-    d_terms = {
-        e: [a * so_up - b * pso_up for a, b in zip(so_terms[e], pso_terms[e])] for e in heads
-    }
-
-    def join(bounds, e, leaf, into):
-        add = d_terms[e][leaf]
-        low, high = bounds[0] + add, bounds[1] + add
-        if into is None:
-            return low, high
-        return (low if low < into[0] else into[0], high if high > into[1] else into[1])
-
-    low, high = _decoder_pass(seq, (0, 0), join)
-    _sandwich_spot_check(
-        seq, scores, so_grid, pso_grid, lambda so, pso: low <= so * so_up - pso * pso_up <= high
-    )
-    if not math.isfinite(half_gap):
-        return False
-    # Each tree's n - 1 terms are at most the largest term. float() keeps
-    # the bound within its binade or rounds it up to the next power of two,
-    # so every value up to the exact bound still rounds by at most u/2.
-    so_bound = float((seq.n - 1) * max(map(max, so_terms.values()))) * so_scale
-    u = math.ulp(max(so_bound, half_gap))
-    # low * scale > u and high * scale + 2u < half_gap, over a common denominator.
-    (g_num, g_den), (u_num, u_den), (h_num, h_den) = (
-        x.as_integer_ratio() for x in (scale, u, half_gap)
-    )
-    return (
-        low * g_num * u_den > u_num * g_den
-        and (high * g_num * u_den + 2 * u_num * g_den) * h_den < h_num * g_den * u_den
-    )
-
-
-def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: float) -> bool:
-    """Whether every tree of the class has SO - half_gap < pSO < SO, in the
-    floats ``sombor`` and ``pseudo_sombor`` give it.
-
-    First the certificate: with u the ulp of a bound on every SO and on
-    ``half_gap``, the verdict is True when every exact D = SO - pSO exceeds
-    u and stays below half_gap - 2u, since no float rounding of the test can
-    then flip it on any tree (``_sandwich_certified``). Otherwise (a
-    non-finite ``half_gap``, a failing class, or a D within that margin of
-    an edge) the exact per-SO fold decides: rounding is monotone, so among
-    the trees with one exact SO the test holds for all exactly when it
-    holds for the least and greatest pSO, and this verdict over
-    ``_sandwich_extremes`` is the per-tree verdict, bit for bit."""
-    if _sandwich_certified(seq, scores, half_gap):
-        return True
-    so_scale, pso_scale, extremes = _sandwich_extremes(seq, scores)
+    extremes = _decoder_pass(seq, {0: (0, 0)}, join_extremes)
+    least, most = extremes.get(first_so, (math.inf, -math.inf))
+    check(least <= first_pso <= most)
     return all(
-        float(so) * so_scale - half_gap < float(low) * pso_scale
-        and float(high) * pso_scale < float(so) * so_scale
+        float(so) * scale - half_gap < float(low) * scale
+        and float(high) * scale < float(so) * scale
         for so, (low, high) in extremes.items()
     )
 

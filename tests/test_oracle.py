@@ -303,8 +303,7 @@ def _prefix_walk(seq, scores):
     n = seq.n
     code = oracle._code_multiset(seq)
     heads = {*code, n}
-    so_scale, so_terms = oracle._grid_terms(seq.degrees, heads)
-    pso_scale, pso_terms = oracle._grid_terms(scores.values, heads)
+    scale, (so_terms, pso_terms) = oracle._grid_terms((seq.degrees, scores.values), heads)
     # The decoder joins its last leaf to vertex n.
     so_last, pso_last = so_terms[n], pso_terms[n]
     degree = [0, *seq.degrees]
@@ -327,7 +326,7 @@ def _prefix_walk(seq, scores):
                 leaf = pointer = degree.index(1, pointer + 1)
             if i < end:
                 states[i + 1] = (leaf, pointer, so, pso)
-        yield float(so + so_last[leaf]) * so_scale, float(pso + pso_last[leaf]) * pso_scale
+        yield float(so + so_last[leaf]) * scale, float(pso + pso_last[leaf]) * scale
         # Lexicographic successor. Walk back over the longest non-increasing
         # suffix to the entry before it, undoing their decoder steps; that
         # entry takes the next larger label of the suffix, whose rest is
@@ -455,14 +454,17 @@ def _class_scores(seq):
 )
 def test_grid_sums_round_like_fsum(seq):
     # One rounding of the exact integer sum must give the bits of fsum on
-    # every edge list of the class, over degrees and over scores.
+    # every edge list of the class, over degrees and over scores, each on
+    # its own grid and both on the finer grid the two rows share.
     labels = range(1, seq.n + 1)
-    for weights in (seq.degrees, _class_scores(seq).values):
-        scale, columns = oracle._grid_terms(weights, labels)
-        term = EdgeTerms(weights).__getitem__
-        for edges in oracle._class_walk(seq):
-            exact = float(sum(columns[b][a] for a, b in edges)) * scale
-            assert exact == math.fsum(map(term, edges)), edges
+    scores = _class_scores(seq).values
+    for rows in ((seq.degrees,), (scores,), (seq.degrees, scores)):
+        scale, columns = oracle._grid_terms(rows, labels)
+        for weights, terms in zip(rows, columns):
+            term = EdgeTerms(weights).__getitem__
+            for edges in oracle._class_walk(seq):
+                exact = float(sum(terms[b][a] for a, b in edges)) * scale
+                assert exact == math.fsum(map(term, edges)), edges
 
 
 @pytest.mark.parametrize(
@@ -497,13 +499,37 @@ def _extremes_by_value(pairs):
     return extremes
 
 
+def _is_fold(start):
+    """Whether a ``_decoder_pass`` start payload is the sandwich fold's: only
+    the fold maps exact SO sums to (least, greatest) pSO pairs."""
+    return start == {0: (0, 0)}
+
+
 def _rounded_extremes(seq, scores):
-    """The decoder-state pass's exact per-SO extremes, rounded the way
-    ``sombor`` and ``pseudo_sombor`` round a tree's sums."""
-    so_scale, pso_scale, extremes = oracle._sandwich_extremes(seq, scores)
+    """The sandwich fold's exact per-SO extremes, rounded the way ``sombor``
+    and ``pseudo_sombor`` round a tree's sums. An infinite half gap always
+    folds; the pass's result and the grid's scale are read on the way."""
+    seen = {}
+    real_grid, real_pass = oracle._grid_terms, oracle._decoder_pass
+
+    def grid(rows, heads):
+        seen["grid"] = real_grid(rows, heads)
+        return seen["grid"]
+
+    def decoder_pass(seq, start, join):
+        folded = real_pass(seq, start, join)
+        if _is_fold(start):
+            seen["extremes"] = folded
+        return folded
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_grid_terms", grid)
+        patch.setattr(oracle, "_decoder_pass", decoder_pass)
+        oracle._sandwich_holds(seq, scores, math.inf)
+    scale = seen["grid"][0]
     return _extremes_by_value(
-        (float(so) * so_scale, float(pso) * pso_scale)
-        for so, bounds in extremes.items()
+        (float(so) * scale, float(pso) * scale)
+        for so, bounds in seen["extremes"].items()
         for pso in bounds
     )
 
@@ -540,12 +566,16 @@ def test_sandwich_verdict_where_pso_can_pass_so(seq):
 
 
 def _counting_fold(monkeypatch):
-    """Patches ``_sandwich_extremes`` to record the classes it folds."""
+    """Patches ``_decoder_pass`` to record the classes the sandwich folds."""
     folded = []
-    fold = oracle._sandwich_extremes
-    monkeypatch.setattr(
-        oracle, "_sandwich_extremes", lambda seq, scores: folded.append(seq) or fold(seq, scores)
-    )
+    real = oracle._decoder_pass
+
+    def decoder_pass(seq, start, join):
+        if _is_fold(start):
+            folded.append(seq)
+        return real(seq, start, join)
+
+    monkeypatch.setattr(oracle, "_decoder_pass", decoder_pass)
     return folded
 
 
@@ -578,7 +608,6 @@ def test_certificate_declines_an_oversized_q(monkeypatch, seq):
     pairs = list(_prefix_walk(seq, scores))
     assert not all(so - half_gap < pso < so for so, pso in pairs)
     folded = _counting_fold(monkeypatch)
-    assert not oracle._sandwich_certified(seq, scores, half_gap)
     assert oracle._sandwich_holds(seq, scores, half_gap) is False
     assert folded == [seq]
 
@@ -594,7 +623,6 @@ def test_certificate_declines_a_shrunk_half_gap(monkeypatch, seq):
     folded = _counting_fold(monkeypatch)
     for half_gap, verdict in ((flip, True), (math.nextafter(flip, 0.0), False)):
         assert all(so - half_gap < pso < so for so, pso in pairs) == verdict
-        assert not oracle._sandwich_certified(seq, scores, half_gap)
         assert oracle._sandwich_holds(seq, scores, half_gap) is verdict
     assert folded == [seq, seq]
 
@@ -608,15 +636,31 @@ def test_certificate_declines_pso_within_an_ulp_below_so(monkeypatch):
     scores = ScoreAssignment(seq.degrees[:-1] + (1 - 2e-15,))
     assert all(pso == so for so, pso in _prefix_walk(seq, scores))
     folded = _counting_fold(monkeypatch)
-    assert not oracle._sandwich_certified(seq, scores, 0.5)
     assert oracle._sandwich_holds(seq, scores, 0.5) is False
+    assert folded == [seq]
+
+
+def test_sandwich_decodes_the_first_tree_once(monkeypatch):
+    # One prufer_decode per call, whether the certificate decides alone
+    # (at verify's q) or the fold runs too (at q = 1/(2n)).
+    seq = MULTI_VALUE_7_TO_9[0]
+    spectrum = sombor_spectrum(seq)
+    half_gap = (spectrum.z2 - spectrum.z1) / 2
+    decoded = []
+    real = oracle.prufer_decode
+    monkeypatch.setattr(oracle, "prufer_decode", lambda code: decoded.append(code) or real(code))
+    folded = _counting_fold(monkeypatch)
+    for q in (compute_q(seq, spectrum).value, 1 / (2 * seq.n)):
+        scores = score_assignment(build_greedy(seq), q)
+        decoded.clear()
+        oracle._sandwich_holds(seq, scores, half_gap)
+        assert len(decoded) == 1, q
     assert folded == [seq]
 
 
 def test_certificate_declines_a_non_finite_half_gap(monkeypatch):
     seq = DegreeSequence((3, 2, 2, 1, 1, 1))
     folded = _counting_fold(monkeypatch)
-    assert not oracle._sandwich_certified(seq, _class_scores(seq), math.inf)
     assert oracle._sandwich_holds(seq, _class_scores(seq), math.inf)
     assert folded == [seq]
 
