@@ -6,20 +6,22 @@ Enumeration walks the distinct permutations of the code multiset in which
 label u occurs deg(u) - 1 times, decoding each permutation; that visits
 every labeled tree of the class exactly once.
 
-The spectrum and the sandwich check do not visit trees one by one. Each
-runs forward passes over the Prufer decoder's states (remaining count of
-each code label, leaf, pointer). Edge terms, over the degrees and over the
-scores, are exact integers on one power-of-two grid, and one correct
-rounding of an exact sum is what ``math.fsum`` returns, so a tree's rounded
-sums carry the bits of ``sombor`` and ``pseudo_sombor``.
+The spectrum and the sandwich check do not visit trees one by one. Edge
+terms, over the degrees and over the scores, are exact integers on one
+power-of-two grid, and one correct rounding of an exact sum is what
+``math.fsum`` returns, so a tree's rounded sums carry the bits of
+``sombor`` and ``pseudo_sombor``.
 
-- The spectrum keeps per state and per exact SO sum of the edges joined so
-  far the number of code prefixes.
-- The sandwich first keeps per state only the least and greatest exact
-  D = SO - pSO. When every D exceeds u and stays below half_gap - 2u, with
-  u the ulp of a bound on every SO and on half_gap, each float rounding of
-  the test is too small to flip it, so every tree passes: a certified True
-  is the per-tree verdict. Otherwise a second pass keeps per state and per
+- The spectrum runs one forward pass over the Prufer decoder's states
+  (remaining count of each code label, leaf, pointer), keeping per state
+  and per exact SO sum of the edges joined so far the number of code
+  prefixes.
+- The sandwich first bounds D = SO - pSO with no pass: every label a < n
+  is the leaf end of one edge, so D lies between sums over a of the least
+  and greatest D-term of a's edges to the heads. When that range exceeds u
+  and stays below half_gap - 2u, with u the ulp of a bound on every SO and
+  on half_gap, no float rounding of the test can flip it: a certified True
+  is the per-tree verdict. Otherwise a decoder pass keeps per state and per
   exact SO sum the least and greatest exact pSO sum. Rounding is monotone,
   so the strict float test holds for every tree with one SO exactly when it
   holds for that SO's least and greatest pSO.
@@ -290,19 +292,22 @@ def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: floa
     in the floats ``sombor`` and ``pseudo_sombor`` give it.
 
     Edge terms over the degrees and over the scores share one
-    ``_grid_terms`` grid. First the certificate: one ``_decoder_pass`` keeps
-    per state only the least and greatest exact D = SO - pSO of the code
-    prefixes that reach it. Let u be the ulp of a bound on every tree's SO
-    and on ``half_gap``. Every value the float test rounds (SO, pSO,
+    ``_grid_terms`` grid. First the certificate, read off those terms with
+    no decoder pass. ``prufer_edges``' decoder makes every label a < n the
+    leaf end of exactly one edge, which joins a to a head e != a, so every
+    tree's exact D = SO - pSO is one D-term per label, and D lies between
+    the sums over a of the least and the greatest D-term of {a, e} over the
+    heads e != a. Let u be the ulp of a bound on every tree's SO and on
+    ``half_gap``. Every value the float test rounds (SO, pSO,
     SO - half_gap) lies within that bound, so each rounding moves it by at
     most u/2. Then fl(SO) - fl(pSO) >= D - u, and fl(fl(SO) - half_gap) <=
     SO - half_gap + u < pSO - u/2 <= fl(pSO) once D < half_gap - 3u/2. So
-    when the least D exceeds u and the greatest is below half_gap - 2u,
+    when the least sum exceeds u and the greatest is below half_gap - 2u,
     compared exactly, every tree passes the float test and True is the
     per-tree verdict.
 
-    Otherwise (a non-finite ``half_gap``, a failing class, or a D within
-    that margin of an edge) the exact fold decides: a second pass maps each
+    Otherwise (a non-finite ``half_gap``, a failing class, or a bound
+    within that margin of an edge) the exact fold decides: one pass maps each
     exact SO sum to the least and greatest exact pSO sum of its trees.
     Rounding is monotone, so among the trees with one exact SO the test
     holds for all exactly when it holds for the least and greatest pSO, and
@@ -326,31 +331,24 @@ def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: floa
                 f"sandwich pass of {seq.render()} disagrees with prufer_decode on its first tree"
             )
 
-    d_terms = {e: [a - b for a, b in zip(so_terms[e], pso_terms[e])] for e in heads}
-
-    def join_bounds(bounds, e, leaf, into):
-        add = d_terms[e][leaf]
-        low, high = bounds[0] + add, bounds[1] + add
-        if into is None:
-            return low, high
-        return (low if low < into[0] else into[0], high if high > into[1] else into[1])
-
-    low, high = _decoder_pass(seq, (0, 0), join_bounds)
+    spans = [[so_terms[e][a] - pso_terms[e][a] for e in heads if e != a] for a in range(1, seq.n)]
+    low, high = sum(map(min, spans)), sum(map(max, spans))
     check(
         float(first_so) * scale == sombor(tree)
         and float(first_pso) * scale == pseudo_sombor(tree, scores)
         and low <= first_so - first_pso <= high
     )
-    if math.isfinite(half_gap):
-        # Each tree's n - 1 terms are at most the largest term. float() keeps
-        # the bound within its binade or rounds it up to the next power of two,
-        # so every value up to the exact bound still rounds by at most u/2.
-        so_bound = float((seq.n - 1) * max(map(max, so_terms.values()))) * scale
-        # In grid steps u is a power of two of at least 2 (inf past the float range);
-        # Python compares an int with a float exactly, and int(u) keeps high + 2u exact.
-        u = math.ulp(max(so_bound, half_gap)) / scale
-        if low > u and high + 2 * int(u) < half_gap / scale:
-            return True
+    # Each tree's n - 1 terms are at most the largest term. float() keeps
+    # the bound within its binade or rounds it up to the next power of two,
+    # so every value up to the exact bound still rounds by at most u/2.
+    so_bound = float((seq.n - 1) * max(map(max, so_terms.values()))) * scale
+    # In grid steps u is a power of two of at least 2, or inf past the float
+    # range or for an infinite half_gap, which fails low > u before int(u)
+    # runs (a NaN fails the < test). Python compares an int with a float
+    # exactly, and int(u) keeps high + 2u exact.
+    u = math.ulp(max(so_bound, half_gap)) / scale
+    if low > u and high + 2 * int(u) < half_gap / scale:
+        return True
 
     def join_extremes(sums, e, leaf, into):
         so_add, pso_add = so_terms[e][leaf], pso_terms[e][leaf]

@@ -565,14 +565,17 @@ def test_sandwich_verdict_where_pso_can_pass_so(seq):
             assert oracle._sandwich_holds(seq, scores, half_gap) == verdict, half_gap
 
 
-def _counting_fold(monkeypatch):
-    """Patches ``_decoder_pass`` to record the classes the sandwich folds."""
+def _counting_fold(monkeypatch, passes=None):
+    """Patches ``_decoder_pass`` to record the classes the sandwich folds,
+    and every class any pass runs over in ``passes`` when given."""
     folded = []
     real = oracle._decoder_pass
 
     def decoder_pass(seq, start, join):
         if _is_fold(start):
             folded.append(seq)
+        if passes is not None:
+            passes.append(seq)
         return real(seq, start, join)
 
     monkeypatch.setattr(oracle, "_decoder_pass", decoder_pass)
@@ -581,15 +584,19 @@ def _counting_fold(monkeypatch):
 
 def test_certificate_settles_every_multi_value_class_up_to_12(monkeypatch):
     # At the q verify picks, every tree's SO - pSO lies far inside
-    # (0, half_gap), so the two-integer certificate decides alone.
-    folded = _counting_fold(monkeypatch)
+    # (0, half_gap), so the per-label certificate decides alone, and the
+    # only decoder pass of each class is its spectrum's.
+    passes = []
+    folded = _counting_fold(monkeypatch, passes)
     multi_value = 0
-    for seq in realizable_sequences(12):
+    classes = list(realizable_sequences(12))
+    for seq in classes:
         report = verify_greedy_minimum(seq)
         if report.z2 is not None:
             multi_value += 1
             assert report.sandwich_holds, seq.render()
     assert (multi_value, folded) == (91, [])
+    assert passes == classes and len(passes) == 139
 
 
 MULTI_VALUE_7_TO_9 = [
@@ -658,10 +665,13 @@ def test_sandwich_decodes_the_first_tree_once(monkeypatch):
     assert folded == [seq]
 
 
-def test_certificate_declines_a_non_finite_half_gap(monkeypatch):
+@pytest.mark.parametrize("half_gap, verdict", [(math.inf, True), (math.nan, False)])
+def test_certificate_declines_a_non_finite_half_gap(monkeypatch, half_gap, verdict):
+    # An infinite half gap makes u infinite and a NaN fails the comparison,
+    # so the fold gives the per-tree verdict either way.
     seq = DegreeSequence((3, 2, 2, 1, 1, 1))
     folded = _counting_fold(monkeypatch)
-    assert oracle._sandwich_holds(seq, _class_scores(seq), math.inf)
+    assert oracle._sandwich_holds(seq, _class_scores(seq), half_gap) is verdict
     assert folded == [seq]
 
 

@@ -65,8 +65,8 @@ def _bench_run(monkeypatch):
 @pytest.mark.parametrize(
     "workload, argv, calls",
     [
-        # One prufer_decode spot check per pass: the spectrum and the
-        # sandwich pass both run over decoder states, not over trees.
+        # One prufer_decode spot check each in the spectrum and in the
+        # sandwich check; neither visits the trees one by one.
         ("verify-class", ["verify", "-d", "3,2,2,1,1,1"],
          {"tree_core.prufer_decode": 2, "oracle.sombor_spectrum": 1}),
         # --max-n 5 calls neither pseudo_sombor nor score_assignment
