@@ -205,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--sweep", action="store_true", help="all realizable sequences up to --max-n")
     p_verify.add_argument("--max-n", dest="max_n", type=int, default=None)
     p_verify.add_argument("--cap", type=int, default=DEFAULT_TREE_CAP,
-                          help="labeled trees a class may hold (the cost follows decoder states)")
+                          help="labeled trees a class may hold (the cost follows the decoder "
+                               "states of the sequence without its 2s)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_descend = sub.add_parser("descend", help="switch any tree down to the greedy tree")

@@ -13,9 +13,12 @@ power-of-two grid, and one correct rounding of an exact sum is what
 ``sombor`` and ``pseudo_sombor``.
 
 - The spectrum runs one forward pass over the Prufer decoder's states
-  (remaining count of each code label, leaf, pointer), keeping per state
-  and per exact SO sum of the edges joined so far the number of code
-  prefixes.
+  (remaining count of each code label, leaf, pointer) of the sequence
+  without its 2s, keeping per state and per edge profile (the count of
+  each degree pair joined so far) the number of code prefixes. A degree-2
+  label only subdivides an edge, so each profile's exact SO sums, with the
+  2s laid on its edges as ordered runs, and their counts follow in closed
+  form.
 - The sandwich first bounds D = SO - pSO with no pass: every label a < n
   is the leaf end of one edge, so D lies between sums over a of the least
   and greatest D-term of a's edges to the heads. When that range exceeds u
@@ -250,14 +253,24 @@ def _decoder_pass(seq: DegreeSequence, start: dict, join: Callable) -> dict:
 def sombor_value_counts(seq: DegreeSequence) -> Counter:
     """Exact index value -> number of labeled trees attaining it.
 
-    One ``_decoder_pass``: each state maps every exact SO sum of the edges
-    joined so far, on the grid of ``_grid_terms``, to the number of code
-    prefixes that reach it. Each final sum rounds once to the float
-    ``math.fsum`` gives for its terms, so it carries the bits of ``sombor``
-    of every tree with those edges. The cost follows the decoder states,
-    not the class size: ``2^m,1,1`` holds m! trees in one value, and its
-    states grow like 2^m. The class's first tree, decoded through
-    ``prufer_decode``, must have a value among the keys.
+    A label of degree 2 only subdivides an edge. Let D' be the sequence
+    without its m 2s, with n' >= 2 labels. Every tree of the class is a
+    tree of D' whose k edges in a set S carry the m labels as non-empty
+    ordered runs, m! * C(m - 1, k - 1) ways (only k = 0 when m = 0), and
+    its SO is m * h(2,2) + sum over edges {a, b} not in S of h(a,b) + sum
+    over S of h(a,2) + h(2,b) - h(2,2), with h the edge term over degrees.
+
+    One ``_decoder_pass`` over D' maps each edge profile, the number of
+    edges of each unordered degree pair as one int in radix n', to its
+    number of trees of D'. Each profile P then expands over the profiles
+    Q <= P of the edges in S, prod C(P_t, Q_t) ways each, folded one pair at
+    a time by (k, exact SO sum). The terms are integers on the grid of
+    ``_grid_terms``, so each exact sum rounds once to the float
+    ``math.fsum`` gives for its tree's terms: the bits of ``sombor``. The
+    cost follows the decoder states of D', not the class size: ``2^m,1,1``
+    holds m! trees in one value and takes one state. The class's first
+    tree, decoded through ``prufer_decode``, must have a value among the
+    keys.
 
     Counter addition merges partial counts from any partition of the class,
     in any order, without changing the final spectrum.
@@ -267,19 +280,62 @@ def sombor_value_counts(seq: DegreeSequence) -> Counter:
     if seq.n == 1:
         values[0.0] = 1
     else:
-        scale, (terms,) = _grid_terms((seq.degrees,), _edge_heads(seq))
+        m = seq.degrees.count(2)
+        reduced = DegreeSequence(tuple(d for d in seq.degrees if d != 2))
+        radix = reduced.n
+        # Degrees in the labels' order, so each term is hypot(larger, smaller)
+        # as on the class's own grid, whose smallest weight is also 1.
+        weights = sorted({*reduced.degrees, 2}, reverse=True)
+        scale, (terms,) = _grid_terms((weights,), range(1, len(weights) + 1))
+        two = weights.index(2) + 1
+        kinds = [weights.index(d) + 1 for d in reduced.degrees]
+        place = {}  # (kind, kind) -> place value of its pair's digit
+        pairs = []  # (plain, split): a pair's edge term, and that edge's terms once subdivided
+        for b in range(1, len(weights) + 1):
+            for a in range(1, b + 1):
+                if two not in (a, b):
+                    place[a, b] = place[b, a] = radix ** len(pairs)
+                    pairs.append(
+                        (terms[b][a], terms[two][a] + terms[two][b] - terms[two][two])
+                    )
+        places = {
+            e: [0] + [place[kinds[e - 1], kind] for kind in kinds]
+            for e in _edge_heads(reduced)
+        }
 
-        def join(sums, e, leaf, into):
-            add = terms[e][leaf]
+        def join(profiles, e, leaf, into):
+            add = places[e][leaf]
             if into is None:
-                return {so + add: trees for so, trees in sums.items()}
-            for so, trees in sums.items():
-                so += add
-                into[so] = into.get(so, 0) + trees
+                return {profile + add: trees for profile, trees in profiles.items()}
+            for profile, trees in profiles.items():
+                profile += add
+                into[profile] = into.get(profile, 0) + trees
             return into
 
-        for so, trees in _decoder_pass(seq, {0: 1}, join).items():
-            values[float(so) * scale] += trees
+        laid = [int(m == 0)] + [math.comb(m - 1, k - 1) for k in range(1, min(m, radix - 1) + 1)]
+        exact: dict = {}  # exact SO sum less m * h(2,2) -> trees / m!
+        for profile, trees in _decoder_pass(reduced, {0: 1}, join).items():
+            sums = {(0, 0): trees}  # (edges in S, exact sum) -> trees so far
+            for plain, split in pairs:
+                if not profile:
+                    break
+                profile, p = divmod(profile, radix)
+                if not p:
+                    continue
+                choose = [math.comb(p, q) for q in range(min(p, m) + 1)]
+                grown: dict = {}
+                for (k, so), ways in sums.items():
+                    for q in range(min(p, m - k) + 1):
+                        key = (k + q, so + (p - q) * plain + q * split)
+                        grown[key] = grown.get(key, 0) + ways * choose[q]
+                sums = grown
+            for (k, so), ways in sums.items():
+                if laid[k]:
+                    exact[so] = exact.get(so, 0) + ways * laid[k]
+        base = m * terms[two][two]
+        layings = math.factorial(m)
+        for so, trees in exact.items():
+            values[float(so + base) * scale] += trees * layings
     if sombor(_decoded(seq, _code_multiset(seq))) not in values:
         raise OracleInvariantError(
             f"spectrum of {seq.render()} disagrees with prufer_decode on its first tree"

@@ -443,6 +443,28 @@ def labeled_value_counts(seq):
     return Counter(math.fsum(map(term, edges)) for edges in oracle._class_walk(seq))
 
 
+def decoder_value_counts(seq):
+    """The spectrum pass over the full sequence that counting edge profiles
+    of the sequence without its 2s replaced, kept as a reference: one
+    ``_decoder_pass`` whose states map each exact SO sum of the edges
+    joined so far to its number of code prefixes."""
+    scale, (terms,) = oracle._grid_terms((seq.degrees,), oracle._edge_heads(seq))
+
+    def join(sums, e, leaf, into):
+        add = terms[e][leaf]
+        if into is None:
+            return {so + add: trees for so, trees in sums.items()}
+        for so, trees in sums.items():
+            so += add
+            into[so] = into.get(so, 0) + trees
+        return into
+
+    values = Counter()
+    for so, trees in oracle._decoder_pass(seq, {0: 1}, join).items():
+        values[float(so) * scale] += trees
+    return values
+
+
 def _class_scores(seq):
     """Scores of the class's labels under the q that verify picks for it."""
     q = compute_q(seq, sombor_spectrum(seq)).value
@@ -565,6 +587,11 @@ def test_sandwich_verdict_where_pso_can_pass_so(seq):
             assert oracle._sandwich_holds(seq, scores, half_gap) == verdict, half_gap
 
 
+def _without_twos(seq):
+    """The sequence the spectrum's decoder pass runs over: ``seq`` without its 2s."""
+    return DegreeSequence(tuple(d for d in seq.degrees if d != 2))
+
+
 def _counting_fold(monkeypatch, passes=None):
     """Patches ``_decoder_pass`` to record the classes the sandwich folds,
     and every class any pass runs over in ``passes`` when given."""
@@ -596,7 +623,7 @@ def test_certificate_settles_every_multi_value_class_up_to_12(monkeypatch):
             multi_value += 1
             assert report.sandwich_holds, seq.render()
     assert (multi_value, folded) == (91, [])
-    assert passes == classes and len(passes) == 139
+    assert passes == [_without_twos(seq) for seq in classes] and len(passes) == 139
 
 
 MULTI_VALUE_7_TO_9 = [
@@ -682,9 +709,34 @@ def test_value_counts_match_labeled_walk(seq):
     assert sombor_value_counts(seq) == labeled_value_counts(seq)
 
 
+@pytest.mark.parametrize(
+    "seq",
+    list(realizable_sequences(12)) + [DegreeSequence((3,) * 4 + (2,) * 6 + (1,) * 6)],
+    ids=lambda s: s.render(),
+)
+def test_value_counts_match_the_full_decoder_pass(seq):
+    # Counting edge profiles of the sequence without its 2s and laying the
+    # 2s on in closed form must give the bits of the full sequence's pass.
+    def by_hex(counts):
+        return {value.hex(): trees for value, trees in counts.items()}
+
+    assert by_hex(sombor_value_counts(seq)) == by_hex(decoder_value_counts(seq))
+
+
 def test_value_counts_total_the_class_size():
-    for seq in realizable_sequences(14):
+    for seq in realizable_sequences(17):
         assert sum(sombor_value_counts(seq).values()) == count_trees(seq), seq.render()
+
+
+def test_value_counts_of_a_long_path_in_closed_form():
+    # 2998 labels of degree 2 lay on the one edge of 1,1 in 2998! ways, all
+    # with the path's value; the full pass's states would grow like 2^2998.
+    seq = DegreeSequence((2,) * 2998 + (1, 1))
+    start = time.perf_counter()
+    counts = sombor_value_counts(seq)
+    elapsed = time.perf_counter() - start
+    assert counts == Counter({sombor(build_greedy(seq)): math.factorial(2998)})
+    assert elapsed < 1.0, elapsed
 
 
 def test_value_counts_of_a_class_too_large_to_walk():
