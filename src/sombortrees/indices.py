@@ -12,10 +12,12 @@ from .tree_core import LabeledTree
 
 
 def sombor(tree: LabeledTree) -> float:
-    """Sum of sqrt(deg(u)^2 + deg(v)^2) over all edges; 0 for one vertex."""
-    return math.fsum(
-        math.hypot(tree.degree(u), tree.degree(v)) for u, v in tree.edges
-    )
+    """Sum of sqrt(deg(u)^2 + deg(v)^2) over all edges; 0 for one vertex.
+
+    The tree's edges hold only validated labels, so the degrees are read
+    off its adjacency by index, with no per-call label check."""
+    adj = tree._adj
+    return math.fsum(math.hypot(len(adj[u]), len(adj[v])) for u, v in tree.edges)
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ def score_assignment(tree: LabeledTree, q: float) -> ScoreAssignment:
     and positive."""
     if not (math.isfinite(q) and q > 0):
         raise ValueError(f"q must be finite and positive, got {q}")
-    values = tuple(tree.degree(u) - u * q for u in range(1, tree.n + 1))
+    values = tuple(len(nbrs) - u * q for u, nbrs in enumerate(tree._adj[1:], start=1))
     return ScoreAssignment(values)
 
 
@@ -59,4 +61,5 @@ def pseudo_sombor(tree: LabeledTree, scores: ScoreAssignment) -> float:
         raise ValueError(
             f"scores cover {scores.n} vertices but the tree has {tree.n}"
         )
-    return math.fsum(math.hypot(scores[u], scores[v]) for u, v in tree.edges)
+    w = (0.0, *scores.values)
+    return math.fsum(math.hypot(w[u], w[v]) for u, v in tree.edges)

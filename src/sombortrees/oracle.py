@@ -175,17 +175,24 @@ def _grid_terms(rows: Sequence[Sequence[float]], heads: Iterable[int]) -> tuple[
     up to its rounding, so its exponent is at least E - 1 and its last bit
     no finer than 2**(E - 54). Integer sums on the grid are exact, and
     ``float(sum) * scale`` rounds once, half to even, then scales by a power
-    of two, so it carries the bits ``math.fsum`` gives for the terms."""
+    of two, so it carries the bits ``math.fsum`` gives for the terms.
+
+    Each term goes onto the grid through ``math.ldexp``, exact while the
+    scaled term stays finite: a term is below 2 * w_max and 2**-E < 1 / w_min,
+    so on the grid it is below 2**55 * w_max / w_min, finite for positive
+    finite weights with w_max / w_min < 2**969. Degrees, and scores between
+    1/2 and n, always are; past that range ``ldexp`` raises
+    ``OverflowError``."""
     shift = 54 - math.frexp(min(map(min, rows)))[1]
     columns = []
     for weights in rows:
-        w = (0.0, *weights)
         row = {}
         for e in heads:
-            column = row[e] = [0]
-            for a in range(1, len(w)):
-                num, den = math.hypot(w[min(a, e)], w[max(a, e)]).as_integer_ratio()
-                column.append(num << (shift + 1 - den.bit_length()))
+            w = weights[e - 1]
+            # The smaller label's weight first: labels below e, then e and above.
+            below = [int(math.ldexp(math.hypot(v, w), shift)) for v in weights[: e - 1]]
+            above = [int(math.ldexp(math.hypot(w, v), shift)) for v in weights[e - 1 :]]
+            row[e] = [0, *below, *above]
         columns.append(row)
     return math.ldexp(1.0, -shift), columns
 

@@ -24,7 +24,11 @@ class BfsLevels(NamedTuple):
 
 
 class LabeledTree:
-    """Tree on vertex labels 1..n with the root fixed at vertex 1."""
+    """Tree on vertex labels 1..n with the root fixed at vertex 1.
+
+    Construction checks each edge's labels (ints, not bools, in 1..n), then
+    self-loop, duplicate and cycle, in one pass with a union-find. A tree
+    holds only valid labels, so this package reads ``_adj`` by index."""
 
     __slots__ = ("n", "edges", "_adj")
 
@@ -41,28 +45,27 @@ class LabeledTree:
                 "(graph is disconnected or not spanning)"
             )
         canon: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
         comp = list(range(n + 1))  # union-find with path halving
-
-        def find(x: int) -> int:
-            while comp[x] != x:
-                comp[x] = comp[comp[x]]
-                x = comp[x]
-            return x
-
-        for pair in edges:
-            u, v = pair
-            for label in (u, v):
-                if not isinstance(label, int) or isinstance(label, bool) or not 1 <= label <= n:
-                    raise TreeError(f"vertex label {label!r} out of range 1..{n}")
+        for u, v in edges:
+            if not (isinstance(u, int) and not isinstance(u, bool) and 1 <= u <= n):
+                raise TreeError(f"vertex label {u!r} out of range 1..{n}")
+            if not (isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n):
+                raise TreeError(f"vertex label {v!r} out of range 1..{n}")
             if u == v:
                 raise TreeError(f"self-loop at vertex {u}")
+            ru, rv = u, v
+            while comp[ru] != ru:
+                comp[ru] = comp[comp[ru]]
+                ru = comp[ru]
+            while comp[rv] != rv:
+                comp[rv] = comp[comp[rv]]
+                rv = comp[rv]
             edge = (u, v) if u < v else (v, u)
-            if edge in seen:
-                raise TreeError(f"duplicate edge {edge}")
-            seen.add(edge)
-            ru, rv = find(u), find(v)
             if ru == rv:
+                # A repeat of an accepted edge, or a cycle: only a refused
+                # edge pays for the linear search.
+                if edge in canon:
+                    raise TreeError(f"duplicate edge {edge}")
                 raise TreeError(f"cycle detected when adding edge {edge}")
             comp[ru] = rv
             canon.append(edge)
@@ -74,7 +77,7 @@ class LabeledTree:
             adj[v].append(u)
         self.n = n
         self.edges = tuple(canon)
-        self._adj = tuple(tuple(nbrs) for nbrs in adj)
+        self._adj = tuple(map(tuple, adj))
 
     def _check_label(self, u: int) -> None:
         if not isinstance(u, int) or isinstance(u, bool) or not 1 <= u <= self.n:

@@ -431,6 +431,7 @@ def test_descend_random_reaches_figure_tree(capsys):
 
 
 DESCEND_82 = ",".join(["4"] * 10 + ["3"] * 10 + ["2"] * 30 + ["1"] * 32)
+DESCEND_162 = ",".join(["4"] * 20 + ["3"] * 20 + ["2"] * 60 + ["1"] * 62)
 
 
 @pytest.mark.parametrize(
@@ -446,8 +447,13 @@ DESCEND_82 = ",".join(["4"] * 10 + ["3"] * 10 + ["2"] * 30 + ["1"] * 32)
             "3d7a8cf5594c1c885c12f57be41fe249c11dab27203f7075ee84166645bec814",
             "880a970782f4b42f05c9944a7048a2c2e8303e9783c6d6bbf280783a5071a135",
         ),
+        (
+            DESCEND_162, 0,
+            "3843416d535826ebbcf4e3315d62bf826a89a021d89de287b9a3c32eb77cf92c",
+            "4cf16a998e0a8c96abaaa0520c1d524704506e7f6520b8b7c2516e8e47fbe054",
+        ),
     ],
-    ids=["n10-seed7", "n82-seed0"],
+    ids=["n10-seed7", "n82-seed0", "n162-seed0"],
 )
 def test_descend_random_golden(tmp_path, capsys, degrees, seed, stdout_sha, trace_sha):
     # Pins the exact bytes of a descent, so a rewrite of the disorder scan

@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 
 import pytest
 
@@ -9,6 +11,9 @@ from sombortrees.oracle import (
     DEFAULT_VALUE_TOLERANCE,
     SpectrumSummary,
     compute_q,
+    enumerate_trees,
+    realizable_sequences,
+    sample_tree,
     sombor_spectrum,
 )
 from sombortrees.tree_core import LabeledTree
@@ -150,3 +155,45 @@ def test_score_assignment_type_roundtrip():
     assert isinstance(scores, ScoreAssignment)
     assert scores.n == 2
     assert scores.values == (0.75, 0.5)
+
+
+def reference_sombor(tree):
+    """``sombor`` through the label-checked ``degree`` accessor, kept as the
+    reference for the reads off the adjacency."""
+    return math.fsum(math.hypot(tree.degree(u), tree.degree(v)) for u, v in tree.edges)
+
+
+def reference_score_assignment(tree, q):
+    return ScoreAssignment(tuple(tree.degree(u) - u * q for u in range(1, tree.n + 1)))
+
+
+def reference_pseudo_sombor(tree, scores):
+    return math.fsum(math.hypot(scores[u], scores[v]) for u, v in tree.edges)
+
+
+def _parity_trees():
+    """Every tree of every class with n <= 8, then seeded uniform draws from
+    the classes of random Prufer codes up to n = 300."""
+    yield LabeledTree(1, [])
+    for seq in realizable_sequences(8):
+        yield from enumerate_trees(seq)
+    rng = random.Random(2022)
+    for n in (20, 60, 150, 300):
+        for _ in range(3):
+            code = Counter(rng.randrange(1, n + 1) for _ in range(n - 2))
+            degrees = sorted((code[u] + 1 for u in range(1, n + 1)), reverse=True)
+            yield sample_tree(DegreeSequence(tuple(degrees)), rng)
+
+
+def test_indices_match_the_label_checked_reference():
+    # Reading degrees and scores by index must give the bits of the
+    # per-edge accessor formulation, at two q on every tree.
+    for tree in _parity_trees():
+        assert sombor(tree).hex() == reference_sombor(tree).hex(), tree
+        for q in (1 / (2 * tree.n), 1e-3 / tree.n**3):
+            scores = score_assignment(tree, q)
+            reference = reference_score_assignment(tree, q)
+            assert [*map(float.hex, scores.values)] == [*map(float.hex, reference.values)]
+            assert (
+                pseudo_sombor(tree, scores).hex() == reference_pseudo_sombor(tree, scores).hex()
+            ), tree

@@ -489,6 +489,67 @@ def test_grid_sums_round_like_fsum(seq):
                 assert exact == math.fsum(map(term, edges)), edges
 
 
+def reference_grid_terms(rows, heads):
+    """``_grid_terms`` one cell at a time, each term put on the grid through
+    its exact ratio: the formulation the ``ldexp`` scaling replaced, kept as
+    its reference."""
+    shift = 54 - math.frexp(min(map(min, rows)))[1]
+    columns = []
+    for weights in rows:
+        w = (0.0, *weights)
+        row = {}
+        for e in heads:
+            column = row[e] = [0]
+            for a in range(1, len(w)):
+                num, den = math.hypot(w[min(a, e)], w[max(a, e)]).as_integer_ratio()
+                column.append(num << (shift + 1 - den.bit_length()))
+        columns.append(row)
+    return math.ldexp(1.0, -shift), columns
+
+
+def _perturbed_scores(seq):
+    """Weights within 1e-3 of the degrees, some above them, as
+    ``test_sandwich_verdict_where_pso_can_pass_so`` draws them."""
+    rng = random.Random(seq.n)
+    return [
+        ScoreAssignment(tuple(d + rng.uniform(-1e-3, 1e-3) for d in seq.degrees))
+        for _ in range(20)
+    ]
+
+
+PSO_CAN_PASS_SO = [
+    DegreeSequence((3, 3, 2, 2, 1, 1, 1, 1)),
+    DegreeSequence((4, 3, 2, 2, 1, 1, 1, 1, 1)),
+]
+
+
+def _grid_cases():
+    """(rows, heads) as the spectrum and the sandwich ask for them on every
+    class with n <= 12 at verify's scores, and on the contrived scores the
+    sandwich tests use: perturbed degrees, a last score of 1 - 1e-14, and
+    the 1,501-vertex star."""
+    for seq in realizable_sequences(12):
+        scores = _class_scores(seq).values
+        heads = oracle._edge_heads(seq)
+        yield (seq.degrees, scores), heads
+        weights = sorted({*seq.degrees, 2}, reverse=True)
+        yield (weights,), range(1, len(weights) + 1)
+    for seq in PSO_CAN_PASS_SO:
+        for scores in _perturbed_scores(seq):
+            yield (seq.degrees, scores.values), range(1, seq.n + 1)
+    seq = DegreeSequence((3, 2, 2, 1, 1, 1))
+    yield (seq.degrees, seq.degrees[:-1] + (1 - 1e-14,)), range(1, seq.n + 1)
+    star = DegreeSequence((1500,) + (1,) * 1500)
+    yield (star.degrees, _class_scores(star).values), oracle._edge_heads(star)
+
+
+def test_grid_terms_match_the_per_cell_reference():
+    # Each term put on the grid by one ldexp must give the exact-ratio
+    # integers, and the scale must be the same.
+    for rows, heads in _grid_cases():
+        assert oracle._grid_terms(rows, heads) == reference_grid_terms(rows, heads), rows
+
+
 @pytest.mark.parametrize(
     "seq", [s for s in realizable_sequences(10) if s.n == 10], ids=lambda s: s.render()
 )
@@ -570,16 +631,11 @@ def test_sandwich_extremes_match_reference_walk(seq):
     assert _rounded_extremes(seq, scores) == reference
 
 
-@pytest.mark.parametrize(
-    "seq", [DegreeSequence((3, 3, 2, 2, 1, 1, 1, 1)), DegreeSequence((4, 3, 2, 2, 1, 1, 1, 1, 1))],
-    ids=lambda s: s.render(),
-)
+@pytest.mark.parametrize("seq", PSO_CAN_PASS_SO, ids=lambda s: s.render())
 def test_sandwich_verdict_where_pso_can_pass_so(seq):
     # Weights within 1e-3 of the degrees, some above: on some trees pSO
     # reaches or passes SO, so the upper side of the test binds too.
-    rng = random.Random(seq.n)
-    for _ in range(20):
-        scores = ScoreAssignment(tuple(d + rng.uniform(-1e-3, 1e-3) for d in seq.degrees))
+    for scores in _perturbed_scores(seq):
         pairs = list(_prefix_walk(seq, scores))
         assert _rounded_extremes(seq, scores) == _extremes_by_value(pairs)
         for half_gap in _bands(pairs) + [math.inf]:

@@ -1,9 +1,12 @@
 import json
+import math
 import tracemalloc
 from itertools import product
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sombortrees.tree_core import (
     LabeledTree,
@@ -77,6 +80,103 @@ def test_too_few_edges_rejected_before_sized_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def reference_tree(n, edges):
+    """(edges, neighbour tuples) of ``LabeledTree(n, edges)``, or its
+    ``TreeError`` message: the validation loop the one-loop scan replaced,
+    kept verbatim as its reference."""
+    try:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise TreeError(f"vertex count must be a positive integer, got {n!r}")
+        edges = list(edges)
+        if len(edges) < n - 1:
+            raise TreeError(
+                f"a tree on {n} vertices has {n - 1} edges, got {len(edges)} "
+                "(graph is disconnected or not spanning)"
+            )
+        canon: list[tuple[int, int]] = []
+        seen: set[tuple[int, int]] = set()
+        comp = list(range(n + 1))  # union-find with path halving
+
+        def find(x: int) -> int:
+            while comp[x] != x:
+                comp[x] = comp[comp[x]]
+                x = comp[x]
+            return x
+
+        for pair in edges:
+            u, v = pair
+            for label in (u, v):
+                if not isinstance(label, int) or isinstance(label, bool) or not 1 <= label <= n:
+                    raise TreeError(f"vertex label {label!r} out of range 1..{n}")
+            if u == v:
+                raise TreeError(f"self-loop at vertex {u}")
+            edge = (u, v) if u < v else (v, u)
+            if edge in seen:
+                raise TreeError(f"duplicate edge {edge}")
+            seen.add(edge)
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                raise TreeError(f"cycle detected when adding edge {edge}")
+            comp[ru] = rv
+            canon.append(edge)
+        canon.sort()
+        adj: list[list[int]] = [[] for _ in range(n + 1)]
+        for u, v in canon:
+            adj[u].append(v)
+            adj[v].append(u)
+        return tuple(canon), tuple(tuple(nbrs) for nbrs in adj[1:])
+    except TreeError as err:
+        return str(err)
+
+
+def _built_or_refused(n, edges):
+    """What ``LabeledTree(n, edges)`` gives, in ``reference_tree``'s form."""
+    try:
+        tree = LabeledTree(n, edges)
+    except TreeError as err:
+        return str(err)
+    return tree.edges, tuple(tree.neighbors(u) for u in range(1, n + 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(st.data())
+def test_validation_matches_the_reference_loop(data):
+    # Edge lists of any length up to n + 1, one edge in four with a label
+    # on either end or both that may be a bool, float, string or out of
+    # range, the rest in 1..n, so self-loops, duplicates and cycles are
+    # common: the same TreeError message, from the same first fault, or the
+    # same tree.
+    n = data.draw(st.one_of(st.integers(1, 8), st.sampled_from([0, -1, True, 2.0])))
+    top = n if type(n) is int and n > 0 else 3
+    good = st.integers(1, top)
+    bad = st.one_of(
+        st.integers(-1, top + 1), st.booleans(), st.sampled_from([1.0, 2.0, 0.5, math.nan, "1"])
+    )
+    pairs = [st.tuples(bad, good), st.tuples(good, bad), st.tuples(bad, bad)]
+    pairs += [st.tuples(good, good)] * 9
+    edges = [
+        data.draw(pairs[data.draw(st.integers(0, len(pairs) - 1))])
+        for _ in range(data.draw(st.integers(0, top + 1)))
+    ]
+    assert _built_or_refused(n, edges) == reference_tree(n, edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_validation_matches_the_reference_loop_on_trees(data):
+    # Shuffled and flipped edges of a random tree, with at most two edges
+    # added: every tree is accepted as the reference builds it, and every
+    # extra edge fails the same way.
+    n = data.draw(st.integers(1, 10))
+    edges = [(data.draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    edges += data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2))
+    edges = [
+        (v, u) if data.draw(st.booleans()) else (u, v)
+        for u, v in data.draw(st.permutations(edges))
+    ]
+    assert _built_or_refused(n, edges) == reference_tree(n, edges)
 
 
 def test_single_vertex_tree():
