@@ -6,8 +6,8 @@ Enumeration walks the distinct permutations of the code multiset in which
 label u occurs deg(u) - 1 times, decoding each permutation; that visits
 every labeled tree of the class exactly once.
 
-The spectrum and the sandwich check do not visit trees one by one. Edge
-terms, over the degrees and over the scores, are exact integers on one
+The spectrum and the sandwich's certificate do not visit trees one by one.
+Edge terms, over the degrees and over the scores, are exact integers on one
 power-of-two grid, and one correct rounding of an exact sum is what
 ``math.fsum`` returns, so a tree's rounded sums carry the bits of
 ``sombor`` and ``pseudo_sombor``.
@@ -24,10 +24,8 @@ power-of-two grid, and one correct rounding of an exact sum is what
   and greatest D-term of a's edges to the heads. When that range exceeds u
   and stays below half_gap - 2u, with u the ulp of a bound on every SO and
   on half_gap, no float rounding of the test can flip it: a certified True
-  is the per-tree verdict. Otherwise a decoder pass keeps per state and per
-  exact SO sum the least and greatest exact pSO sum. Rounding is monotone,
-  so the strict float test holds for every tree with one SO exactly when it
-  holds for that SO's least and greatest pSO.
+  is the per-tree verdict. Otherwise the float test runs on every tree of
+  the class walk, whose cost is the class size that the cap bounds.
 
 The spectrum and the sandwich each rebuild the class's first tree once
 through ``prufer_decode`` as a spot check, and raise
@@ -370,37 +368,36 @@ def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: floa
     per-tree verdict.
 
     Otherwise (a non-finite ``half_gap``, a failing class, or a bound
-    within that margin of an edge) the exact fold decides: one pass maps each
-    exact SO sum to the least and greatest exact pSO sum of its trees.
-    Rounding is monotone, so among the trees with one exact SO the test
-    holds for all exactly when it holds for the least and greatest pSO, and
-    that verdict is the per-tree verdict, bit for bit.
+    within that margin of an edge) the float test runs on every tree of
+    ``_class_walk``, which is the per-tree verdict by definition. It takes
+    constant memory and one step per tree, so its cost is the class size.
 
     The class's first tree, rebuilt once through ``prufer_decode``, must
     have ``sombor`` and ``pseudo_sombor`` equal to its grid sums, rounded,
-    its D within the certificate's range and, when the fold runs, its pSO
-    within its SO's extremes; else ``OracleInvariantError``."""
+    and its D within the certificate's range; else
+    ``OracleInvariantError``."""
     heads = _edge_heads(seq)
     scale, (so_terms, pso_terms) = _grid_terms((seq.degrees, scores.values), heads)
+
+    # A tree's exact SO and pSO sums on the grid; one end of every edge is a head.
+    def sums(edges):
+        return [
+            sum(terms[b][a] if b in terms else terms[a][b] for a, b in edges)
+            for terms in (so_terms, pso_terms)
+        ]
+
     tree = _decoded(seq, _code_multiset(seq))
-    first_so, first_pso = (
-        sum(terms[b][a] if b in terms else terms[a][b] for a, b in tree.edges)
-        for terms in (so_terms, pso_terms)
-    )
-
-    def check(agrees):
-        if not agrees:
-            raise OracleInvariantError(
-                f"sandwich pass of {seq.render()} disagrees with prufer_decode on its first tree"
-            )
-
+    first_so, first_pso = sums(tree.edges)
     spans = [[so_terms[e][a] - pso_terms[e][a] for e in heads if e != a] for a in range(1, seq.n)]
     low, high = sum(map(min, spans)), sum(map(max, spans))
-    check(
+    if not (
         float(first_so) * scale == sombor(tree)
         and float(first_pso) * scale == pseudo_sombor(tree, scores)
         and low <= first_so - first_pso <= high
-    )
+    ):
+        raise OracleInvariantError(
+            f"sandwich pass of {seq.render()} disagrees with prufer_decode on its first tree"
+        )
     # Each tree's n - 1 terms are at most the largest term. float() keeps
     # the bound within its binade or rounds it up to the next power of two,
     # so every value up to the exact bound still rounds by at most u/2.
@@ -412,32 +409,11 @@ def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: floa
     u = math.ulp(max(so_bound, half_gap)) / scale
     if low > u and high + 2 * int(u) < half_gap / scale:
         return True
-
-    def join_extremes(sums, e, leaf, into):
-        so_add, pso_add = so_terms[e][leaf], pso_terms[e][leaf]
-        if into is None:
-            return {
-                so + so_add: (low + pso_add, high + pso_add) for so, (low, high) in sums.items()
-            }
-        for so, (low, high) in sums.items():
-            so += so_add
-            low += pso_add
-            high += pso_add
-            old = into.get(so)
-            if old is None:
-                into[so] = (low, high)
-            elif low < old[0] or high > old[1]:
-                into[so] = (low if low < old[0] else old[0], high if high > old[1] else old[1])
-        return into
-
-    extremes = _decoder_pass(seq, {0: (0, 0)}, join_extremes)
-    least, most = extremes.get(first_so, (math.inf, -math.inf))
-    check(least <= first_pso <= most)
-    return all(
-        float(so) * scale - half_gap < float(low) * scale
-        and float(high) * scale < float(so) * scale
-        for so, (low, high) in extremes.items()
-    )
+    for so, pso in map(sums, _class_walk(seq)):
+        so, pso = float(so) * scale, float(pso) * scale
+        if not so - half_gap < pso < so:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -573,71 +573,12 @@ def test_sandwich_matches_labeled_walk(seq):
         assert oracle._sandwich_holds(seq, scores, half_gap) == verdict, half_gap
 
 
-def _extremes_by_value(pairs):
-    """SO -> (least, greatest) pSO over (SO, pSO) pairs."""
-    extremes = {}
-    for so, pso in pairs:
-        low, high = extremes.get(so, (pso, pso))
-        extremes[so] = (min(low, pso), max(high, pso))
-    return extremes
-
-
-def _is_fold(start):
-    """Whether a ``_decoder_pass`` start payload is the sandwich fold's: only
-    the fold maps exact SO sums to (least, greatest) pSO pairs."""
-    return start == {0: (0, 0)}
-
-
-def _rounded_extremes(seq, scores):
-    """The sandwich fold's exact per-SO extremes, rounded the way ``sombor``
-    and ``pseudo_sombor`` round a tree's sums. An infinite half gap always
-    folds; the pass's result and the grid's scale are read on the way."""
-    seen = {}
-    real_grid, real_pass = oracle._grid_terms, oracle._decoder_pass
-
-    def grid(rows, heads):
-        seen["grid"] = real_grid(rows, heads)
-        return seen["grid"]
-
-    def decoder_pass(seq, start, join):
-        folded = real_pass(seq, start, join)
-        if _is_fold(start):
-            seen["extremes"] = folded
-        return folded
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_grid_terms", grid)
-        patch.setattr(oracle, "_decoder_pass", decoder_pass)
-        oracle._sandwich_holds(seq, scores, math.inf)
-    scale = seen["grid"][0]
-    return _extremes_by_value(
-        (float(so) * scale, float(pso) * scale)
-        for so, bounds in seen["extremes"].items()
-        for pso in bounds
-    )
-
-
-MULTI_VALUE_UP_TO_10 = [
-    seq for seq in realizable_sequences(10) if len(sombor_value_counts(seq)) > 1
-]
-
-
-@pytest.mark.parametrize("seq", MULTI_VALUE_UP_TO_10, ids=lambda s: s.render())
-def test_sandwich_extremes_match_reference_walk(seq):
-    # Rounding is monotone, so the rounded exact extremes of each exact SO
-    # must be the least and greatest pSO the per-tree walk gives that SO.
-    scores = _class_scores(seq)
-    reference = _extremes_by_value(_prefix_walk(seq, scores))
-    assert _rounded_extremes(seq, scores) == reference
-
-
 @pytest.mark.parametrize("seq", PSO_CAN_PASS_SO, ids=lambda s: s.render())
 def test_sandwich_verdict_where_pso_can_pass_so(seq):
     # Weights within 1e-3 of the degrees, some above: on some trees pSO
     # reaches or passes SO, so the upper side of the test binds too.
     for scores in _perturbed_scores(seq):
         pairs = list(_prefix_walk(seq, scores))
-        assert _rounded_extremes(seq, scores) == _extremes_by_value(pairs)
         for half_gap in _bands(pairs) + [math.inf]:
             verdict = all(so - half_gap < pso < so for so, pso in pairs)
             assert oracle._sandwich_holds(seq, scores, half_gap) == verdict, half_gap
@@ -648,29 +589,47 @@ def _without_twos(seq):
     return DegreeSequence(tuple(d for d in seq.degrees if d != 2))
 
 
-def _counting_fold(monkeypatch, passes=None):
-    """Patches ``_decoder_pass`` to record the classes the sandwich folds,
-    and every class any pass runs over in ``passes`` when given."""
-    folded = []
-    real = oracle._decoder_pass
+def _sandwich_traffic(monkeypatch, passes=None):
+    """Patches ``_sandwich_holds`` to record, during its calls, the classes
+    whose trees it walks through ``_class_walk`` and the classes of any
+    ``_decoder_pass`` it starts; and ``_decoder_pass`` to record every class
+    any pass runs over in ``passes`` when given. Returns (walked, started)."""
+    walked, started, inside = [], [], []
+    real_holds, real_walk, real_pass = (
+        oracle._sandwich_holds, oracle._class_walk, oracle._decoder_pass
+    )
+
+    def class_walk(seq):
+        if inside:
+            walked.append(seq)
+        return real_walk(seq)
 
     def decoder_pass(seq, start, join):
-        if _is_fold(start):
-            folded.append(seq)
+        if inside:
+            started.append(seq)
         if passes is not None:
             passes.append(seq)
-        return real(seq, start, join)
+        return real_pass(seq, start, join)
 
+    def sandwich_holds(seq, scores, half_gap):
+        inside.append(seq)
+        try:
+            return real_holds(seq, scores, half_gap)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(oracle, "_class_walk", class_walk)
     monkeypatch.setattr(oracle, "_decoder_pass", decoder_pass)
-    return folded
+    monkeypatch.setattr(oracle, "_sandwich_holds", sandwich_holds)
+    return walked, started
 
 
 def test_certificate_settles_every_multi_value_class_up_to_12(monkeypatch):
     # At the q verify picks, every tree's SO - pSO lies far inside
-    # (0, half_gap), so the per-label certificate decides alone, and the
-    # only decoder pass of each class is its spectrum's.
+    # (0, half_gap), so the per-label certificate decides alone: no class
+    # is walked, and the only decoder pass of each class is its spectrum's.
     passes = []
-    folded = _counting_fold(monkeypatch, passes)
+    walked, started = _sandwich_traffic(monkeypatch, passes)
     multi_value = 0
     classes = list(realizable_sequences(12))
     for seq in classes:
@@ -678,7 +637,8 @@ def test_certificate_settles_every_multi_value_class_up_to_12(monkeypatch):
         if report.z2 is not None:
             multi_value += 1
             assert report.sandwich_holds, seq.render()
-    assert (multi_value, folded) == (91, [])
+    assert (multi_value, walked) == (91, [])
+    assert started == []
     assert passes == [_without_twos(seq) for seq in classes] and len(passes) == 139
 
 
@@ -691,30 +651,30 @@ MULTI_VALUE_7_TO_9 = [
 def test_certificate_declines_an_oversized_q(monkeypatch, seq):
     # q = 1/(2n) is far above the spectrum-gap rule's q here, so some tree
     # has SO - pSO past the half gap: the certificate must not vouch for
-    # the class, and the exact fold gives the per-tree verdict.
+    # the class, and the walk gives the per-tree verdict.
     spectrum = sombor_spectrum(seq)
     half_gap = (spectrum.z2 - spectrum.z1) / 2
     scores = score_assignment(build_greedy(seq), 1 / (2 * seq.n))
     pairs = list(_prefix_walk(seq, scores))
     assert not all(so - half_gap < pso < so for so, pso in pairs)
-    folded = _counting_fold(monkeypatch)
+    walked, started = _sandwich_traffic(monkeypatch)
     assert oracle._sandwich_holds(seq, scores, half_gap) is False
-    assert folded == [seq]
+    assert (walked, started) == ([seq], [])
 
 
 @pytest.mark.parametrize("seq", MULTI_VALUE_7_TO_9, ids=lambda s: s.render())
 def test_certificate_declines_a_shrunk_half_gap(monkeypatch, seq):
     # At the least half gap every tree passes, the largest SO - pSO lies
-    # within the certificate's ulp margin, so the fold decides: the
+    # within the certificate's ulp margin, so the walk decides: the
     # sandwich holds there and fails one float below.
     scores = _class_scores(seq)
     pairs = list(_prefix_walk(seq, scores))
     flip = _flip_point(pairs)
-    folded = _counting_fold(monkeypatch)
+    walked, started = _sandwich_traffic(monkeypatch)
     for half_gap, verdict in ((flip, True), (math.nextafter(flip, 0.0), False)):
         assert all(so - half_gap < pso < so for so, pso in pairs) == verdict
         assert oracle._sandwich_holds(seq, scores, half_gap) is verdict
-    assert folded == [seq, seq]
+    assert (walked, started) == ([seq, seq], [])
 
 
 def test_certificate_declines_pso_within_an_ulp_below_so(monkeypatch):
@@ -725,37 +685,54 @@ def test_certificate_declines_pso_within_an_ulp_below_so(monkeypatch):
     seq = DegreeSequence((3, 3, 2, 2, 1, 1, 1, 1))
     scores = ScoreAssignment(seq.degrees[:-1] + (1 - 2e-15,))
     assert all(pso == so for so, pso in _prefix_walk(seq, scores))
-    folded = _counting_fold(monkeypatch)
+    walked, started = _sandwich_traffic(monkeypatch)
     assert oracle._sandwich_holds(seq, scores, 0.5) is False
-    assert folded == [seq]
+    assert (walked, started) == ([seq], [])
+
+
+def test_certificate_declines_a_last_score_just_below_one(monkeypatch):
+    # The last leaf's score at 1 - 1e-14 puts the least per-label D at 0,
+    # so the certificate declines at the class's own half gap, and a walk
+    # of its 12 trees finds that every one passes. A certificate that
+    # settles this class changes this test's walked list.
+    seq = DegreeSequence((3, 2, 2, 1, 1, 1))
+    spectrum = sombor_spectrum(seq)
+    half_gap = (spectrum.z2 - spectrum.z1) / 2
+    scores = ScoreAssignment(seq.degrees[:-1] + (1 - 1e-14,))
+    pairs = list(_prefix_walk(seq, scores))
+    assert len(pairs) == 12 and all(so - half_gap < pso < so for so, pso in pairs)
+    walked, started = _sandwich_traffic(monkeypatch)
+    assert oracle._sandwich_holds(seq, scores, half_gap) is True
+    assert (walked, started) == ([seq], [])
 
 
 def test_sandwich_decodes_the_first_tree_once(monkeypatch):
     # One prufer_decode per call, whether the certificate decides alone
-    # (at verify's q) or the fold runs too (at q = 1/(2n)).
+    # (at verify's q) or the walk runs too (at q = 1/(2n)): the walk takes
+    # its edge lists from prufer_edges and builds no tree.
     seq = MULTI_VALUE_7_TO_9[0]
     spectrum = sombor_spectrum(seq)
     half_gap = (spectrum.z2 - spectrum.z1) / 2
     decoded = []
     real = oracle.prufer_decode
     monkeypatch.setattr(oracle, "prufer_decode", lambda code: decoded.append(code) or real(code))
-    folded = _counting_fold(monkeypatch)
+    walked, started = _sandwich_traffic(monkeypatch)
     for q in (compute_q(seq, spectrum).value, 1 / (2 * seq.n)):
         scores = score_assignment(build_greedy(seq), q)
         decoded.clear()
         oracle._sandwich_holds(seq, scores, half_gap)
         assert len(decoded) == 1, q
-    assert folded == [seq]
+    assert (walked, started) == ([seq], [])
 
 
 @pytest.mark.parametrize("half_gap, verdict", [(math.inf, True), (math.nan, False)])
 def test_certificate_declines_a_non_finite_half_gap(monkeypatch, half_gap, verdict):
     # An infinite half gap makes u infinite and a NaN fails the comparison,
-    # so the fold gives the per-tree verdict either way.
+    # so the walk gives the per-tree verdict either way.
     seq = DegreeSequence((3, 2, 2, 1, 1, 1))
-    folded = _counting_fold(monkeypatch)
+    walked, started = _sandwich_traffic(monkeypatch)
     assert oracle._sandwich_holds(seq, _class_scores(seq), half_gap) is verdict
-    assert folded == [seq]
+    assert (walked, started) == ([seq], [])
 
 
 @pytest.mark.parametrize(
