@@ -327,6 +327,10 @@ BROOM_103_SHA = "54a4fc8af14126275a811e322654b1bbdcedc58dc0aff1c6b7ff430f037d5f0
 BROOM_2403 = ("verify", "-d", ",".join(["1200", "2", "2"] + ["1"] * 1200))
 
 
+SWEEP_9_SHA = "43603c72b5910f4362f64480a428a2b9e632a68736c9a681690d0d44f5c1ddb1"
+SWEEP_12_SHA = "3ffdf35a70dfc4e2453176a26dcf19d8667445aceef1042331d31acf1b24e9d7"
+
+
 @pytest.mark.parametrize(
     "argv, stdout_sha",
     [
@@ -346,10 +350,7 @@ BROOM_2403 = ("verify", "-d", ",".join(["1200", "2", "2"] + ["1"] * 1200))
             ("verify", "--sweep", "--max-n", "8"),
             "a2896fc8f53d2dfed9ab096c62c40731f5701d7d909044a2676b05c0c5d0be22",
         ),
-        (
-            ("verify", "--sweep", "--max-n", "9"),
-            "43603c72b5910f4362f64480a428a2b9e632a68736c9a681690d0d44f5c1ddb1",
-        ),
+        (("verify", "--sweep", "--max-n", "9"), SWEEP_9_SHA),
         (
             ("verify", "--sweep", "--max-n", "10"),
             "3e1e6c6e7817808e66565d1a48f07d370ee0637b3d7b1c80ca7e94f328f6390b",
@@ -360,10 +361,7 @@ BROOM_2403 = ("verify", "-d", ",".join(["1200", "2", "2"] + ["1"] * 1200))
             "7132d84c329eae6721f276cd7b3164e0d147bc8ec805e6d2c88599e1317f32f0",
         ),
         (BROOM_103, BROOM_103_SHA),
-        (
-            ("verify", "--sweep", "--max-n", "12"),
-            "3ffdf35a70dfc4e2453176a26dcf19d8667445aceef1042331d31acf1b24e9d7",
-        ),
+        (("verify", "--sweep", "--max-n", "12"), SWEEP_12_SHA),
         (BROOM_2403, "5fdcd9fd78485dcaf1463cfb0432c58172c54ceabd5efb6e96eac1531567e779"),
         (
             ("greedy", "-d", "4,3,3,2,1,1,1,1,1,1", "--format", "dot"),
@@ -380,6 +378,34 @@ def test_verify_golden(capsys, argv, stdout_sha):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+
+
+
+@pytest.mark.parametrize(
+    "max_n, passes, stdout_sha",
+    [(9, 15, SWEEP_9_SHA), (12, 42, SWEEP_12_SHA)],
+    ids=["sweep-9", "sweep-12"],
+)
+def test_verify_sweep_runs_one_pass_per_sequence_without_its_2s(
+    capsys, monkeypatch, max_n, passes, stdout_sha
+):
+    # Classes that differ only in their 2s share one decoder pass over the
+    # sequence without them, and the table keeps its bytes.
+    started = []
+    real_pass = oracle._decoder_pass
+
+    def decoder_pass(seq, start, join):
+        started.append(seq.degrees)
+        return real_pass(seq, start, join)
+
+    monkeypatch.setattr(oracle, "_decoder_pass", decoder_pass)
+    code, out, _ = run_cli(capsys, "verify", "--sweep", "--max-n", str(max_n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    reduced = {
+        tuple(d for d in seq.degrees if d != 2) for seq in oracle.realizable_sequences(max_n)
+    }
+    assert sorted(started) == sorted(reduced) and len(started) == passes
 
 
 def test_verify_stack_depth_does_not_grow_with_n(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -12,6 +13,7 @@ from sombortrees.greedy import build_greedy
 from sombortrees.indices import ScoreAssignment, pseudo_sombor, score_assignment, sombor
 from sombortrees.oracle import (
     compute_q,
+    QConstant,
     ResourceCapExceededError,
     count_trees,
     enumerate_trees,
@@ -640,6 +642,70 @@ def test_certificate_settles_every_multi_value_class_up_to_12(monkeypatch):
     assert (multi_value, walked) == (91, [])
     assert started == []
     assert passes == [_without_twos(seq) for seq in classes] and len(passes) == 139
+
+
+
+def _report_bits(report):
+    """Every field of a verification report, each float as ``float.hex``."""
+
+    def bits(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, QConstant):
+            return value.value.hex(), value.branch
+        return value
+
+    return {field.name: bits(getattr(report, field.name)) for field in dataclasses.fields(report)}
+
+
+@pytest.mark.parametrize("order", ["sweep", "reverse", "shuffled"])
+def test_shared_profiles_give_the_unshared_reports(order):
+    # One memo carried from class to class, in any order, must give every
+    # class the report, bit for bit, that a call with its own memo gives.
+    classes = list(realizable_sequences(12))
+    if order == "reverse":
+        classes.reverse()
+    elif order == "shuffled":
+        random.Random(20).shuffle(classes)
+    profiles = {}
+    shared = [_report_bits(verify_greedy_minimum(seq, profiles=profiles)) for seq in classes]
+    assert shared == [_report_bits(verify_greedy_minimum(seq)) for seq in classes]
+    assert set(profiles) == {_without_twos(seq).degrees for seq in classes}
+
+
+def test_value_counts_share_a_pass_only_through_a_memo(monkeypatch):
+    passes = []
+    _sandwich_traffic(monkeypatch, passes)
+    seq, sibling = DegreeSequence((3, 2, 2, 1, 1, 1)), DegreeSequence((3, 2, 1, 1, 1))
+    alone = [sombor_value_counts(s) for s in (seq, seq, sibling)]
+    assert len(passes) == 3
+    profiles = {}
+    assert [sombor_value_counts(s, profiles) for s in (seq, seq, sibling)] == alone
+    assert len(passes) == 4 and list(profiles) == [(3, 1, 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "seq, error",
+    [
+        # D' = 3,1,1,1, but 19,958,400 trees are over the default cap.
+        (DegreeSequence((3,) + (2,) * 9 + (1,) * 3), ResourceCapExceededError),
+        (DegreeSequence((3, 3, 1, 1)), NotTreeRealizableError),
+    ],
+    ids=["over-cap", "not-realizable"],
+)
+def test_refused_class_leaves_the_memo_unchanged(monkeypatch, seq, error):
+    profiles = {}
+    verify_greedy_minimum(DegreeSequence((2, 2, 1, 1)), profiles=profiles)
+    before = dict(profiles)
+
+    def decoder_pass(*args):
+        raise AssertionError("a refused class started a decoder pass")
+
+    monkeypatch.setattr(oracle, "_decoder_pass", decoder_pass)
+    with pytest.raises(error):
+        verify_greedy_minimum(seq, profiles=profiles)
+    assert profiles.keys() == before.keys()
+    assert all(profiles[key] is before[key] for key in before)
 
 
 MULTI_VALUE_7_TO_9 = [

@@ -69,8 +69,13 @@ def _bench_run(monkeypatch):
         # sandwich check; neither visits the trees one by one.
         ("verify-class", ["verify", "-d", "3,2,2,1,1,1"],
          {"tree_core.prufer_decode": 2, "oracle.sombor_spectrum": 1}),
-        # --max-n 5 calls neither pseudo_sombor nor score_assignment
-        ("verify-sweep", ["verify", "--sweep", "--max-n", "6"], {}),
+        # 12 classes, one of them with two values: every class still goes
+        # through the wrapped spectrum and verify, and decodes its first
+        # tree once, however many share a decoder pass; the multi-value
+        # class decodes it once more in its sandwich check.
+        ("verify-sweep", ["verify", "--sweep", "--max-n", "6"],
+         {"tree_core.prufer_decode": 13, "oracle.sombor_spectrum": 12,
+          "oracle.verify_greedy_minimum": 12}),
         ("descend-random", ["descend", "--random", "-d", "4,3,3,2,1,1,1,1,1,1",
                             "--seed", "7", "--trace-json", "{tmp}/trace.json"], {}),
     ],
