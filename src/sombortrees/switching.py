@@ -184,9 +184,10 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
     exists; under the contract of ``descend`` (degree-ordered labels, scores
     strictly decreasing with q in (0, 1/(2n)]) that means the tree is the
     greedy tree. Every returned plan has switch_sign DECREASE. Raises
-    ValueError outside that contract.
+    ValueError outside that contract. Once the contract holds, scores are
+    read by label from one flat tuple.
     """
-    scores = _contract_scores(tree, q)
+    w = (0.0, *_contract_scores(tree, q).values)
     info = tree.bfs_levels()
     depth = max(info.level.values())
     by_level: list[list[int]] = [[] for _ in range(depth + 1)]
@@ -205,8 +206,9 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
     for j in range(1, depth):
         candidates = suffix[j + 1]
         for beta in by_level[j]:
+            w_beta = w[beta]
             for alpha in candidates:
-                if scores[alpha] > scores[beta]:
+                if w[alpha] > w_beta:
                     return _level_violation(info, children, alpha, beta)
 
     # Same-level pass: children misordered against their parents' scores.
@@ -218,14 +220,14 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
             if not kids_a:
                 continue
             for b in group:
-                if b == a or not scores[a] > scores[b]:
+                if b == a or not w[a] > w[b]:
                     continue
                 kids_b = children.get(b)
                 if not kids_b:
                     continue
-                gamma = min(kids_a, key=lambda c: (scores[c], c))
-                delta = min(kids_b, key=lambda c: (-scores[c], c))
-                if scores[gamma] < scores[delta]:
+                gamma = min(kids_a, key=lambda c: (w[c], c))
+                delta = min(kids_b, key=lambda c: (-w[c], c))
+                if w[gamma] < w[delta]:
                     return Violation(ViolationKind.SAME_LEVEL, SwitchPlan(a, gamma, delta, b))
     return None
 

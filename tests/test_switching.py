@@ -7,13 +7,16 @@ import pytest
 from sombortrees.degseq import DegreeSequence
 from sombortrees.greedy import build_greedy
 from sombortrees.indices import pseudo_sombor, score_assignment, sombor
-from sombortrees.oracle import enumerate_trees, realizable_sequences
+from sombortrees.oracle import enumerate_trees, realizable_sequences, sample_tree
 from sombortrees.switching import (
     DescentInvariantError,
     SwitchError,
     SwitchPlan,
     SwitchSign,
+    Violation,
     ViolationKind,
+    _contract_scores,
+    _level_violation,
     apply_switch,
     descend,
     find_violation,
@@ -210,6 +213,88 @@ def test_every_violation_plan_decreases_exhaustive():
             sign, product = switch_sign(tree, violation.plan, scores)
             assert sign is SwitchSign.DECREASE
             assert product > 0
+
+
+# The disorder scan as it read each score through ScoreAssignment.__getitem__,
+# kept to pin the flat label-indexed reads of find_violation to it.
+def _reference_find_violation(tree: LabeledTree, q: float) -> Violation | None:
+    scores = _contract_scores(tree, q)
+    info = tree.bfs_levels()
+    depth = max(info.level.values())
+    by_level: list[list[int]] = [[] for _ in range(depth + 1)]
+    for u in range(1, tree.n + 1):
+        by_level[info.level[u]].append(u)
+    children: dict[int, list[int]] = {}
+    for child in range(2, tree.n + 1):
+        children.setdefault(info.parent[child], []).append(child)
+
+    # Level pass: a deeper vertex out-scoring a shallower one. The root
+    # carries the top score, so level 0 never witnesses and the repair
+    # always has a parent above beta to use.
+    suffix: list[list[int]] = [[] for _ in range(depth + 2)]
+    for k in range(depth, 0, -1):
+        suffix[k] = sorted(by_level[k] + suffix[k + 1])
+    for j in range(1, depth):
+        candidates = suffix[j + 1]
+        for beta in by_level[j]:
+            for alpha in candidates:
+                if scores[alpha] > scores[beta]:
+                    return _level_violation(info, children, alpha, beta)
+
+    # Same-level pass: children misordered against their parents' scores.
+    for group in by_level:
+        if len(group) < 2:
+            continue
+        for a in group:
+            kids_a = children.get(a)
+            if not kids_a:
+                continue
+            for b in group:
+                if b == a or not scores[a] > scores[b]:
+                    continue
+                kids_b = children.get(b)
+                if not kids_b:
+                    continue
+                gamma = min(kids_a, key=lambda c: (scores[c], c))
+                delta = min(kids_b, key=lambda c: (-scores[c], c))
+                if scores[gamma] < scores[delta]:
+                    return Violation(ViolationKind.SAME_LEVEL, SwitchPlan(a, gamma, delta, b))
+    return None
+
+
+def _assert_same_violation(tree: LabeledTree, q: float) -> Violation | None:
+    got = find_violation(tree, q)
+    assert got == _reference_find_violation(tree, q)
+    return got
+
+
+def test_find_violation_matches_reference_exhaustive():
+    # Every degree-ordered labeled tree with n <= 7, at the largest q the
+    # contract allows and at half of it.
+    kinds = set()
+    for n in range(2, 8):
+        for code in product(range(1, n + 1), repeat=n - 2):
+            tree = prufer_decode(PruferCode(n, code))
+            if not degree_sequence_of(tree)[1]:
+                continue
+            for q in (1 / (2 * n), 1 / (4 * n)):
+                if (violation := _assert_same_violation(tree, q)) is not None:
+                    kinds.add(violation.kind)
+    assert kinds == set(ViolationKind)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_find_violation_matches_reference_along_descent(seed):
+    # Every step of an n = 82 descent from a seeded random start tree.
+    seq = DegreeSequence((4,) * 10 + (3,) * 10 + (2,) * 30 + (1,) * 32)
+    tree = sample_tree(seq, random.Random(seed))
+    q = 1 / (2 * seq.n)
+    steps = 0
+    while (violation := _assert_same_violation(tree, q)) is not None:
+        tree = apply_switch(tree, violation.plan)
+        steps += 1
+    assert tree == build_greedy(seq)
+    assert steps > 0
 
 
 def test_descend_fixed_point():

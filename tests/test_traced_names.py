@@ -76,8 +76,16 @@ def _bench_run(monkeypatch):
         ("verify-sweep", ["verify", "--sweep", "--max-n", "6"],
          {"tree_core.prufer_decode": 13, "oracle.sombor_spectrum": 12,
           "oracle.verify_greedy_minimum": 12}),
+        # Four switches: one scan per switch plus the final empty one, and
+        # one BFS per scan. The scores are built once per scan, once by
+        # descend and once by the CLI for the start pSO. A LabeledTree is
+        # built for the sampled start, for each switch and for the greedy
+        # target.
         ("descend-random", ["descend", "--random", "-d", "4,3,3,2,1,1,1,1,1,1",
-                            "--seed", "7", "--trace-json", "{tmp}/trace.json"], {}),
+                            "--seed", "7", "--trace-json", "{tmp}/trace.json"],
+         {"switching.find_violation": 5, "switching.apply_switch": 4,
+          "tree_core.bfs_levels": 5, "indices.score_assignment": 7,
+          "tree_core.LabeledTree": 6}),
     ],
     ids=["verify-class", "verify-sweep", "descend-random"],
 )
