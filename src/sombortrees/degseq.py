@@ -1,6 +1,34 @@
 """Degree sequences: parsing, validation, and tree realizability."""
 
-from dataclasses import dataclass
+
+class _Value:
+    """Immutable record of the fields that a subclass names, in order, as
+    ``__slots__`` and ``__match_args__`` and sets with ``object.__setattr__``
+    in its ``__init__``. Equality, hash, copies and pickles all go through
+    ``__reduce__``, the class and its field values."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
 
 
 class DegreeSequenceError(ValueError):
@@ -11,17 +39,16 @@ class NotTreeRealizableError(ValueError):
     """The degree sequence admits no tree."""
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
+class DegreeSequence(_Value):
     """Non-increasing sequence of non-negative vertex degrees.
 
     Entry ``degrees[i]`` is the degree prescribed for vertex label ``i + 1``.
     """
 
-    degrees: tuple[int, ...]
+    __slots__ = __match_args__ = ("degrees",)
 
-    def __post_init__(self):
-        degrees = tuple(self.degrees)
+    def __init__(self, degrees: tuple[int, ...]):
+        degrees = tuple(degrees)
         object.__setattr__(self, "degrees", degrees)
         if not degrees:
             raise DegreeSequenceError("degree sequence must be non-empty")

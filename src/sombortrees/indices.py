@@ -2,12 +2,13 @@
 
 Sums run over edges in canonical order and are accumulated with
 ``math.fsum``, so equal multisets of edge terms produce bit-identical
-results regardless of tree shape.
+results regardless of tree shape. ``ScoreAssignment`` is immutable: its
+``__slots__`` base ``degseq._Value`` refuses assignment and deletion.
 """
 
 import math
-from dataclasses import dataclass
 
+from .degseq import _Value
 from .tree_core import LabeledTree
 
 
@@ -20,8 +21,7 @@ def sombor(tree: LabeledTree) -> float:
     return math.fsum(math.hypot(len(adj[u]), len(adj[v])) for u, v in tree.edges)
 
 
-@dataclass(frozen=True)
-class ScoreAssignment:
+class ScoreAssignment(_Value):
     """Per-vertex scores deg(u) - u*q for a fixed positive constant q.
 
     ``values[u - 1]`` is the score of vertex u. For degree-ordered labelings
@@ -30,7 +30,10 @@ class ScoreAssignment:
     a q small enough to round equal-degree scores together breaks that.
     """
 
-    values: tuple[float, ...]
+    __slots__ = __match_args__ = ("values",)
+
+    def __init__(self, values: tuple[float, ...]):
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:

@@ -38,10 +38,9 @@ through ``prufer_decode`` as a spot check, and raise
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from .degseq import DegreeSequence, require_tree_realizable
+from .degseq import DegreeSequence, _Value, require_tree_realizable
 from .greedy import build_greedy
 from .indices import ScoreAssignment, pseudo_sombor, score_assignment, sombor
 from .tree_core import LabeledTree, PruferCode, prufer_decode, prufer_edges
@@ -444,20 +443,18 @@ def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: floa
     return True
 
 
-@dataclass(frozen=True)
-class SpectrumSummary:
+class SpectrumSummary(_Value):
     """Distinct index values over one tree class, with multiplicities.
 
     Values are strictly increasing; multiplicities count the labeled trees
     attaining each.
     """
 
-    values: tuple[float, ...]
-    multiplicities: tuple[int, ...]
+    __slots__ = __match_args__ = ("values", "multiplicities")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        object.__setattr__(self, "multiplicities", tuple(self.multiplicities))
+    def __init__(self, values: tuple[float, ...], multiplicities: tuple[int, ...]):
+        object.__setattr__(self, "values", tuple(values))
+        object.__setattr__(self, "multiplicities", tuple(multiplicities))
         if not self.values:
             raise ValueError("spectrum must contain at least one value")
         if len(self.values) != len(self.multiplicities):
@@ -511,8 +508,7 @@ def sombor_spectrum(seq: DegreeSequence, profiles: dict | None = None) -> Spectr
     return spectrum_from_counts(sombor_value_counts(seq, profiles))
 
 
-@dataclass(frozen=True)
-class QConstant:
+class QConstant(_Value):
     """A tie-breaking constant together with the rule that produced it.
 
     ``branch`` is one of:
@@ -521,8 +517,11 @@ class QConstant:
       * ``"single-value"``: 1/(2n), from a one-value spectrum.
     """
 
-    value: float
-    branch: str
+    __slots__ = __match_args__ = ("value", "branch")
+
+    def __init__(self, value: float, branch: str):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "branch", branch)
 
 
 def compute_q(seq: DegreeSequence, spectrum: SpectrumSummary) -> QConstant:
@@ -542,8 +541,7 @@ def compute_q(seq: DegreeSequence, spectrum: SpectrumSummary) -> QConstant:
     return QConstant(min(base, gap), "spectrum-gap")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Value):
     """Outcome of the exhaustive minimality check for one degree sequence.
 
     ``minimum_attained`` is |SO(greedy) - z1| <= DEFAULT_VALUE_TOLERANCE.
@@ -552,14 +550,20 @@ class VerificationReport:
     a single value (no gap to measure) or n = 1.
     """
 
-    seq: DegreeSequence
-    tree_count: int
-    z1: float
-    z2: float | None
-    greedy_so: float
-    minimum_attained: bool
-    sandwich_holds: bool | None
-    q_used: QConstant | None
+    __slots__ = __match_args__ = ("seq", "tree_count", "z1", "z2", "greedy_so",
+                                  "minimum_attained", "sandwich_holds", "q_used")
+
+    def __init__(self, seq: DegreeSequence, tree_count: int, z1: float,
+                 z2: float | None, greedy_so: float, minimum_attained: bool,
+                 sandwich_holds: bool | None, q_used: QConstant | None):
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "tree_count", tree_count)
+        object.__setattr__(self, "z1", z1)
+        object.__setattr__(self, "z2", z2)
+        object.__setattr__(self, "greedy_so", greedy_so)
+        object.__setattr__(self, "minimum_attained", minimum_attained)
+        object.__setattr__(self, "sandwich_holds", sandwich_holds)
+        object.__setattr__(self, "q_used", q_used)
 
 
 def verify_greedy_minimum(

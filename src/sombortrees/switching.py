@@ -8,10 +8,9 @@ score/level disorder together with a disorder-removing switch, and
 degree-ordered labeling leaves exactly the greedy tree.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .degseq import DegreeSequence
+from .degseq import DegreeSequence, _Value
 from .greedy import build_greedy
 from .indices import ScoreAssignment, pseudo_sombor, sombor, score_assignment
 from .tree_core import BfsLevels, LabeledTree, TreeError, degree_sequence_of
@@ -38,34 +37,35 @@ class ViolationKind(Enum):
     SAME_LEVEL = "SAME_LEVEL"
 
 
-@dataclass(frozen=True)
-class SwitchPlan:
+class SwitchPlan(_Value):
     """Replace edges {u,v} and {w,t} by {u,w} and {v,t}.
 
     Requires u~v, w~t, u!~w, v!~t in the source tree, and the replacement
     must leave a tree; both are checked by ``apply_switch``.
     """
 
-    u: int
-    v: int
-    w: int
-    t: int
+    __slots__ = __match_args__ = ("u", "v", "w", "t")
 
-    def __post_init__(self):
-        if len({self.u, self.v, self.w, self.t}) != 4:
+    def __init__(self, u: int, v: int, w: int, t: int):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "t", t)
+        if len({u, v, w, t}) != 4:
             raise SwitchError(
-                f"switch vertices must be four distinct labels, got "
-                f"({self.u}, {self.v}, {self.w}, {self.t})"
+                f"switch vertices must be four distinct labels, got ({u}, {v}, {w}, {t})"
             )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Value):
     """A located disorder: its kind and the switch that removes it while
     strictly lowering the pseudo index."""
 
-    kind: ViolationKind
-    plan: SwitchPlan
+    __slots__ = __match_args__ = ("kind", "plan")
+
+    def __init__(self, kind: ViolationKind, plan: SwitchPlan):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "plan", plan)
 
 
 def _ordered(a: int, b: int) -> tuple[int, int]:
@@ -232,21 +232,27 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
     return None
 
 
-@dataclass(frozen=True)
-class DescentStep:
-    plan: SwitchPlan
-    kind: ViolationKind
-    pso_before: float
-    pso_after: float
-    so_before: float
-    so_after: float
+class DescentStep(_Value):
+    __slots__ = __match_args__ = ("plan", "kind", "pso_before", "pso_after",
+                                  "so_before", "so_after")
+
+    def __init__(self, plan: SwitchPlan, kind: ViolationKind, pso_before: float,
+                 pso_after: float, so_before: float, so_after: float):
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "pso_before", pso_before)
+        object.__setattr__(self, "pso_after", pso_after)
+        object.__setattr__(self, "so_before", so_before)
+        object.__setattr__(self, "so_after", so_after)
 
 
-@dataclass(frozen=True)
-class DescentTrace:
+class DescentTrace(_Value):
     """Record of one descent: every applied switch."""
 
-    steps: tuple[DescentStep, ...]
+    __slots__ = __match_args__ = ("steps",)
+
+    def __init__(self, steps: tuple[DescentStep, ...]):
+        object.__setattr__(self, "steps", steps)
 
     def to_json(self) -> list[dict]:
         """One object per step: the four switch vertices, the disorder kind,

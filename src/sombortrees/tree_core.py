@@ -2,25 +2,26 @@
 
 Edges are normalized to (min, max) pairs sorted lexicographically, so two
 trees compare equal exactly when their edge sets coincide. Trees are
-immutable after validation and safe to share.
+immutable after validation and safe to share: a tree holds only tuples and
+nothing in the package assigns to one. ``PruferCode``'s ``__slots__`` base
+``degseq._Value`` refuses assignment and deletion.
 """
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from collections import deque, namedtuple
+from collections.abc import Iterable, Sequence
+
+from .degseq import _Value
 
 
 class TreeError(ValueError):
     """The input does not describe a valid labeled tree."""
 
 
-class BfsLevels(NamedTuple):
+class BfsLevels(namedtuple("BfsLevels", ("level", "parent", "order"))):
     """Breadth-first view of a tree: distances to the root, parent links,
     and the traversal order (children visited in increasing label order)."""
 
-    level: dict[int, int]
-    parent: dict[int, int]
-    order: tuple[int, ...]
+    __slots__ = ()
 
 
 class LabeledTree:
@@ -184,16 +185,15 @@ def degree_sequence_of(tree: LabeledTree) -> tuple[tuple[int, ...], bool]:
     return degrees, ordered
 
 
-@dataclass(frozen=True)
-class PruferCode:
+class PruferCode(_Value):
     """Length n-2 sequence over 1..n encoding a labeled tree; vertex u
     occurs deg(u) - 1 times in the code of its tree."""
 
-    n: int
-    code: tuple[int, ...]
+    __slots__ = __match_args__ = ("n", "code")
 
-    def __post_init__(self):
-        object.__setattr__(self, "code", tuple(self.code))
+    def __init__(self, n: int, code: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "code", tuple(code))
         if self.n < 2:
             raise TreeError("Prufer codes exist only for n >= 2")
         if len(self.code) != self.n - 2:

@@ -547,6 +547,23 @@ def test_unknown_command_exit_2(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # A fresh interpreter without ``site`` (whose .pth files may import
+    # typing) and with this checkout's src first: every CLI process pays
+    # for what importing the package pulls in.
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import sombortrees.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def _run_subprocess(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")

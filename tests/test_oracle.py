@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import time
@@ -655,7 +654,7 @@ def _report_bits(report):
             return value.value.hex(), value.branch
         return value
 
-    return {field.name: bits(getattr(report, field.name)) for field in dataclasses.fields(report)}
+    return {name: bits(getattr(report, name)) for name in type(report).__match_args__}
 
 
 @pytest.mark.parametrize("order", ["sweep", "reverse", "shuffled"])
