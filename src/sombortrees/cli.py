@@ -123,7 +123,7 @@ def cmd_verify(args) -> int:
     # verifying any. The walk stops at the first such class, so a
     # large --max-n never lists all its sequences first.
     sized = [(seq, _require_within_cap(seq, args.cap)) for seq in candidates]
-    # Classes that differ only in their 2s share one decoder pass.
+    # Classes that differ only in their 2s share one edge-profile count.
     profiles: dict = {}
     reports = [verify_greedy_minimum(seq, args.cap, profiles) for seq, _ in sized]
     sys.stdout.write(format_report_table(reports))
@@ -207,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--sweep", action="store_true", help="all realizable sequences up to --max-n")
     p_verify.add_argument("--max-n", dest="max_n", type=int, default=None)
     p_verify.add_argument("--cap", type=int, default=DEFAULT_TREE_CAP,
-                          help="labeled trees a class may hold (the cost follows the decoder "
-                               "states of the sequence without its 2s)")
+                          help="labeled trees a class may hold (the spectrum's cost follows "
+                               "the distinct degrees of the sequence without its 2s)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_descend = sub.add_parser("descend", help="switch any tree down to the greedy tree")

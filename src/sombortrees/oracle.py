@@ -12,16 +12,16 @@ power-of-two grid, and one correct rounding of an exact sum is what
 ``math.fsum`` returns, so a tree's rounded sums carry the bits of
 ``sombor`` and ``pseudo_sombor``.
 
-- The spectrum runs one forward pass over the Prufer decoder's states
-  (remaining count of each code label, leaf, pointer) of the sequence
-  without its 2s, keeping per state and per edge profile (the count of
-  each degree pair joined so far) the number of code prefixes. A degree-2
-  label only subdivides an edge, so each profile's exact SO sums, with the
-  2s laid on its edges as ordered runs, and their counts follow in closed
+- The spectrum counts the trees of the sequence without its 2s by edge
+  profile (the count of each degree pair), from the matrix-tree theorem
+  with one variable per distinct degree: a DP over the spanning trees of
+  K_k, k the number of distinct degrees, not over labels. A degree-2 label
+  only subdivides an edge, so each profile's exact SO sums, with the 2s
+  laid on its edges as ordered runs, and their counts follow in closed
   form. The profiles depend on that reduced sequence alone, so a caller
-  that verifies many classes keeps them in a memo it owns: ``verify`` runs
-  one pass per distinct reduced sequence and lays each class's 2s onto
-  its profiles.
+  that verifies many classes keeps them in a memo it owns: ``verify``
+  counts them once per distinct reduced sequence and lays each class's 2s
+  onto them.
 - The sandwich first bounds D = SO - pSO with no pass: every label a < n
   is the leaf end of one edge, so D lies between sums over a of the least
   and greatest D-term of a's edges to the heads. When that range exceeds u
@@ -38,7 +38,8 @@ through ``prufer_decode`` as a spot check, and raise
 import math
 import random
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import product
 
 from .degseq import DegreeSequence, _Value, require_tree_realizable
 from .greedy import build_greedy
@@ -203,58 +204,18 @@ def _edge_heads(seq: DegreeSequence) -> list[int]:
     return [*range(1, sum(d > 1 for d in seq.degrees) + 1), seq.n]
 
 
-def _decoder_pass(seq: DegreeSequence, start: dict, join: Callable) -> dict:
-    """Fold every tree of the class (n >= 2) through the states of
-    ``prufer_edges``' decoder, one layer per code position.
-
-    The code labels 1..k (degree 2 or more) lie below the pointer, which
-    starts at the first leaf k + 1, so after a prefix of the code the state
-    is (remaining count of each code label, leaf, pointer). A step takes
-    each label e with a positive count and joins {e, leaf}; the last layer
-    joins {leaf, n}. Every tree is one path through the layers.
-
-    A layer maps the remaining counts, one int in mixed radix (label e's
-    digit runs over 0..d_e - 1), to the leaves of its states. The pointer is
-    not stored: after s steps it is s + 1 plus the number of labels still in
-    the code. The next leaf depends on the counts and the label taken only,
-    so the counts are decoded once for all their leaves.
-
-    The first state carries ``start``. ``join(payload, e, leaf, into)``
-    returns ``payload`` grown by the edge {e, leaf} and merged into
-    ``into``, the payload the next state has gathered so far, or None. The
-    result merges every last state's payload, grown by its last edge."""
-    n = seq.n
-    labels = []  # (label e, its radix d_e, what one use of e takes off the counts)
-    code = 0
-    place = 1
-    for e, d in enumerate(seq.degrees, start=1):
-        if d > 1:
-            labels.append((e, d, place))
-            code += (d - 1) * place
-            place *= d
-    layer = {code: {len(labels) + 1: start}}
-    for step in range(n - 2):
-        grown: dict = {}
-        for code, leaves in layer.items():
-            rest = code
-            live = []
-            for e, d, place in labels:
-                rest, c = divmod(rest, d)
-                if c:
-                    live.append((e, c, place))
-            pointer = step + 1 + len(live)
-            for e, c, place in live:
-                # A label whose count runs out is the next leaf, else the next untouched one.
-                following = e if c == 1 else pointer + 1
-                target = grown.setdefault(code - place, {})
-                for leaf, payload in leaves.items():
-                    target[following] = join(payload, e, leaf, target.get(following))
-        layer = grown
-    folded = None
-    for leaves in layer.values():
-        for leaf, payload in leaves.items():
-            folded = join(payload, n, leaf, folded)
-    return folded
+def _compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every tuple c of len(bounds) >= 1 ints with 0 <= c[j] <= bounds[j]
+    and sum ``total``, with its multinomial total! / prod(c[j]!), as
+    (multinomial, c). The recursion is len(bounds) deep."""
+    if len(bounds) == 1:
+        if total <= bounds[0]:
+            yield 1, (total,)
+        return
+    room = sum(bounds[1:])
+    for c in range(max(0, total - room), min(total, bounds[0]) + 1):
+        for ways, rest in _compositions(total - c, bounds[1:]):
+            yield math.comb(total, c) * ways, (c, *rest)
 
 
 def _reduced_profiles(reduced: DegreeSequence) -> tuple:
@@ -266,15 +227,29 @@ def _reduced_profiles(reduced: DegreeSequence) -> tuple:
     split) terms of each unordered degree pair without a 2, in the order of
     their digits: the pair's edge term, and that edge's terms once
     subdivided. ``counts`` maps each edge profile, the number of edges of
-    each pair as one int in radix n', to its number of trees of D', from
-    one ``_decoder_pass``."""
+    each pair as one int in radix n', to its number of trees of D'.
+
+    The counts come from the matrix-tree theorem by type. Let D' have k
+    distinct degrees d_i, n_i labels each, and N_i = n_i(d_i - 1). Weight
+    each edge uv by a_{t(u)t(v)} x_u x_v, with one variable per label and
+    one per unordered degree pair, let X_i sum the x_v of type i and
+    S_i = sum_j a_ij X_j. The trees of K_n' sum to prod_v x_v *
+    prod_i S_i^(n_i - 1) * sum_t prod_{ij in t} a_ij prod_i X_i^(deg_t(i) - 1)
+    over the spanning trees t of K_k, so the trees of D' with profile e
+    number prod_i N_i! / ((d_i - 1)!)^n_i times the coefficient of
+    prod_i X_i^N_i prod a^e in the last two factors. S_i^(n_i - 1) expands
+    into rows c_i of multinomials with row sum n_i - 1, and the X_j powers
+    fix the column sums at N_j + 1 - deg_t(j): a DP over the rows with
+    state (remaining column budget, profile), run once per degree vector
+    of the trees t that ``prufer_edges`` decodes. Then e_ij = c_ij + c_ji,
+    plus one if ij is in t, for i < j, and e_ii = c_ii. D' = 1,1 (k = 1) is
+    one edge."""
     radix = reduced.n
     # Degrees in the labels' order, so each term is hypot(larger, smaller)
     # as on the class's own grid, whose smallest weight is also 1.
     weights = sorted({*reduced.degrees, 2}, reverse=True)
     scale, (terms,) = _grid_terms((weights,), range(1, len(weights) + 1))
     two = weights.index(2) + 1
-    kinds = [weights.index(d) + 1 for d in reduced.degrees]
     place = {}  # (kind, kind) -> place value of its pair's digit
     pairs = []
     for b in range(1, len(weights) + 1):
@@ -282,20 +257,42 @@ def _reduced_profiles(reduced: DegreeSequence) -> tuple:
             if two not in (a, b):
                 place[a, b] = place[b, a] = radix ** len(pairs)
                 pairs.append((terms[b][a], terms[two][a] + terms[two][b] - terms[two][two]))
-    places = {
-        e: [0] + [place[kinds[e - 1], kind] for kind in kinds] for e in _edge_heads(reduced)
-    }
-
-    def join(profiles, e, leaf, into):
-        add = places[e][leaf]
-        if into is None:
-            return {profile + add: trees for profile, trees in profiles.items()}
-        for profile, trees in profiles.items():
-            profile += add
-            into[profile] = into.get(profile, 0) + trees
-        return into
-
-    return scale, terms[two][two], pairs, _decoder_pass(reduced, {0: 1}, join)
+    runs = Counter(reduced.degrees)
+    kinds = [weights.index(d) + 1 for d in runs]
+    k = len(kinds)
+    if k == 1:
+        return scale, terms[two][two], pairs, {place[kinds[0], kinds[0]]: 1}
+    spread = 1
+    for d, m in runs.items():
+        spread *= math.factorial(m * (d - 1)) // math.factorial(d - 1) ** m
+    # Per degree: its row sum, and the place of its pair with each degree.
+    rows = [(m - 1, [place[kind, j] for j in kinds]) for kind, m in zip(kinds, runs.values())]
+    shifts: dict = {}  # degree vector of t -> the profile of each t's own edges
+    for code in product(range(1, k + 1), repeat=k - 2):
+        degrees = tuple(code.count(i) + 1 for i in range(1, k + 1))
+        edges = prufer_edges(code, degrees)
+        own = sum(place[kinds[i - 1], kinds[j - 1]] for i, j in edges)
+        shifts.setdefault(degrees, []).append(own)
+    counts: dict = {}
+    for degrees, starts in shifts.items():
+        budget = tuple(m * (d - 1) + 1 - t for (d, m), t in zip(runs.items(), degrees))
+        if min(budget) < 0:
+            continue
+        states = {(budget, 0): spread}
+        for total, row_places in rows:
+            grown: dict = {}
+            for (budget, profile), trees in states.items():
+                for ways, row in _compositions(total, budget):
+                    key = (
+                        tuple(b - c for b, c in zip(budget, row)),
+                        profile + sum(c * p for c, p in zip(row, row_places)),
+                    )
+                    grown[key] = grown.get(key, 0) + trees * ways
+            states = grown
+        for (_, profile), trees in states.items():
+            for start in starts:
+                counts[profile + start] = counts.get(profile + start, 0) + trees
+    return scale, terms[two][two], pairs, counts
 
 
 def sombor_value_counts(seq: DegreeSequence, profiles: dict | None = None) -> Counter:
@@ -308,22 +305,23 @@ def sombor_value_counts(seq: DegreeSequence, profiles: dict | None = None) -> Co
     its SO is m * h(2,2) + sum over edges {a, b} not in S of h(a,b) + sum
     over S of h(a,2) + h(2,b) - h(2,2), with h the edge term over degrees.
 
-    ``_reduced_profiles`` runs one ``_decoder_pass`` over D' that maps each
-    edge profile, the number of edges of each unordered degree pair as one
-    int in radix n', to its number of trees of D'. Each profile P then
-    expands over the profiles Q <= P of the edges in S, prod C(P_t, Q_t)
-    ways each, folded one pair at a time by (k, exact SO sum). The terms
-    are integers on the grid of ``_grid_terms``, so each exact sum rounds
-    once to the float ``math.fsum`` gives for its tree's terms: the bits of
-    ``sombor``. The cost follows the decoder states of D', not the class
-    size: ``2^m,1,1`` holds m! trees in one value and takes one state. The
-    class's first tree, decoded through ``prufer_decode``, must have a value
-    among the keys.
+    ``_reduced_profiles`` maps each edge profile of D', the number of
+    edges of each unordered degree pair as one int in radix n', to its
+    number of trees of D', by the matrix-tree theorem over D''s distinct
+    degrees. Each profile P then expands over the profiles Q <= P of the
+    edges in S, prod C(P_t, Q_t) ways each, folded one pair at a time by
+    (k, exact SO sum). The terms are integers on the grid of
+    ``_grid_terms``, so each exact sum rounds once to the float
+    ``math.fsum`` gives for its tree's terms: the bits of ``sombor``. The
+    cost follows D''s distinct degrees and the profiles, not the class
+    size: ``2^m,1,1`` holds m! trees in one value and D' = 1,1 is one
+    edge. The class's first tree, decoded through ``prufer_decode``, must
+    have a value among the keys.
 
     ``profiles`` is a memo the caller owns, keyed by D''s degree tuple: it
     holds ``_reduced_profiles`` of every D' seen until the caller drops it,
-    so classes that differ only in their 2s share one pass, and each class
-    still expands its own 2s. None gives a fresh memo, one pass per call.
+    so classes that differ only in their 2s share one count, and each class
+    still expands its own 2s. None gives a fresh memo, one count per call.
     ``verify`` keeps one for its whole run at negligible memory: its run
     over every class with n <= 16 peaks at 17.7 MB, as one without the
     memo does.
@@ -579,7 +577,7 @@ def verify_greedy_minimum(
     ``profiles`` is the memo of ``sombor_value_counts``, owned by the
     caller and keyed by the sequence without its 2s. A caller that verifies
     many classes passes one memo to every call, so each distinct sequence
-    without its 2s takes one decoder pass; None gives each call its own. A
+    without its 2s is counted once; None gives each call its own. A
     refused class leaves it unchanged.
     """
     total = _require_within_cap(seq, cap)

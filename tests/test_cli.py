@@ -389,16 +389,16 @@ def test_verify_golden(capsys, argv, stdout_sha):
 def test_verify_sweep_runs_one_pass_per_sequence_without_its_2s(
     capsys, monkeypatch, max_n, passes, stdout_sha
 ):
-    # Classes that differ only in their 2s share one decoder pass over the
+    # Classes that differ only in their 2s share one profile pass over the
     # sequence without them, and the table keeps its bytes.
     started = []
-    real_pass = oracle._decoder_pass
+    real_pass = oracle._reduced_profiles
 
-    def decoder_pass(seq, start, join):
-        started.append(seq.degrees)
-        return real_pass(seq, start, join)
+    def reduced_profiles(reduced):
+        started.append(reduced.degrees)
+        return real_pass(reduced)
 
-    monkeypatch.setattr(oracle, "_decoder_pass", decoder_pass)
+    monkeypatch.setattr(oracle, "_reduced_profiles", reduced_profiles)
     code, out, _ = run_cli(capsys, "verify", "--sweep", "--max-n", str(max_n))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha

@@ -2,6 +2,7 @@ import math
 import random
 import time
 from collections import Counter
+from collections.abc import Callable
 from itertools import permutations
 
 import pytest
@@ -444,6 +445,93 @@ def labeled_value_counts(seq):
     return Counter(math.fsum(map(term, edges)) for edges in oracle._class_walk(seq))
 
 
+def _decoder_pass(seq: DegreeSequence, start: dict, join: Callable) -> dict:
+    """Fold every tree of the class (n >= 2) through the states of
+    ``prufer_edges``' decoder, one layer per code position.
+
+    The code labels 1..k (degree 2 or more) lie below the pointer, which
+    starts at the first leaf k + 1, so after a prefix of the code the state
+    is (remaining count of each code label, leaf, pointer). A step takes
+    each label e with a positive count and joins {e, leaf}; the last layer
+    joins {leaf, n}. Every tree is one path through the layers.
+
+    A layer maps the remaining counts, one int in mixed radix (label e's
+    digit runs over 0..d_e - 1), to the leaves of its states. The pointer is
+    not stored: after s steps it is s + 1 plus the number of labels still in
+    the code. The next leaf depends on the counts and the label taken only,
+    so the counts are decoded once for all their leaves.
+
+    The first state carries ``start``. ``join(payload, e, leaf, into)``
+    returns ``payload`` grown by the edge {e, leaf} and merged into
+    ``into``, the payload the next state has gathered so far, or None. The
+    result merges every last state's payload, grown by its last edge."""
+    n = seq.n
+    labels = []  # (label e, its radix d_e, what one use of e takes off the counts)
+    code = 0
+    place = 1
+    for e, d in enumerate(seq.degrees, start=1):
+        if d > 1:
+            labels.append((e, d, place))
+            code += (d - 1) * place
+            place *= d
+    layer = {code: {len(labels) + 1: start}}
+    for step in range(n - 2):
+        grown: dict = {}
+        for code, leaves in layer.items():
+            rest = code
+            live = []
+            for e, d, place in labels:
+                rest, c = divmod(rest, d)
+                if c:
+                    live.append((e, c, place))
+            pointer = step + 1 + len(live)
+            for e, c, place in live:
+                # A label whose count runs out is the next leaf, else the next untouched one.
+                following = e if c == 1 else pointer + 1
+                target = grown.setdefault(code - place, {})
+                for leaf, payload in leaves.items():
+                    target[following] = join(payload, e, leaf, target.get(following))
+        layer = grown
+    folded = None
+    for leaves in layer.values():
+        for leaf, payload in leaves.items():
+            folded = join(payload, n, leaf, folded)
+    return folded
+
+
+def decoder_profile_counts(reduced):
+    """Edge profile -> trees of D' (the sequence without its 2s, n' >= 2),
+    keyed as ``_reduced_profiles`` keys them, from one ``_decoder_pass``:
+    the decoder-state count that the matrix-tree formula replaced, kept as
+    its reference."""
+    radix = reduced.n
+    weights = sorted({*reduced.degrees, 2}, reverse=True)
+    two = weights.index(2) + 1
+    kinds = [weights.index(d) + 1 for d in reduced.degrees]
+    place = {}  # (kind, kind) -> place value of its pair's digit
+    digit = 0
+    for b in range(1, len(weights) + 1):
+        for a in range(1, b + 1):
+            if two not in (a, b):
+                place[a, b] = place[b, a] = radix**digit
+                digit += 1
+    places = {
+        e: [0] + [place[kinds[e - 1], kind] for kind in kinds]
+        for e in oracle._edge_heads(reduced)
+    }
+
+    def join(profiles, e, leaf, into):
+        add = places[e][leaf]
+        if into is None:
+            return {profile + add: trees for profile, trees in profiles.items()}
+        for profile, trees in profiles.items():
+            profile += add
+            into[profile] = into.get(profile, 0) + trees
+        return into
+
+    return _decoder_pass(reduced, {0: 1}, join)
+
+
 def decoder_value_counts(seq):
     """The spectrum pass over the full sequence that counting edge profiles
     of the sequence without its 2s replaced, kept as a reference: one
@@ -461,7 +549,7 @@ def decoder_value_counts(seq):
         return into
 
     values = Counter()
-    for so, trees in oracle._decoder_pass(seq, {0: 1}, join).items():
+    for so, trees in _decoder_pass(seq, {0: 1}, join).items():
         values[float(so) * scale] += trees
     return values
 
@@ -586,18 +674,19 @@ def test_sandwich_verdict_where_pso_can_pass_so(seq):
 
 
 def _without_twos(seq):
-    """The sequence the spectrum's decoder pass runs over: ``seq`` without its 2s."""
+    """The sequence the spectrum counts edge profiles of: ``seq`` without its 2s."""
     return DegreeSequence(tuple(d for d in seq.degrees if d != 2))
 
 
 def _sandwich_traffic(monkeypatch, passes=None):
     """Patches ``_sandwich_holds`` to record, during its calls, the classes
-    whose trees it walks through ``_class_walk`` and the classes of any
-    ``_decoder_pass`` it starts; and ``_decoder_pass`` to record every class
-    any pass runs over in ``passes`` when given. Returns (walked, started)."""
+    whose trees it walks through ``_class_walk`` and the sequences of any
+    ``_reduced_profiles`` pass it starts; and ``_reduced_profiles`` to record
+    every sequence any pass runs over in ``passes`` when given. Returns
+    (walked, started)."""
     walked, started, inside = [], [], []
     real_holds, real_walk, real_pass = (
-        oracle._sandwich_holds, oracle._class_walk, oracle._decoder_pass
+        oracle._sandwich_holds, oracle._class_walk, oracle._reduced_profiles
     )
 
     def class_walk(seq):
@@ -605,12 +694,12 @@ def _sandwich_traffic(monkeypatch, passes=None):
             walked.append(seq)
         return real_walk(seq)
 
-    def decoder_pass(seq, start, join):
+    def reduced_profiles(reduced):
         if inside:
-            started.append(seq)
+            started.append(reduced)
         if passes is not None:
-            passes.append(seq)
-        return real_pass(seq, start, join)
+            passes.append(reduced)
+        return real_pass(reduced)
 
     def sandwich_holds(seq, scores, half_gap):
         inside.append(seq)
@@ -620,7 +709,7 @@ def _sandwich_traffic(monkeypatch, passes=None):
             inside.pop()
 
     monkeypatch.setattr(oracle, "_class_walk", class_walk)
-    monkeypatch.setattr(oracle, "_decoder_pass", decoder_pass)
+    monkeypatch.setattr(oracle, "_reduced_profiles", reduced_profiles)
     monkeypatch.setattr(oracle, "_sandwich_holds", sandwich_holds)
     return walked, started
 
@@ -628,7 +717,7 @@ def _sandwich_traffic(monkeypatch, passes=None):
 def test_certificate_settles_every_multi_value_class_up_to_12(monkeypatch):
     # At the q verify picks, every tree's SO - pSO lies far inside
     # (0, half_gap), so the per-label certificate decides alone: no class
-    # is walked, and the only decoder pass of each class is its spectrum's.
+    # is walked, and the only profile pass of each class is its spectrum's.
     passes = []
     walked, started = _sandwich_traffic(monkeypatch, passes)
     multi_value = 0
@@ -697,10 +786,10 @@ def test_refused_class_leaves_the_memo_unchanged(monkeypatch, seq, error):
     verify_greedy_minimum(DegreeSequence((2, 2, 1, 1)), profiles=profiles)
     before = dict(profiles)
 
-    def decoder_pass(*args):
-        raise AssertionError("a refused class started a decoder pass")
+    def reduced_profiles(*args):
+        raise AssertionError("a refused class started a profile pass")
 
-    monkeypatch.setattr(oracle, "_decoder_pass", decoder_pass)
+    monkeypatch.setattr(oracle, "_reduced_profiles", reduced_profiles)
     with pytest.raises(error):
         verify_greedy_minimum(seq, profiles=profiles)
     assert profiles.keys() == before.keys()
@@ -821,8 +910,24 @@ def test_value_counts_match_the_full_decoder_pass(seq):
     assert by_hex(sombor_value_counts(seq)) == by_hex(decoder_value_counts(seq))
 
 
+REDUCED_UP_TO_16 = sorted(
+    {_without_twos(seq).degrees for seq in realizable_sequences(16)}, key=lambda d: (len(d), d)
+)
+
+
+def test_profile_counts_match_the_decoder_pass():
+    # The matrix-tree count must give every edge profile of D' the trees
+    # the decoder-state pass gives it, on all 135 D' of the classes with
+    # n <= 16; 6,5,4,3,1^12 has five distinct degrees.
+    assert len(REDUCED_UP_TO_16) == 135
+    assert (6, 5, 4, 3) + (1,) * 12 in REDUCED_UP_TO_16
+    for degrees in REDUCED_UP_TO_16:
+        reduced = DegreeSequence(degrees)
+        assert oracle._reduced_profiles(reduced)[3] == decoder_profile_counts(reduced), degrees
+
+
 def test_value_counts_total_the_class_size():
-    for seq in realizable_sequences(17):
+    for seq in realizable_sequences(20):
         assert sum(sombor_value_counts(seq).values()) == count_trees(seq), seq.render()
 
 
@@ -835,6 +940,19 @@ def test_value_counts_of_a_long_path_in_closed_form():
     elapsed = time.perf_counter() - start
     assert counts == Counter({sombor(build_greedy(seq)): math.factorial(2998)})
     assert elapsed < 1.0, elapsed
+
+
+def test_value_counts_of_many_labels_of_degree_3_or_more():
+    # The decoder-state pass over D' = 4^5,3^5,1^17 took about 14 s here.
+    # Counted by type, D' has two distinct degrees, so one spanning tree of
+    # K_2 and a two-row DP.
+    seq = DegreeSequence((4,) * 5 + (3,) * 5 + (2,) * 20 + (1,) * 17)
+    start = time.perf_counter()
+    counts = sombor_value_counts(seq)
+    elapsed = time.perf_counter() - start
+    assert sum(counts.values()) == count_trees(seq)
+    assert min(counts) == sombor(build_greedy(seq))
+    assert elapsed < 2.0, elapsed
 
 
 def test_value_counts_of_a_class_too_large_to_walk():
