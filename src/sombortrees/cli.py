@@ -13,7 +13,7 @@ import random
 import sys
 from pathlib import Path
 
-from .degseq import DegreeSequenceError, NotTreeRealizableError, parse_degree_sequence
+from .degseq import NotTreeRealizableError, parse_degree_sequence
 from .greedy import build_greedy
 from .indices import pseudo_sombor, score_assignment, sombor
 from .oracle import (
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
     except (DescentInvariantError, SwitchError, OracleInvariantError) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (DegreeSequenceError, TreeError, CommandLineError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -325,9 +325,6 @@ def sombor_value_counts(seq: DegreeSequence, profiles: dict | None = None) -> Co
     ``verify`` keeps one for its whole run at negligible memory: its run
     over every class with n <= 16 peaks at 17.7 MB, as one without the
     memo does.
-
-    Counter addition merges partial counts from any partition of the class,
-    in any order, without changing the final spectrum.
     """
     require_tree_realizable(seq)
     values: Counter = Counter()

@@ -184,8 +184,9 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
     exists; under the contract of ``descend`` (degree-ordered labels, scores
     strictly decreasing with q in (0, 1/(2n)]) that means the tree is the
     greedy tree. Every returned plan has switch_sign DECREASE. Raises
-    ValueError outside that contract. Once the contract holds, scores are
-    read by label from one flat tuple.
+    ValueError outside that contract. Once it holds, the level pass compares
+    labels alone, as scores strictly decrease in the label; the same-level
+    pass reads scores by label from one flat tuple.
     """
     w = (0.0, *_contract_scores(tree, q).values)
     info = tree.bfs_levels()
@@ -197,19 +198,19 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
     for child in range(2, tree.n + 1):
         children.setdefault(info.parent[child], []).append(child)
 
-    # Level pass: a deeper vertex out-scoring a shallower one. The root
-    # carries the top score, so level 0 never witnesses and the repair
-    # always has a parent above beta to use.
-    suffix: list[list[int]] = [[] for _ in range(depth + 2)]
+    # Level pass: a deeper vertex out-scoring a shallower one. Scores fall
+    # strictly with the label, so alpha out-scores beta exactly when
+    # alpha < beta, and the least label below level j out-scores any beta
+    # on j that some deeper vertex does. The root carries the top score, so
+    # level 0 never witnesses and the repair always has a parent above beta.
+    least_below = [tree.n + 1] * (depth + 1)
     for k in range(depth, 0, -1):
-        suffix[k] = sorted(by_level[k] + suffix[k + 1])
+        least_below[k - 1] = min(least_below[k], by_level[k][0])
     for j in range(1, depth):
-        candidates = suffix[j + 1]
+        alpha = least_below[j]
         for beta in by_level[j]:
-            w_beta = w[beta]
-            for alpha in candidates:
-                if w[alpha] > w_beta:
-                    return _level_violation(info, children, alpha, beta)
+            if beta > alpha:
+                return _level_violation(info, children, alpha, beta)
 
     # Same-level pass: children misordered against their parents' scores.
     for group in by_level:

@@ -283,10 +283,19 @@ def test_find_violation_matches_reference_exhaustive():
     assert kinds == set(ViolationKind)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_find_violation_matches_reference_along_descent(seed):
-    # Every step of an n = 82 descent from a seeded random start tree.
-    seq = DegreeSequence((4,) * 10 + (3,) * 10 + (2,) * 30 + (1,) * 32)
+_N82 = (4,) * 10 + (3,) * 10 + (2,) * 30 + (1,) * 32
+
+
+@pytest.mark.parametrize(
+    "degrees, seed",
+    [pytest.param(_N82, seed, id=str(seed)) for seed in range(8)]
+    + [pytest.param((3,) * 60 + (1,) * 62, 0, id="n122-seed0")],
+)
+def test_find_violation_matches_reference_along_descent(degrees, seed):
+    # Every step of a descent from a seeded random start tree: the eight
+    # n = 82 start trees of a descend-random run with seed 0, and one
+    # n = 122 start beyond the benchmark's size.
+    seq = DegreeSequence(degrees)
     tree = sample_tree(seq, random.Random(seed))
     q = 1 / (2 * seq.n)
     steps = 0
