@@ -14,14 +14,14 @@ power-of-two grid, and one correct rounding of an exact sum is what
 
 - The spectrum counts the trees of the sequence without its 2s by edge
   profile (the count of each degree pair), from the matrix-tree theorem
-  with one variable per distinct degree: a DP over the spanning trees of
-  K_k, k the number of distinct degrees, not over labels. A degree-2 label
-  only subdivides an edge, so each profile's exact SO sums, with the 2s
-  laid on its edges as ordered runs, and their counts follow in closed
-  form. The profiles depend on that reduced sequence alone, so a caller
-  that verifies many classes keeps them in a memo it owns: ``verify``
-  counts them once per distinct reduced sequence and lays each class's 2s
-  onto them.
+  with one variable per distinct degree: one DP over the rows of its k
+  distinct degrees, not over labels, with the leaves' row forced per
+  spanning tree of K_k. A degree-2 label only subdivides an edge, so each
+  profile's exact SO sums, with the 2s laid on its edges as ordered runs,
+  and their counts follow in closed form. The profiles depend on that
+  reduced sequence alone, so a caller that verifies many classes keeps
+  them in a memo it owns: ``verify`` counts them once per distinct reduced
+  sequence and lays each class's 2s onto them.
 - The sandwich first bounds D = SO - pSO with no pass: every label a < n
   is the leaf end of one edge, so D lies between sums over a of the least
   and greatest D-term of a's edges to the heads. When that range exceeds u
@@ -239,11 +239,14 @@ def _reduced_profiles(reduced: DegreeSequence) -> tuple:
     number prod_i N_i! / ((d_i - 1)!)^n_i times the coefficient of
     prod_i X_i^N_i prod a^e in the last two factors. S_i^(n_i - 1) expands
     into rows c_i of multinomials with row sum n_i - 1, and the X_j powers
-    fix the column sums at N_j + 1 - deg_t(j): a DP over the rows with
-    state (remaining column budget, profile), run once per degree vector
-    of the trees t that ``prufer_edges`` decodes. Then e_ij = c_ij + c_ji,
-    plus one if ij is in t, for i < j, and e_ii = c_ii. D' = 1,1 (k = 1) is
-    one edge."""
+    fix the column sums at N_j + 1 - deg_t(j). One DP over rows 1..k-1 keeps
+    the state (columns left, profile), column j starting at N_j. Row k, the
+    leaves' as the degrees do not increase, is then forced to
+    left_j + 1 - deg_t(j) per degree vector of the trees t that
+    ``prufer_edges`` decodes, when no entry is negative (its sum is then
+    n_k - 1 by the degree sums), with its multinomial as weight. Then
+    e_ij = c_ij + c_ji, plus one if ij is in t, for i < j, and e_ii = c_ii.
+    D' = 1,1 (k = 1) is one edge."""
     radix = reduced.n
     # Degrees in the labels' order, so each term is hypot(larger, smaller)
     # as on the class's own grid, whose smallest weight is also 1.
@@ -273,25 +276,27 @@ def _reduced_profiles(reduced: DegreeSequence) -> tuple:
         edges = prufer_edges(code, degrees)
         own = sum(place[kinds[i - 1], kinds[j - 1]] for i, j in edges)
         shifts.setdefault(degrees, []).append(own)
+    states = {(tuple(m * (d - 1) for d, m in runs.items()), 0): spread}
+    for total, row_places in rows[:-1]:
+        grown: dict = {}
+        for (left, profile), trees in states.items():
+            for ways, row in _compositions(total, left):
+                key = (
+                    tuple(b - c for b, c in zip(left, row)),
+                    profile + sum(c * p for c, p in zip(row, row_places)),
+                )
+                grown[key] = grown.get(key, 0) + trees * ways
+        states = grown
+    total, row_places = rows[-1]
     counts: dict = {}
-    for degrees, starts in shifts.items():
-        budget = tuple(m * (d - 1) + 1 - t for (d, m), t in zip(runs.items(), degrees))
-        if min(budget) < 0:
-            continue
-        states = {(budget, 0): spread}
-        for total, row_places in rows:
-            grown: dict = {}
-            for (budget, profile), trees in states.items():
-                for ways, row in _compositions(total, budget):
-                    key = (
-                        tuple(b - c for b, c in zip(budget, row)),
-                        profile + sum(c * p for c, p in zip(row, row_places)),
-                    )
-                    grown[key] = grown.get(key, 0) + trees * ways
-            states = grown
-        for (_, profile), trees in states.items():
-            for start in starts:
-                counts[profile + start] = counts.get(profile + start, 0) + trees
+    for (left, profile), trees in states.items():
+        for degrees, starts in shifts.items():
+            row = [b + 1 - t for b, t in zip(left, degrees)]
+            if min(row) >= 0:
+                ways = trees * (math.factorial(total) // math.prod(map(math.factorial, row)))
+                forced = profile + sum(c * p for c, p in zip(row, row_places))
+                for start in starts:
+                    counts[forced + start] = counts.get(forced + start, 0) + ways
     return scale, terms[two][two], pairs, counts
 
 

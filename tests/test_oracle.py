@@ -910,18 +910,21 @@ def test_value_counts_match_the_full_decoder_pass(seq):
     assert by_hex(sombor_value_counts(seq)) == by_hex(decoder_value_counts(seq))
 
 
-REDUCED_UP_TO_16 = sorted(
-    {_without_twos(seq).degrees for seq in realizable_sequences(16)}, key=lambda d: (len(d), d)
+REDUCED_UP_TO_20 = sorted(
+    {_without_twos(seq).degrees for seq in realizable_sequences(20)}, key=lambda d: (len(d), d)
 )
 
 
 def test_profile_counts_match_the_decoder_pass():
     # The matrix-tree count must give every edge profile of D' the trees
-    # the decoder-state pass gives it, on all 135 D' of the classes with
-    # n <= 16; 6,5,4,3,1^12 has five distinct degrees.
-    assert len(REDUCED_UP_TO_16) == 135
-    assert (6, 5, 4, 3) + (1,) * 12 in REDUCED_UP_TO_16
-    for degrees in REDUCED_UP_TO_16:
+    # the decoder-state pass gives it, on all 385 D' of the classes with
+    # n <= 20 (6,5,4,3,1^12 has five distinct degrees), on 7,6,5,4,3,1^17,
+    # the first D' with six, whose spanning-tree codes have length 4, and
+    # on 5^2,4^2,3^2,1^14, with several labels on each degree above 1.
+    assert len(REDUCED_UP_TO_20) == 385
+    assert (6, 5, 4, 3) + (1,) * 12 in REDUCED_UP_TO_20
+    wider = [(7, 6, 5, 4, 3) + (1,) * 17, (5, 5, 4, 4, 3, 3) + (1,) * 14]
+    for degrees in REDUCED_UP_TO_20 + wider:
         reduced = DegreeSequence(degrees)
         assert oracle._reduced_profiles(reduced)[3] == decoder_profile_counts(reduced), degrees
 
@@ -945,7 +948,7 @@ def test_value_counts_of_a_long_path_in_closed_form():
 def test_value_counts_of_many_labels_of_degree_3_or_more():
     # The decoder-state pass over D' = 4^5,3^5,1^17 took about 14 s here.
     # Counted by type, D' has two distinct degrees, so one spanning tree of
-    # K_2 and a two-row DP.
+    # K_2, a one-row DP and the forced row of the leaves.
     seq = DegreeSequence((4,) * 5 + (3,) * 5 + (2,) * 20 + (1,) * 17)
     start = time.perf_counter()
     counts = sombor_value_counts(seq)

@@ -1,6 +1,7 @@
 """Property-based checks of the structural invariants."""
 
 import math
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from sombortrees.degseq import DegreeSequence, is_tree_realizable, parse_degree_sequence
 from sombortrees.greedy import build_greedy
 from sombortrees.indices import pseudo_sombor, score_assignment, sombor
+from sombortrees.oracle import _reduced_profiles, count_trees
 from sombortrees.switching import SwitchError, SwitchPlan, SwitchSign, apply_switch, switch_sign
 from sombortrees.tree_core import (
     LabeledTree,
@@ -38,6 +40,16 @@ def realizable_degree_sequences(draw, min_n=2, max_n=24):
     tree = draw(random_trees(min_n=min_n, max_n=max_n))
     degrees, _ = degree_sequence_of(tree)
     return DegreeSequence(tuple(sorted(degrees, reverse=True)))
+
+
+@st.composite
+def reduced_sequences(draw):
+    # A sequence without 2s: 1-4 distinct degrees in 3..7, each on 1-3
+    # labels, and the leaves that make it realizable.
+    degrees = draw(st.lists(st.integers(3, 7), min_size=1, max_size=4, unique=True))
+    inner = [d for d in degrees for _ in range(draw(st.integers(1, 3)))]
+    leaves = 2 + sum(d - 2 for d in inner)
+    return DegreeSequence(tuple(sorted(inner, reverse=True)) + (1,) * leaves)
 
 
 @given(prufer_codes())
@@ -137,3 +149,28 @@ def test_switch_preserves_degrees_and_sign(tree, data):
         assert diff < 0
     else:
         assert math.isclose(diff, 0.0, abs_tol=1e-12)
+
+
+@given(reduced_sequences().filter(lambda seq: seq.n <= 40))
+@settings(max_examples=50, deadline=None)
+def test_profile_counts_add_up(reduced):
+    # No reference reaches these D': the counts must total the class size,
+    # and each profile, its digits in radix n' in the order of the degree
+    # pairs, must have n' - 1 edges and m * d edge ends at each degree d
+    # held by m labels.
+    radix = reduced.n
+    weights = sorted({*reduced.degrees, 2}, reverse=True)
+    pairs = [
+        (weights[a], weights[b])
+        for b in range(len(weights))
+        for a in range(b + 1)
+        if 2 not in (weights[a], weights[b])
+    ]
+    counts = _reduced_profiles(reduced)[3]
+    assert sum(counts.values()) == count_trees(reduced)
+    for profile in counts:
+        assert profile < radix ** len(pairs)
+        edges = [profile // radix**i % radix for i in range(len(pairs))]
+        assert sum(edges) == radix - 1
+        for d, m in Counter(reduced.degrees).items():
+            assert sum(e * ((a == d) + (b == d)) for e, (a, b) in zip(edges, pairs)) == m * d
