@@ -244,9 +244,11 @@ def _reduced_profiles(reduced: DegreeSequence) -> tuple:
     leaves' as the degrees do not increase, is then forced to
     left_j + 1 - deg_t(j) per degree vector of the trees t that
     ``prufer_edges`` decodes, when no entry is negative (its sum is then
-    n_k - 1 by the degree sums), with its multinomial as weight. Then
-    e_ij = c_ij + c_ji, plus one if ij is in t, for i < j, and e_ii = c_ii.
-    D' = 1,1 (k = 1) is one edge."""
+    n_k - 1 by the degree sums), with its multinomial as weight. The leaves'
+    column starts at N_k = 0 and stays there, so only the trees t with
+    deg_t(k) = 1 can pass: those whose Prufer codes run over kinds 1..k-1,
+    (k-1)^(k-2) of the k^(k-2). Then e_ij = c_ij + c_ji, plus one if ij is
+    in t, for i < j, and e_ii = c_ii. D' = 1,1 (k = 1) is one edge."""
     radix = reduced.n
     # Degrees in the labels' order, so each term is hypot(larger, smaller)
     # as on the class's own grid, whose smallest weight is also 1.
@@ -271,7 +273,7 @@ def _reduced_profiles(reduced: DegreeSequence) -> tuple:
     # Per degree: its row sum, and the place of its pair with each degree.
     rows = [(m - 1, [place[kind, j] for j in kinds]) for kind, m in zip(kinds, runs.values())]
     shifts: dict = {}  # degree vector of t -> the profile of each t's own edges
-    for code in product(range(1, k + 1), repeat=k - 2):
+    for code in product(range(1, k), repeat=k - 2):
         degrees = tuple(code.count(i) + 1 for i in range(1, k + 1))
         edges = prufer_edges(code, degrees)
         own = sum(place[kinds[i - 1], kinds[j - 1]] for i, j in edges)

@@ -8,6 +8,9 @@ score/level disorder together with a disorder-removing switch, and
 degree-ordered labeling leaves exactly the greedy tree.
 """
 
+import math
+import operator
+from bisect import bisect_left
 from enum import Enum
 
 from .degseq import DegreeSequence, _Value
@@ -153,19 +156,71 @@ def _level_violation(
     )
 
 
+def _least_switch_gain(tree: LabeledTree, values: tuple[float, ...], gaps: list[float]) -> float:
+    """A lower bound on the exact drop of the pseudo index over the scores
+    ``values`` under any switch with (scr(u) - scr(t)) * (scr(w) - scr(v))
+    > 0 in a tree with the tree's degrees; inf when no switch exists. The
+    scores must strictly decrease in the label, and ``gaps`` holds the
+    differences of consecutive ones.
+
+    The drop is the integral of g(x, y) = xy / hypot(x, y)^3 over the box
+    spanned by scr(t), scr(u) and scr(v), scr(w). Along either axis g rises
+    and then falls, so its least value on the box sits at a corner, and each
+    corner pairs the two scores of an edge before or after the switch:
+    {u,v}, {w,t}, {u,w} or {v,t}. The labels of one degree hold a run of
+    scores [lo, hi]. For an edge between runs r and s, g >= lo_r lo_s /
+    hypot(hi_r, hi_s)^3, and each side of the box is at least the least
+    gap between a score of the edge's run on that side and any other score.
+    An edge joins two labels of one run only if the run holds two labels of
+    degree 2 or more: two leaves are never adjacent."""
+    if tree.n < 2 or len(tree._adj[2]) < 2:
+        # A switch needs two disjoint edges, so two labels of degree 2 or
+        # more; a star's edges all share its centre.
+        return math.inf
+    runs = []  # per degree: lo, hi, least gap to another score, whether it holds an edge
+    start = 0
+    while start < tree.n:
+        degree = len(tree._adj[start + 1])
+        # The scores of one degree lie in (degree - 1, degree).
+        end = bisect_left(values, 1 - degree, start, key=operator.neg)
+        gap = min(gaps[max(start - 1, 0):end])
+        runs.append((values[end - 1], values[start], gap, degree > 1 and end - start > 1))
+        start = end
+    gain = math.inf
+    for i, (lo_r, hi_r, gap_r, inner) in enumerate(runs):
+        for lo_s, hi_s, gap_s, _ in runs[i if inner else i + 1:]:
+            gain = min(gain, gap_r * gap_s * lo_r * lo_s / math.hypot(hi_r, hi_s) ** 3)
+    return gain
+
+
 def _contract_scores(tree: LabeledTree, q: float) -> ScoreAssignment:
     """The scores deg(u) - u*q under which the disorder scan and the
-    descent are guaranteed: q in (0, 1/(2n)] and scores strictly decreasing
-    in the label. For such q that holds exactly when the labels are
-    degree-ordered, deg(1) >= ... >= deg(n), and no two scores round
-    together. Raises ValueError outside that contract."""
+    descent are guaranteed: q in (0, 1/(2n)], scores strictly decreasing
+    in the label, and every switch's drop of the pseudo index resolvable in
+    floating point. For such q the scores strictly decrease exactly when
+    the labels are degree-ordered, deg(1) >= ... >= deg(n), and no two
+    scores round together. Raises ValueError outside that contract.
+
+    A switch changes four edge terms, each computed within an ulp of the
+    largest pSO, and ``math.fsum`` rounds each pSO by half an ulp, so a
+    drop of more than 5 ulps always shows in the floats; the contract asks
+    ``_least_switch_gain`` for 8, against the bound (n - 1) hypot(scr(1),
+    scr(2)) on every pSO of the class."""
     if not 0 < q <= 1.0 / (2 * tree.n):
         raise ValueError(f"q must lie in (0, 1/(2n)], got {q}")
     scores = score_assignment(tree, q)
-    if not scores.strictly_decreasing:
+    values = scores.values
+    gaps = list(map(operator.sub, values, values[1:]))
+    if gaps and not min(gaps) > 0:
         raise ValueError(
             "descent requires the degree-ordered labeling deg(1) >= ... >= deg(n) "
             f"and a q large enough to keep the scores apart, got q = {q}"
+        )
+    top = (tree.n - 1) * math.hypot(*values[:2])
+    if not _least_switch_gain(tree, values, gaps) > 8 * math.ulp(top):
+        raise ValueError(
+            f"q = {q} is too small for the descent: a switch could lower the "
+            "pseudo index by less than floating point resolves"
         )
     return scores
 
@@ -186,7 +241,9 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
     greedy tree. Every returned plan has switch_sign DECREASE. Raises
     ValueError outside that contract. Once it holds, the level pass compares
     labels alone, as scores strictly decrease in the label; the same-level
-    pass reads scores by label from one flat tuple.
+    pass reads scores by label from one flat tuple. It takes the
+    least-scored child gamma of a parent a once per a, and the best-scored
+    child delta of a lower-scored partner b once per pair (a, b).
     """
     w = (0.0, *_contract_scores(tree, q).values)
     info = tree.bfs_levels()
@@ -220,13 +277,13 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
             kids_a = children.get(a)
             if not kids_a:
                 continue
+            gamma = min(kids_a, key=lambda c: (w[c], c))
             for b in group:
                 if b == a or not w[a] > w[b]:
                     continue
                 kids_b = children.get(b)
                 if not kids_b:
                     continue
-                gamma = min(kids_a, key=lambda c: (w[c], c))
                 delta = min(kids_b, key=lambda c: (-w[c], c))
                 if w[gamma] < w[delta]:
                     return Violation(ViolationKind.SAME_LEVEL, SwitchPlan(a, gamma, delta, b))

@@ -543,6 +543,17 @@ def test_descend_refuses_q_too_small_to_separate_scores(tmp_path, capsys, q):
     assert "degree-ordered" in err
 
 
+def test_descend_refuses_q_too_small_to_resolve_a_switch(tmp_path, capsys):
+    # The scores are still apart at 1e-15, but a switch would leave the
+    # printed pseudo index unchanged; the descent used to stop with exit 5.
+    path = tmp_path / "shape_b.txt"
+    path.write_text("1 2\n2 3\n3 4\n1 5\n1 6\n")
+    code, out, err = run_cli(capsys, "descend", str(path), "--q", "1e-15")
+    assert code == 2
+    assert out == ""
+    assert "too small for the descent" in err
+
+
 def test_unknown_command_exit_2(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -284,17 +284,20 @@ def test_find_violation_matches_reference_exhaustive():
 
 
 _N82 = (4,) * 10 + (3,) * 10 + (2,) * 30 + (1,) * 32
+_N162 = (4,) * 20 + (3,) * 20 + (2,) * 60 + (1,) * 62
 
 
 @pytest.mark.parametrize(
     "degrees, seed",
     [pytest.param(_N82, seed, id=str(seed)) for seed in range(8)]
-    + [pytest.param((3,) * 60 + (1,) * 62, 0, id="n122-seed0")],
+    + [pytest.param((3,) * 60 + (1,) * 62, 0, id="n122-seed0"),
+       pytest.param(_N162, 0, id="n162-seed0")],
 )
 def test_find_violation_matches_reference_along_descent(degrees, seed):
     # Every step of a descent from a seeded random start tree: the eight
-    # n = 82 start trees of a descend-random run with seed 0, and one
-    # n = 122 start beyond the benchmark's size.
+    # n = 82 start trees of a descend-random run with seed 0, one n = 122
+    # start beyond the benchmark's size, and the 1,150-step n = 162 descent
+    # that CI pins as "Descent frontier".
     seq = DegreeSequence(degrees)
     tree = sample_tree(seq, random.Random(seed))
     q = 1 / (2 * seq.n)
@@ -304,6 +307,50 @@ def test_find_violation_matches_reference_along_descent(degrees, seed):
         steps += 1
     assert tree == build_greedy(seq)
     assert steps > 0
+
+
+def test_contract_refuses_q_whose_switch_gain_floating_point_cannot_resolve():
+    # At q = 1e-15 the scores of SHAPE_B are still apart, but its first
+    # switch leaves the fsum-rounded pSO unchanged.
+    with pytest.raises(ValueError, match="too small for the descent"):
+        descend(SHAPE_B, 1e-15)
+    with pytest.raises(ValueError, match="too small for the descent"):
+        find_violation(SHAPE_B, 1e-15)
+
+
+def test_contract_accepts_the_default_q_at_300_vertices_with_a_hub():
+    # A floor on the switch gain over every score in [1/2, d_max] would
+    # refuse both. The star has no switch; on 298, 2, 1^298 a gap of q
+    # between two leaves meets the hub's score only across a gap of about
+    # 296, and no two leaves can share an edge.
+    star = LabeledTree(300, [(1, v) for v in range(2, 301)])
+    terminal, trace = descend(star, 1 / 600)
+    assert terminal == star
+    assert trace.steps == ()
+    seq = DegreeSequence((298, 2) + (1,) * 298)
+    terminal, trace = descend(sample_tree(seq, random.Random(0)), 1 / 600)
+    assert terminal == build_greedy(seq)
+
+
+def test_descend_completes_at_every_accepted_q_exhaustive():
+    # Every degree-ordered labeled tree with n <= 7, at every q of a
+    # halving grid from 1/(2n) that the contract accepts; the rule depends
+    # on the degrees alone, so each class is asked once. Each class's grid
+    # reaches below the least accepted q.
+    for seq in realizable_sequences(7):
+        greedy = build_greedy(seq)
+        grid = [1 / (2 * seq.n) * 2.0 ** -k for k in range(60)]
+        accepted = []
+        for q in grid:
+            try:
+                _contract_scores(greedy, q)
+            except ValueError:
+                continue
+            accepted.append(q)
+        assert accepted[0] == grid[0] and accepted[-1] > grid[-1]
+        for tree in enumerate_trees(seq):
+            for q in accepted:
+                assert descend(tree, q)[0] == greedy
 
 
 def test_descend_fixed_point():
