@@ -119,13 +119,15 @@ def cmd_verify(args) -> int:
         if args.max_n is not None:
             raise CommandLineError("--max-n applies only to --sweep")
         candidates = [parse_degree_sequence(args.degrees)]
-    # Verification is all-or-nothing: refuse an over-cap class before
-    # verifying any. The walk stops at the first such class, so a
-    # large --max-n never lists all its sequences first.
-    sized = [(seq, _require_within_cap(seq, args.cap)) for seq in candidates]
+    # Verification is all-or-nothing: refuse an over-cap class before verifying
+    # any, and stop at the first, so a large --max-n never lists all its sequences.
+    checked = []
+    for seq in candidates:
+        _require_within_cap(seq, args.cap)
+        checked.append(seq)
     # Classes that differ only in their 2s share one edge-profile count.
     profiles: dict = {}
-    reports = [verify_greedy_minimum(seq, args.cap, profiles) for seq, _ in sized]
+    reports = [verify_greedy_minimum(seq, args.cap, profiles) for seq in checked]
     sys.stdout.write(format_report_table(reports))
     failures = sum(1 for r in reports if not r.minimum_attained)
     if args.sweep:

@@ -62,6 +62,15 @@ class OracleInvariantError(RuntimeError):
     slow path on the class's first tree."""
 
 
+def _split_ways(m: int, k: int) -> int:
+    """The (mk)! / (k!)^m ways to give m labels k code entries each: the
+    product of C(ik, k) over i = 2..m, taken pairwise so operands grow together."""
+    parts = [math.comb(i * k, k) for i in range(2, m + 1)]
+    while len(parts) > 2:
+        parts = [math.prod(parts[i:i + 2]) for i in range(0, len(parts), 2)]
+    return math.prod(parts)
+
+
 def count_trees(seq: DegreeSequence) -> int:
     """Number of labeled trees realizing the sequence, (n-2)! / prod((d_u - 1)!):
     each run of m labels of degree d > 1 places its m(d-1) code entries, then splits them."""
@@ -71,10 +80,8 @@ def count_trees(seq: DegreeSequence) -> int:
     for d, m in Counter(seq.degrees).items():
         k = d - 1
         if k > 0:
-            total *= math.comb(free, m * k)
+            total *= math.comb(free, m * k) * _split_ways(m, k)
             free -= m * k
-            if m > 1:
-                total *= math.factorial(m * k) // math.factorial(k) ** m
     return total
 
 
@@ -267,9 +274,7 @@ def _reduced_profiles(reduced: DegreeSequence) -> tuple:
     k = len(kinds)
     if k == 1:
         return scale, terms[two][two], pairs, {place[kinds[0], kinds[0]]: 1}
-    spread = 1
-    for d, m in runs.items():
-        spread *= math.factorial(m * (d - 1)) // math.factorial(d - 1) ** m
+    spread = math.prod(_split_ways(m, d - 1) for d, m in runs.items() if d > 1)
     # Per degree: its row sum, and the place of its pair with each degree.
     rows = [(m - 1, [place[kind, j] for j in kinds]) for kind, m in zip(kinds, runs.values())]
     shifts: dict = {}  # degree vector of t -> the profile of each t's own edges

@@ -5,7 +5,8 @@ degree, and whether it lowers the pseudo-Sombor index is decided by the sign
 of (scr(u) - scr(t)) * (scr(w) - scr(v)). ``find_violation`` locates a
 score/level disorder together with a disorder-removing switch, and
 ``descend`` applies such switches until none remains, which for a
-degree-ordered labeling leaves exactly the greedy tree.
+degree-ordered labeling leaves exactly the greedy tree. Under the descent's
+contract scores strictly decrease in the label, so the scan compares labels.
 """
 
 import math
@@ -239,13 +240,11 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
     exists; under the contract of ``descend`` (degree-ordered labels, scores
     strictly decreasing with q in (0, 1/(2n)]) that means the tree is the
     greedy tree. Every returned plan has switch_sign DECREASE. Raises
-    ValueError outside that contract. Once it holds, the level pass compares
-    labels alone, as scores strictly decrease in the label; the same-level
-    pass reads scores by label from one flat tuple. It takes the
-    least-scored child gamma of a parent a once per a, and the best-scored
-    child delta of a lower-scored partner b once per pair (a, b).
+    ValueError outside that contract. Once it holds, both passes compare
+    labels alone: u out-scores v exactly when u < v, so a parent's
+    least-scored child is its largest label and its best-scored its smallest.
     """
-    w = (0.0, *_contract_scores(tree, q).values)
+    _contract_scores(tree, q)
     info = tree.bfs_levels()
     depth = max(info.level.values())
     by_level: list[list[int]] = [[] for _ in range(depth + 1)]
@@ -269,24 +268,18 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
             if beta > alpha:
                 return _level_violation(info, children, alpha, beta)
 
-    # Same-level pass: children misordered against their parents' scores.
+    # Same-level pass: a out-scores each later b of its ascending group, but
+    # a's last child gamma is out-scored by b's first child delta.
     for group in by_level:
-        if len(group) < 2:
-            continue
-        for a in group:
+        for i, a in enumerate(group):
             kids_a = children.get(a)
             if not kids_a:
                 continue
-            gamma = min(kids_a, key=lambda c: (w[c], c))
-            for b in group:
-                if b == a or not w[a] > w[b]:
-                    continue
+            gamma = kids_a[-1]
+            for b in group[i + 1:]:
                 kids_b = children.get(b)
-                if not kids_b:
-                    continue
-                delta = min(kids_b, key=lambda c: (-w[c], c))
-                if w[gamma] < w[delta]:
-                    return Violation(ViolationKind.SAME_LEVEL, SwitchPlan(a, gamma, delta, b))
+                if kids_b and gamma > kids_b[0]:
+                    return Violation(ViolationKind.SAME_LEVEL, SwitchPlan(a, gamma, kids_b[0], b))
     return None
 
 

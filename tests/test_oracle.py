@@ -56,8 +56,9 @@ def test_count_matches_factorial_formula(seq):
     [
         ((1200, 2, 2) + (1,) * 1200, 1_441_200),
         ((2,) * 20000 + (1, 1), math.factorial(20000)),
+        ((50000, 50000) + (1,) * 99998, math.comb(99998, 49999)),
     ],
-    ids=["broom-2403", "path-20002"],
+    ids=["broom-2403", "path-20002", "two-hubs-100000"],
 )
 def test_count_large_classes(degrees, expected):
     assert count_trees(DegreeSequence(degrees)) == expected

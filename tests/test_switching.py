@@ -216,7 +216,7 @@ def test_every_violation_plan_decreases_exhaustive():
 
 
 # The disorder scan as it read each score through ScoreAssignment.__getitem__,
-# kept to pin the flat label-indexed reads of find_violation to it.
+# kept to pin the label comparisons of find_violation to it.
 def _reference_find_violation(tree: LabeledTree, q: float) -> Violation | None:
     scores = _contract_scores(tree, q)
     info = tree.bfs_levels()
@@ -285,19 +285,26 @@ def test_find_violation_matches_reference_exhaustive():
 
 _N82 = (4,) * 10 + (3,) * 10 + (2,) * 30 + (1,) * 32
 _N162 = (4,) * 20 + (3,) * 20 + (2,) * 60 + (1,) * 62
+# Wider degree mixes, whose parents often hold three to six children on one
+# level.
+_N74 = (5,) * 8 + (4,) * 8 + (3,) * 8 + (1,) * 50
+_N72 = (7,) * 4 + (6,) * 4 + (5,) * 4 + (2,) * 10 + (1,) * 50
 
 
 @pytest.mark.parametrize(
     "degrees, seed",
     [pytest.param(_N82, seed, id=str(seed)) for seed in range(8)]
     + [pytest.param((3,) * 60 + (1,) * 62, 0, id="n122-seed0"),
-       pytest.param(_N162, 0, id="n162-seed0")],
+       pytest.param(_N162, 0, id="n162-seed0")]
+    + [pytest.param(_N74, seed, id=f"n74-seed{seed}") for seed in range(4)]
+    + [pytest.param(_N72, seed, id=f"n72-seed{seed}") for seed in range(4)],
 )
 def test_find_violation_matches_reference_along_descent(degrees, seed):
     # Every step of a descent from a seeded random start tree: the eight
     # n = 82 start trees of a descend-random run with seed 0, one n = 122
-    # start beyond the benchmark's size, and the 1,150-step n = 162 descent
-    # that CI pins as "Descent frontier".
+    # start beyond the benchmark's size, the 1,150-step n = 162 descent
+    # that CI pins as "Descent frontier", and four starts each of the two
+    # wider degree mixes.
     seq = DegreeSequence(degrees)
     tree = sample_tree(seq, random.Random(seed))
     q = 1 / (2 * seq.n)
