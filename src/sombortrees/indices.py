@@ -12,6 +12,19 @@ from .degseq import _Value
 from .tree_core import LabeledTree
 
 
+def _grid_shift(least: float) -> int:
+    """The k of the power-of-two grid 2**-k on which every edge term
+    hypot(w_a, w_b) over weights of at least ``least`` > 0 is an integer.
+
+    A term is at least the smallest weight least = f * 2**E, 1/2 <= f < 1,
+    up to its rounding, so its exponent is at least E - 1 and its last bit
+    no finer than 2**(E - 54); k = 54 - E puts that bit on the grid. Integer
+    sums on the grid are exact, and ``float(sum) * 2**-k`` rounds once, half
+    to even, then scales by a power of two, so it carries the bits
+    ``math.fsum`` gives for the terms."""
+    return 54 - math.frexp(least)[1]
+
+
 def sombor(tree: LabeledTree) -> float:
     """Sum of sqrt(deg(u)^2 + deg(v)^2) over all edges; 0 for one vertex.
 

@@ -43,7 +43,7 @@ from itertools import product
 
 from .degseq import DegreeSequence, _Value, require_tree_realizable
 from .greedy import build_greedy
-from .indices import ScoreAssignment, pseudo_sombor, score_assignment, sombor
+from .indices import ScoreAssignment, _grid_shift, pseudo_sombor, score_assignment, sombor
 from .tree_core import LabeledTree, PruferCode, prufer_decode, prufer_edges
 
 DEFAULT_TREE_CAP = 10_000_000
@@ -178,12 +178,10 @@ def _grid_terms(rows: Sequence[Sequence[float]], heads: Iterable[int]) -> tuple[
     of the edge {a, e} over row r for each label e in ``heads`` and every
     label a (entry 0 is unused).
 
-    ``scale`` is 2**-k for a k that makes every term an integer: a term is
-    at least the smallest weight of all rows w_min = f * 2**E, 1/2 <= f < 1,
-    up to its rounding, so its exponent is at least E - 1 and its last bit
-    no finer than 2**(E - 54). Integer sums on the grid are exact, and
-    ``float(sum) * scale`` rounds once, half to even, then scales by a power
-    of two, so it carries the bits ``math.fsum`` gives for the terms.
+    ``scale`` is 2**-k for the ``_grid_shift`` k of the smallest weight of
+    all rows, w_min = f * 2**E, 1/2 <= f < 1: every term is an integer on
+    the grid, and ``float(sum) * scale`` carries the bits ``math.fsum``
+    gives for the terms.
 
     Each term goes onto the grid through ``math.ldexp``, exact while the
     scaled term stays finite: a term is below 2 * w_max and 2**-E < 1 / w_min,
@@ -191,7 +189,7 @@ def _grid_terms(rows: Sequence[Sequence[float]], heads: Iterable[int]) -> tuple[
     finite weights with w_max / w_min < 2**969. Degrees, and scores between
     1/2 and n, always are; past that range ``ldexp`` raises
     ``OverflowError``."""
-    shift = 54 - math.frexp(min(map(min, rows)))[1]
+    shift = _grid_shift(min(map(min, rows)))
     columns = []
     for weights in rows:
         row = {}

@@ -7,16 +7,18 @@ score/level disorder together with a disorder-removing switch, and
 ``descend`` applies such switches until none remains, which for a
 degree-ordered labeling leaves exactly the greedy tree. Under the descent's
 contract scores strictly decrease in the label, so the scan compares labels.
+A descent step rebuilds nothing that its switch keeps (see ``descend``).
 """
 
 import math
 import operator
 from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from enum import Enum
 
 from .degseq import DegreeSequence, _Value
 from .greedy import build_greedy
-from .indices import ScoreAssignment, pseudo_sombor, sombor, score_assignment
+from .indices import ScoreAssignment, _grid_shift, pseudo_sombor, sombor, score_assignment
 from .tree_core import BfsLevels, LabeledTree, TreeError, degree_sequence_of
 
 
@@ -72,10 +74,6 @@ class Violation(_Value):
         object.__setattr__(self, "plan", plan)
 
 
-def _ordered(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
 def _require_plan_applies(tree: LabeledTree, plan: SwitchPlan) -> None:
     if not tree.adjacent(plan.u, plan.v):
         raise SwitchError(f"required edge {{{plan.u},{plan.v}}} is missing")
@@ -88,14 +86,14 @@ def _require_plan_applies(tree: LabeledTree, plan: SwitchPlan) -> None:
 
 
 def apply_switch(tree: LabeledTree, plan: SwitchPlan) -> LabeledTree:
-    """Carry out the switch; every vertex keeps its degree."""
+    """Carry out the switch; every vertex keeps its degree.
+
+    Once the plan's four adjacency checks pass, the switched edge set has
+    n - 1 distinct edges, so one traversal from vertex 1 decides whether it
+    is a tree; the new tree keeps that traversal for the next scan."""
     _require_plan_applies(tree, plan)
-    dropped = {_ordered(plan.u, plan.v), _ordered(plan.w, plan.t)}
-    new_edges = [e for e in tree.edges if e not in dropped]
-    new_edges.append(_ordered(plan.u, plan.w))
-    new_edges.append(_ordered(plan.v, plan.t))
     try:
-        return LabeledTree(tree.n, new_edges)
+        return tree._switched(plan.u, plan.v, plan.w, plan.t)
     except TreeError as exc:
         raise SwitchError(f"switch {plan} does not produce a tree: {exc}") from exc
 
@@ -194,6 +192,9 @@ def _least_switch_gain(tree: LabeledTree, values: tuple[float, ...], gaps: list[
     return gain
 
 
+_contract_memo: tuple = (None, None)  # (key, scores) of the last accepted call
+
+
 def _contract_scores(tree: LabeledTree, q: float) -> ScoreAssignment:
     """The scores deg(u) - u*q under which the disorder scan and the
     descent are guaranteed: q in (0, 1/(2n)], scores strictly decreasing
@@ -206,7 +207,16 @@ def _contract_scores(tree: LabeledTree, q: float) -> ScoreAssignment:
     largest pSO, and ``math.fsum`` rounds each pSO by half an ulp, so a
     drop of more than 5 ulps always shows in the floats; the contract asks
     ``_least_switch_gain`` for 8, against the bound (n - 1) hypot(scr(1),
-    scr(2)) on every pSO of the class."""
+    scr(2)) on every pSO of the class.
+
+    The scores and the verdict depend on the degree vector and q alone, and
+    a switch keeps the degrees, so the last accepted (degrees, q) and its
+    scores are kept: every scan of a descent after the first is a lookup.
+    A refusal is never kept, so it is raised again on every call."""
+    global _contract_memo
+    key = (tuple(map(len, tree._adj)), type(q), q)
+    if _contract_memo[0] == key:
+        return _contract_memo[1]
     if not 0 < q <= 1.0 / (2 * tree.n):
         raise ValueError(f"q must lie in (0, 1/(2n)], got {q}")
     scores = score_assignment(tree, q)
@@ -223,6 +233,7 @@ def _contract_scores(tree: LabeledTree, q: float) -> ScoreAssignment:
             f"q = {q} is too small for the descent: a switch could lower the "
             "pseudo index by less than floating point resolves"
         )
+    _contract_memo = (key, scores)
     return scores
 
 
@@ -246,13 +257,13 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
     """
     _contract_scores(tree, q)
     info = tree.bfs_levels()
-    depth = max(info.level.values())
-    by_level: list[list[int]] = [[] for _ in range(depth + 1)]
-    for u in range(1, tree.n + 1):
-        by_level[info.level[u]].append(u)
+    level, parent = info.level, info.parent
+    depth = level[info.order[-1]]
+    by_level: list[list[int]] = [[1]] + [[] for _ in range(depth)]
     children: dict[int, list[int]] = {}
-    for child in range(2, tree.n + 1):
-        children.setdefault(info.parent[child], []).append(child)
+    for u in range(2, tree.n + 1):
+        by_level[level[u]].append(u)
+        children.setdefault(parent[u], []).append(u)
 
     # Level pass: a deeper vertex out-scoring a shallower one. Scores fall
     # strictly with the label, so alpha out-scores beta exactly when
@@ -269,17 +280,23 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
                 return _level_violation(info, children, alpha, beta)
 
     # Same-level pass: a out-scores each later b of its ascending group, but
-    # a's last child gamma is out-scored by b's first child delta.
+    # a's last child gamma is out-scored by b's first child delta. The first
+    # such a is the first whose gamma exceeds the least first child of the
+    # parents after it, and its b the first of those below gamma.
     for group in by_level:
+        least_after = [tree.n + 1] * len(group)
+        for i in range(len(group) - 1, 0, -1):
+            kids = children.get(group[i])
+            least_after[i - 1] = min(least_after[i], kids[0]) if kids else least_after[i]
         for i, a in enumerate(group):
             kids_a = children.get(a)
-            if not kids_a:
-                continue
-            gamma = kids_a[-1]
-            for b in group[i + 1:]:
-                kids_b = children.get(b)
-                if kids_b and gamma > kids_b[0]:
-                    return Violation(ViolationKind.SAME_LEVEL, SwitchPlan(a, gamma, kids_b[0], b))
+            if kids_a and kids_a[-1] > least_after[i]:
+                gamma = kids_a[-1]
+                for b in group[i + 1:]:
+                    kids_b = children.get(b)
+                    if kids_b and gamma > kids_b[0]:
+                        return Violation(ViolationKind.SAME_LEVEL,
+                                         SwitchPlan(a, gamma, kids_b[0], b))
     return None
 
 
@@ -324,6 +341,35 @@ class DescentTrace(_Value):
         ]
 
 
+class _RunningSum:
+    """The sum of the edge terms hypot(w_a, w_b), a < b, of a tree under
+    label weights ``weights[1..n]``, kept exactly as an integer on the
+    ``_grid_shift`` grid of the least weight, so a switch adds and removes
+    its terms without rounding and ``value`` carries the bits that
+    ``sombor`` and ``pseudo_sombor`` give for the switched tree."""
+
+    __slots__ = ("weights", "shift", "total")
+
+    def __init__(self, weights: Sequence[float], edges: Iterable[tuple[int, int]]):
+        self.weights = weights
+        self.shift = _grid_shift(min(weights[1:]))
+        self.total = sum(self.term(a, b) for a, b in edges)
+
+    def term(self, a: int, b: int) -> int:
+        w = self.weights
+        # The smaller label's weight first, as the edges are summed.
+        return int(math.ldexp(math.hypot(w[a], w[b]) if a < b else math.hypot(w[b], w[a]),
+                              self.shift))
+
+    def switch(self, plan: SwitchPlan) -> float:
+        u, v, w, t = plan.u, plan.v, plan.w, plan.t
+        self.total += self.term(u, w) + self.term(v, t) - self.term(u, v) - self.term(w, t)
+        return self.value()
+
+    def value(self) -> float:
+        return math.ldexp(float(self.total), -self.shift)
+
+
 def descend(tree: LabeledTree, q: float) -> tuple[LabeledTree, DescentTrace]:
     """Apply disorder-removing switches until none remains.
 
@@ -333,20 +379,29 @@ def descend(tree: LabeledTree, q: float) -> tuple[LabeledTree, DescentTrace]:
     otherwise. The terminal tree is
     checked against the greedy construction; any discrepancy raises
     DescentInvariantError rather than being repaired.
+
+    A switch keeps the degrees, so every scan after the first finds the
+    contract's scores kept, and it reads the traversal that proved the
+    switched tree a tree. SO and pSO move by the switch's four edge terms,
+    exactly, on a power-of-two grid. Each step checks that pSO strictly
+    falls, and the end checks both sums against ``sombor`` and
+    ``pseudo_sombor`` of the terminal tree.
     """
     scores = _contract_scores(tree, q)
+    so = _RunningSum(tuple(map(len, tree._adj)), tree.edges)
+    pso = _RunningSum((0.0, *scores.values), tree.edges)
     current = tree
-    pso_current = pseudo_sombor(current, scores)
-    so_current = sombor(current)
+    pso_current = pso.value()
+    so_current = so.value()
     steps = []
     while (violation := find_violation(current, q)) is not None:
-        switched = apply_switch(current, violation.plan)
-        pso_next = pseudo_sombor(switched, scores)
+        current = apply_switch(current, violation.plan)
+        pso_next = pso.switch(violation.plan)
         if not pso_next < pso_current:
             raise DescentInvariantError(
                 f"switch failed to lower the pseudo index ({pso_current!r} -> {pso_next!r})"
             )
-        so_next = sombor(switched)
+        so_next = so.switch(violation.plan)
         steps.append(
             DescentStep(
                 plan=violation.plan,
@@ -357,10 +412,15 @@ def descend(tree: LabeledTree, q: float) -> tuple[LabeledTree, DescentTrace]:
                 so_after=so_next,
             )
         )
-        current, pso_current, so_current = switched, pso_next, so_next
+        pso_current, so_current = pso_next, so_next
     target = build_greedy(DegreeSequence(degree_sequence_of(tree)[0]))
     if current != target:
         raise DescentInvariantError(
             "descent stalled on a tree that is not the greedy construction"
+        )
+    if (so_current, pso_current) != (sombor(current), pseudo_sombor(current, scores)):
+        raise DescentInvariantError(
+            f"running sums SO = {so_current!r}, pSO = {pso_current!r} drifted from the "
+            "terminal tree's"
         )
     return current, DescentTrace(tuple(steps))

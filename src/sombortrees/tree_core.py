@@ -3,11 +3,13 @@
 Edges are normalized to (min, max) pairs sorted lexicographically, so two
 trees compare equal exactly when their edge sets coincide. Trees are
 immutable after validation and safe to share: a tree holds only tuples and
+its own breadth-first traversal, which it hands out as fresh dicts, and
 nothing in the package assigns to one. ``PruferCode``'s ``__slots__`` base
 ``degseq._Value`` refuses assignment and deletion.
 """
 
-from collections import deque, namedtuple
+from bisect import bisect_left, insort
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from .degseq import _Value
@@ -31,7 +33,7 @@ class LabeledTree:
     self-loop, duplicate and cycle, in one pass with a union-find. A tree
     holds only valid labels, so this package reads ``_adj`` by index."""
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "_adj", "_bfs")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -79,6 +81,7 @@ class LabeledTree:
         self.n = n
         self.edges = tuple(canon)
         self._adj = tuple(map(tuple, adj))
+        self._bfs = None
 
     def _check_label(self, u: int) -> None:
         if not isinstance(u, int) or isinstance(u, bool) or not 1 <= u <= self.n:
@@ -99,20 +102,49 @@ class LabeledTree:
 
     def bfs_levels(self) -> BfsLevels:
         """Distances to vertex 1, parent of every non-root vertex, and the
-        breadth-first order that visits children by increasing label."""
-        level = {1: 0}
-        parent: dict[int, int] = {}
-        order = [1]
-        queue = deque([1])
-        while queue:
-            u = queue.popleft()
-            for v in self._adj[u]:
-                if v not in level:
-                    level[v] = level[u] + 1
-                    parent[v] = u
-                    order.append(v)
-                    queue.append(v)
-        return BfsLevels(level, parent, tuple(order))
+        breadth-first order that visits children by increasing label.
+
+        The tree traverses itself once and keeps the result; each call
+        returns its own copies of the two dicts, so no caller can change
+        what another sees."""
+        if self._bfs is None:
+            self._bfs = _breadth_first(self._adj)
+        level, parent, order = self._bfs
+        return BfsLevels(level.copy(), parent.copy(), order)
+
+    def _switched(self, u: int, v: int, w: int, t: int) -> "LabeledTree":
+        """This tree with the edges {u,v}, {w,t} replaced by {u,w}, {v,t},
+        without a second validation.
+
+        The caller guarantees four distinct labels with u~v, w~t, u!~w and
+        v!~t, so the result has n - 1 distinct edges, and it is a tree
+        exactly when the traversal from vertex 1 reaches all n labels.
+        Raises TreeError otherwise; on success that traversal is the new
+        tree's ``bfs_levels``. The edges and the four changed neighbour
+        rows are spliced in sorted order, as construction would sort them."""
+        adj = list(self._adj)
+        for x, old, new in ((u, v, w), (v, u, t), (w, t, u), (t, w, v)):
+            row = list(adj[x])
+            row.remove(old)
+            insort(row, new)
+            adj[x] = tuple(row)
+        bfs = _breadth_first(adj)
+        if len(bfs.order) < self.n:
+            raise TreeError(
+                f"vertex 1 reaches {len(bfs.order)} of {self.n} labels, "
+                "so the edges close a cycle"
+            )
+        edges = list(self.edges)
+        for a, b in ((u, v), (w, t)):
+            del edges[bisect_left(edges, (a, b) if a < b else (b, a))]
+        for a, b in ((u, w), (v, t)):
+            insort(edges, (a, b) if a < b else (b, a))
+        tree = LabeledTree.__new__(LabeledTree)
+        tree.n = self.n
+        tree.edges = tuple(edges)
+        tree._adj = tuple(adj)
+        tree._bfs = bfs
+        return tree
 
     def to_edge_text(self) -> str:
         """One edge per line as 'u v', in canonical order."""
@@ -174,6 +206,23 @@ class LabeledTree:
 
     def __repr__(self) -> str:
         return f"LabeledTree(n={self.n}, edges={list(self.edges)})"
+
+
+def _breadth_first(adj: Sequence[Sequence[int]]) -> BfsLevels:
+    """The traversal from vertex 1 over the neighbour rows ``adj``, which
+    need not form a tree: it visits only the labels vertex 1 reaches."""
+    level = {1: 0}
+    parent: dict[int, int] = {}
+    order = [1]
+    # The loop walks the list it appends to, one level after another.
+    for u in order:
+        below = level[u] + 1
+        for v in adj[u]:
+            if v not in level:
+                level[v] = below
+                parent[v] = u
+                order.append(v)
+    return BfsLevels(level, parent, tuple(order))
 
 
 def degree_sequence_of(tree: LabeledTree) -> tuple[tuple[int, ...], bool]:

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -22,7 +22,13 @@ from sombortrees.switching import (
     find_violation,
     switch_sign,
 )
-from sombortrees.tree_core import LabeledTree, PruferCode, degree_sequence_of, prufer_decode
+from sombortrees.tree_core import (
+    LabeledTree,
+    PruferCode,
+    TreeError,
+    degree_sequence_of,
+    prufer_decode,
+)
 
 # D = (3,2,2,1,1,1): the non-greedy shape with a long branch
 SHAPE_B = LabeledTree(6, [(1, 2), (2, 3), (3, 4), (1, 5), (1, 6)])
@@ -52,6 +58,67 @@ def test_apply_switch_rejects_non_tree_result():
     tree = LabeledTree(6, [(1, 2), (1, 3), (1, 4), (2, 5), (5, 6)])
     with pytest.raises(SwitchError, match="does not produce a tree"):
         apply_switch(tree, SwitchPlan(5, 6, 1, 3))
+
+
+def _pair(a: int, b: int) -> tuple[int, int]:
+    return (a, b) if a < b else (b, a)
+
+
+# apply_switch as it rebuilt and revalidated the whole switched tree, with
+# its adjacency checks read off the edge set.
+def _reference_apply_switch(tree: LabeledTree, plan: SwitchPlan) -> LabeledTree:
+    edges = set(tree.edges)
+    for a, b in ((plan.u, plan.v), (plan.w, plan.t)):
+        if _pair(a, b) not in edges:
+            raise SwitchError(f"required edge {{{a},{b}}} is missing")
+    for a, b in ((plan.u, plan.w), (plan.v, plan.t)):
+        if _pair(a, b) in edges:
+            raise SwitchError(f"vertices {a} and {b} must not be adjacent")
+    dropped = {_pair(plan.u, plan.v), _pair(plan.w, plan.t)}
+    new_edges = [e for e in tree.edges if e not in dropped]
+    new_edges += [_pair(plan.u, plan.w), _pair(plan.v, plan.t)]
+    try:
+        return LabeledTree(tree.n, new_edges)
+    except TreeError as exc:
+        raise SwitchError(f"switch {plan} does not produce a tree: {exc}") from exc
+
+
+def test_apply_switch_matches_rebuilt_tree_exhaustive():
+    # Every plan of four distinct labels on every degree-ordered labeled
+    # tree with n <= 7: the spliced successor equals a freshly validated
+    # tree in its edges, neighbour rows and traversal, and every plan the
+    # rebuild refuses is refused for the same reason.
+    outcomes = set()
+    for n in range(4, 8):
+        for code in product(range(1, n + 1), repeat=n - 2):
+            tree = prufer_decode(PruferCode(n, code))
+            if not degree_sequence_of(tree)[1]:
+                continue
+            for labels in permutations(range(1, n + 1), 4):
+                plan = SwitchPlan(*labels)
+                try:
+                    expected = _reference_apply_switch(tree, plan)
+                except SwitchError as exc:
+                    with pytest.raises(SwitchError) as refused:
+                        apply_switch(tree, plan)
+                    reason = str(exc).partition(":")[0]
+                    assert str(refused.value).partition(":")[0] == reason
+                    outcomes.add(reason.rpartition(" ")[2])
+                    continue
+                got = apply_switch(tree, plan)
+                assert got.edges == expected.edges
+                assert got._adj == expected._adj
+                assert got.bfs_levels() == expected.bfs_levels()
+                outcomes.add("switched")
+    assert outcomes == {"missing", "adjacent", "tree", "switched"}
+
+
+def test_bfs_levels_of_a_switched_tree_cannot_be_changed_by_a_caller():
+    switched = apply_switch(SHAPE_B, SwitchPlan(3, 4, 1, 2))
+    info = switched.bfs_levels()
+    info.level[4] = 99
+    info.parent.clear()
+    assert switched.bfs_levels() == LabeledTree(6, switched.edges).bfs_levels()
 
 
 def test_apply_switch_valid_example():
@@ -304,16 +371,44 @@ def test_find_violation_matches_reference_along_descent(degrees, seed):
     # n = 82 start trees of a descend-random run with seed 0, one n = 122
     # start beyond the benchmark's size, the 1,150-step n = 162 descent
     # that CI pins as "Descent frontier", and four starts each of the two
-    # wider degree mixes.
+    # wider degree mixes. The trace is replayed on trees rebuilt from their
+    # edges: each step's violation is the reference scan's, and its running
+    # SO and pSO are the rebuilt tree's to the bit.
     seq = DegreeSequence(degrees)
     tree = sample_tree(seq, random.Random(seed))
     q = 1 / (2 * seq.n)
-    steps = 0
-    while (violation := _assert_same_violation(tree, q)) is not None:
-        tree = apply_switch(tree, violation.plan)
-        steps += 1
-    assert tree == build_greedy(seq)
-    assert steps > 0
+    scores = score_assignment(tree, q)
+    terminal, trace = descend(tree, q)
+    assert trace.steps
+    assert trace.steps[0].pso_before == pseudo_sombor(tree, scores)
+    assert trace.steps[0].so_before == sombor(tree)
+    for step in trace.steps:
+        assert _assert_same_violation(tree, q) == Violation(step.kind, step.plan)
+        tree = _reference_apply_switch(tree, step.plan)
+        assert step.pso_after == pseudo_sombor(tree, scores)
+        assert step.so_after == sombor(tree)
+    assert _assert_same_violation(tree, q) is None
+    assert tree == terminal == build_greedy(seq)
+
+
+def test_contract_memo_keeps_no_verdict_across_trees_or_q():
+    # A descent leaves its degrees and q accepted; a tree of the same size
+    # with unordered labels, or SHAPE_B at a refused q right after its own
+    # degrees were accepted, must still be refused, and another accepted q
+    # must get its own scores.
+    seq = DegreeSequence(_N82)
+    descend(sample_tree(seq, random.Random(0)), 1 / (2 * seq.n))
+    unordered = LabeledTree(seq.n, [(u, u + 1) for u in range(1, seq.n)])
+    with pytest.raises(ValueError, match="degree-ordered"):
+        find_violation(unordered, 1 / (2 * seq.n))
+    assert find_violation(SHAPE_B, 1 / 12) is not None
+    with pytest.raises(ValueError, match="too small for the descent"):
+        find_violation(SHAPE_B, 1e-15)
+    with pytest.raises(ValueError, match="too small for the descent"):
+        _contract_scores(SHAPE_B, 1e-15)
+    assert _contract_scores(SHAPE_B, 1 / 12) == score_assignment(SHAPE_B, 1 / 12)
+    assert _contract_scores(SHAPE_B, 1 / 24) == score_assignment(SHAPE_B, 1 / 24)
+    assert _contract_scores(GREEDY_6, 1 / 24) == score_assignment(GREEDY_6, 1 / 24)
 
 
 def test_contract_refuses_q_whose_switch_gain_floating_point_cannot_resolve():

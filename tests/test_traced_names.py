@@ -77,15 +77,16 @@ def _bench_run(monkeypatch):
          {"tree_core.prufer_decode": 13, "oracle.sombor_spectrum": 12,
           "oracle.verify_greedy_minimum": 12}),
         # Four switches: one scan per switch plus the final empty one, and
-        # one BFS per scan. The scores are built once per scan, once by
-        # descend and once by the CLI for the start pSO. A LabeledTree is
-        # built for the sampled start, for each switch and for the greedy
-        # target.
+        # one bfs_levels call per scan, which after a switch returns the
+        # traversal the switch made. The scores are built once by descend,
+        # whose scans find them kept, and once by the CLI for the start
+        # pSO. A LabeledTree is constructed for the sampled start and for
+        # the greedy target; a switch splices its successor instead.
         ("descend-random", ["descend", "--random", "-d", "4,3,3,2,1,1,1,1,1,1",
                             "--seed", "7", "--trace-json", "{tmp}/trace.json"],
          {"switching.find_violation": 5, "switching.apply_switch": 4,
-          "tree_core.bfs_levels": 5, "indices.score_assignment": 7,
-          "tree_core.LabeledTree": 6}),
+          "tree_core.bfs_levels": 5, "indices.score_assignment": 2,
+          "tree_core.LabeledTree": 2}),
     ],
     ids=["verify-class", "verify-sweep", "descend-random"],
 )
