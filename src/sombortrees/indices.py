@@ -2,27 +2,65 @@
 
 Sums run over edges in canonical order and are accumulated with
 ``math.fsum``, so equal multisets of edge terms produce bit-identical
-results regardless of tree shape. ``ScoreAssignment`` is immutable: its
-``__slots__`` base ``degseq._Value`` refuses assignment and deletion.
+results regardless of tree shape; ``_Grid`` keeps such sums exact as
+integers where they are updated or shared. ``ScoreAssignment`` is
+immutable: its ``__slots__`` base ``degseq._Value`` refuses assignment and
+deletion.
 """
 
 import math
+from collections.abc import Sequence
 
 from .degseq import _Value
 from .tree_core import LabeledTree
 
 
-def _grid_shift(least: float) -> int:
-    """The k of the power-of-two grid 2**-k on which every edge term
-    hypot(w_a, w_b) over weights of at least ``least`` > 0 is an integer.
+class _Grid:
+    """The exact-sum grid of the spectrum, the sandwich and the descent.
 
-    A term is at least the smallest weight least = f * 2**E, 1/2 <= f < 1,
-    up to its rounding, so its exponent is at least E - 1 and its last bit
-    no finer than 2**(E - 54); k = 54 - E puts that bit on the grid. Integer
-    sums on the grid are exact, and ``float(sum) * 2**-k`` rounds once, half
-    to even, then scales by a power of two, so it carries the bits
-    ``math.fsum`` gives for the terms."""
-    return 54 - math.frexp(least)[1]
+    Every edge term hypot(w_a, w_b), a < b, over positive label weights
+    (label a's at ``weights[a - 1]``) is an integer on the power-of-two grid
+    ``scale`` = 2**-shift. So a sum of terms is an exact integer, and
+    ``value`` rounds it once, half to even, then scales it by a power of
+    two: that is the correctly rounded sum ``math.fsum`` returns, with the
+    bits of ``sombor`` and ``pseudo_sombor``. The smaller label's weight goes
+    first, as those two sum an edge.
+
+    The shift comes from ``least`` (default: the least weight), which is at
+    most every weight, so grids built with one ``least`` share it. A term is
+    at least least = f * 2**E, 1/2 <= f < 1, up to its rounding, so its
+    exponent is at least E - 1 and its last bit no finer than 2**(E - 54);
+    shift = 54 - E puts that bit on the grid.
+
+    A term goes onto the grid through ``math.ldexp``, exact while the
+    scaled term stays finite: a term is below 2 * w_max and 2**-E < 1 /
+    least, so on the grid it is below 2**55 * w_max / least, finite for
+    w_max / least < 2**969. Degrees, and scores between 1/2 and n, always
+    are; past that range ``ldexp`` raises ``OverflowError``."""
+
+    __slots__ = ("weights", "shift", "scale")
+
+    def __init__(self, weights: Sequence[float], least: float | None = None):
+        self.weights = (0.0, *weights)
+        self.shift = 54 - math.frexp(min(weights) if least is None else least)[1]
+        self.scale = math.ldexp(1.0, -self.shift)
+
+    def term(self, a: int, b: int) -> int:
+        """The term of the edge {a, b} on the grid."""
+        w = self.weights
+        return int(math.ldexp(math.hypot(w[a], w[b]) if a < b else math.hypot(w[b], w[a]),
+                              self.shift))
+
+    def column(self, e: int) -> list[int]:
+        """``term(a, e)`` for every label a at index a; entry 0 is unused."""
+        w, shift = self.weights, self.shift
+        x = w[e]
+        return [0, *[int(math.ldexp(math.hypot(v, x), shift)) for v in w[1:e]],
+                *[int(math.ldexp(math.hypot(x, v), shift)) for v in w[e:]]]
+
+    def value(self, total: int) -> float:
+        """The float of an exact sum of terms: one rounding, then the scale."""
+        return float(total) * self.scale
 
 
 def sombor(tree: LabeledTree) -> float:

@@ -7,10 +7,9 @@ label u occurs deg(u) - 1 times, decoding each permutation; that visits
 every labeled tree of the class exactly once.
 
 The spectrum and the sandwich's certificate do not visit trees one by one.
-Edge terms, over the degrees and over the scores, are exact integers on one
-power-of-two grid, and one correct rounding of an exact sum is what
-``math.fsum`` returns, so a tree's rounded sums carry the bits of
-``sombor`` and ``pseudo_sombor``.
+They sum edge terms, over the degrees and over the scores, exactly on an
+``indices._Grid``, so a tree's rounded sums carry the bits of ``sombor``
+and ``pseudo_sombor``.
 
 - The spectrum counts the trees of the sequence without its 2s by edge
   profile (the count of each degree pair), from the matrix-tree theorem
@@ -38,12 +37,12 @@ through ``prufer_decode`` as a spot check, and raise
 import math
 import random
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from itertools import product
 
 from .degseq import DegreeSequence, _Value, require_tree_realizable
 from .greedy import build_greedy
-from .indices import ScoreAssignment, _grid_shift, pseudo_sombor, score_assignment, sombor
+from .indices import ScoreAssignment, _Grid, pseudo_sombor, score_assignment, sombor
 from .tree_core import LabeledTree, PruferCode, prufer_decode, prufer_edges
 
 DEFAULT_TREE_CAP = 10_000_000
@@ -171,38 +170,6 @@ def _decoded(seq: DegreeSequence, code: list[int]) -> LabeledTree:
     return prufer_decode(PruferCode(seq.n, tuple(code)))
 
 
-def _grid_terms(rows: Sequence[Sequence[float]], heads: Iterable[int]) -> tuple[float, list]:
-    """Edge terms hypot(w_a, w_b), a < b, over each row of positive label
-    weights w, as exact integers on one grid shared by all rows:
-    ``(scale, columns)`` such that ``columns[r][e][a] * scale`` is the term
-    of the edge {a, e} over row r for each label e in ``heads`` and every
-    label a (entry 0 is unused).
-
-    ``scale`` is 2**-k for the ``_grid_shift`` k of the smallest weight of
-    all rows, w_min = f * 2**E, 1/2 <= f < 1: every term is an integer on
-    the grid, and ``float(sum) * scale`` carries the bits ``math.fsum``
-    gives for the terms.
-
-    Each term goes onto the grid through ``math.ldexp``, exact while the
-    scaled term stays finite: a term is below 2 * w_max and 2**-E < 1 / w_min,
-    so on the grid it is below 2**55 * w_max / w_min, finite for positive
-    finite weights with w_max / w_min < 2**969. Degrees, and scores between
-    1/2 and n, always are; past that range ``ldexp`` raises
-    ``OverflowError``."""
-    shift = _grid_shift(min(map(min, rows)))
-    columns = []
-    for weights in rows:
-        row = {}
-        for e in heads:
-            w = weights[e - 1]
-            # The smaller label's weight first: labels below e, then e and above.
-            below = [int(math.ldexp(math.hypot(v, w), shift)) for v in weights[: e - 1]]
-            above = [int(math.ldexp(math.hypot(w, v), shift)) for v in weights[e - 1 :]]
-            row[e] = [0, *below, *above]
-        columns.append(row)
-    return math.ldexp(1.0, -shift), columns
-
-
 def _edge_heads(seq: DegreeSequence) -> list[int]:
     """The labels the decoder joins each leaf to: the code labels 1..k
     (degree 2 or more) and n."""
@@ -225,13 +192,12 @@ def _compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, tupl
 
 def _reduced_profiles(reduced: DegreeSequence) -> tuple:
     """The half of ``sombor_value_counts`` that depends on D' alone, the
-    sequence without its 2s (n' >= 2): ``(scale, h22, pairs, counts)``.
+    sequence without its 2s (n' >= 2): ``(grid, h22, pairs, counts)``.
 
-    ``scale`` is the step of the ``_grid_terms`` grid over D''s distinct
-    degrees and 2, ``h22`` the term h(2,2) on it, and ``pairs`` the (plain,
-    split) terms of each unordered degree pair without a 2, in the order of
-    their digits: the pair's edge term, and that edge's terms once
-    subdivided. ``counts`` maps each edge profile, the number of edges of
+    ``grid`` is the ``_Grid`` over D''s distinct degrees and 2, ``h22`` the
+    term h(2,2) on it, and ``pairs`` the (plain, split) terms of each
+    unordered degree pair without a 2, in the order of their digits: the
+    pair's edge term, and that edge's terms once subdivided. ``counts`` maps each edge profile, the number of edges of
     each pair as one int in radix n', to its number of trees of D'.
 
     The counts come from the matrix-tree theorem by type. Let D' have k
@@ -258,7 +224,8 @@ def _reduced_profiles(reduced: DegreeSequence) -> tuple:
     # Degrees in the labels' order, so each term is hypot(larger, smaller)
     # as on the class's own grid, whose smallest weight is also 1.
     weights = sorted({*reduced.degrees, 2}, reverse=True)
-    scale, (terms,) = _grid_terms((weights,), range(1, len(weights) + 1))
+    grid = _Grid(weights)
+    h = grid.term
     two = weights.index(2) + 1
     place = {}  # (kind, kind) -> place value of its pair's digit
     pairs = []
@@ -266,12 +233,12 @@ def _reduced_profiles(reduced: DegreeSequence) -> tuple:
         for a in range(1, b + 1):
             if two not in (a, b):
                 place[a, b] = place[b, a] = radix ** len(pairs)
-                pairs.append((terms[b][a], terms[two][a] + terms[two][b] - terms[two][two]))
+                pairs.append((h(a, b), h(a, two) + h(two, b) - h(two, two)))
     runs = Counter(reduced.degrees)
     kinds = [weights.index(d) + 1 for d in runs]
     k = len(kinds)
     if k == 1:
-        return scale, terms[two][two], pairs, {place[kinds[0], kinds[0]]: 1}
+        return grid, h(two, two), pairs, {place[kinds[0], kinds[0]]: 1}
     spread = math.prod(_split_ways(m, d - 1) for d, m in runs.items() if d > 1)
     # Per degree: its row sum, and the place of its pair with each degree.
     rows = [(m - 1, [place[kind, j] for j in kinds]) for kind, m in zip(kinds, runs.values())]
@@ -302,7 +269,7 @@ def _reduced_profiles(reduced: DegreeSequence) -> tuple:
                 forced = profile + sum(c * p for c, p in zip(row, row_places))
                 for start in starts:
                     counts[forced + start] = counts.get(forced + start, 0) + ways
-    return scale, terms[two][two], pairs, counts
+    return grid, h(two, two), pairs, counts
 
 
 def sombor_value_counts(seq: DegreeSequence, profiles: dict | None = None) -> Counter:
@@ -320,9 +287,8 @@ def sombor_value_counts(seq: DegreeSequence, profiles: dict | None = None) -> Co
     number of trees of D', by the matrix-tree theorem over D''s distinct
     degrees. Each profile P then expands over the profiles Q <= P of the
     edges in S, prod C(P_t, Q_t) ways each, folded one pair at a time by
-    (k, exact SO sum). The terms are integers on the grid of
-    ``_grid_terms``, so each exact sum rounds once to the float
-    ``math.fsum`` gives for its tree's terms: the bits of ``sombor``. The
+    (k, exact SO sum). The terms lie on ``_reduced_profiles``' ``_Grid``,
+    whose ``value`` gives each exact sum the bits of ``sombor``. The
     cost follows D''s distinct degrees and the profiles, not the class
     size: ``2^m,1,1`` holds m! trees in one value and D' = 1,1 is one
     edge. The class's first tree, decoded through ``prufer_decode``, must
@@ -347,7 +313,7 @@ def sombor_value_counts(seq: DegreeSequence, profiles: dict | None = None) -> Co
             profiles = {}
         if reduced not in profiles:
             profiles[reduced] = _reduced_profiles(DegreeSequence(reduced))
-        scale, h22, pairs, counts = profiles[reduced]
+        grid, h22, pairs, counts = profiles[reduced]
         radix = len(reduced)
         laid = [int(m == 0)] + [math.comb(m - 1, k - 1) for k in range(1, min(m, radix - 1) + 1)]
         exact: dict = {}  # exact SO sum less m * h(2,2) -> trees / m!
@@ -372,7 +338,7 @@ def sombor_value_counts(seq: DegreeSequence, profiles: dict | None = None) -> Co
         base = m * h22
         layings = math.factorial(m)
         for so, trees in exact.items():
-            values[float(so + base) * scale] += trees * layings
+            values[grid.value(so + base)] += trees * layings
     if sombor(_decoded(seq, _code_multiset(seq))) not in values:
         raise OracleInvariantError(
             f"spectrum of {seq.render()} disagrees with prufer_decode on its first tree"
@@ -384,8 +350,8 @@ def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: floa
     """Whether every tree of the class (n >= 2) has SO - half_gap < pSO < SO,
     in the floats ``sombor`` and ``pseudo_sombor`` give it.
 
-    Edge terms over the degrees and over the scores share one
-    ``_grid_terms`` grid. First the certificate, read off those terms with
+    Edge terms over the degrees and over the scores lie on two ``_Grid``s
+    that share one scale. First the certificate, read off those terms with
     no decoder pass. ``prufer_edges``' decoder makes every label a < n the
     leaf end of exactly one edge, which joins a to a head e != a, so every
     tree's exact D = SO - pSO is one D-term per label, and D lies between
@@ -409,7 +375,11 @@ def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: floa
     and its D within the certificate's range; else
     ``OracleInvariantError``."""
     heads = _edge_heads(seq)
-    scale, (so_terms, pso_terms) = _grid_terms((seq.degrees, scores.values), heads)
+    # One least weight, so both grids share their scale.
+    least = min(*seq.degrees, *scores.values)
+    so_grid, pso_grid = _Grid(seq.degrees, least), _Grid(scores.values, least)
+    so_terms = {e: so_grid.column(e) for e in heads}
+    pso_terms = {e: pso_grid.column(e) for e in heads}
 
     # A tree's exact SO and pSO sums on the grid; one end of every edge is a head.
     def sums(edges):
@@ -423,8 +393,8 @@ def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: floa
     spans = [[so_terms[e][a] - pso_terms[e][a] for e in heads if e != a] for a in range(1, seq.n)]
     low, high = sum(map(min, spans)), sum(map(max, spans))
     if not (
-        float(first_so) * scale == sombor(tree)
-        and float(first_pso) * scale == pseudo_sombor(tree, scores)
+        so_grid.value(first_so) == sombor(tree)
+        and pso_grid.value(first_pso) == pseudo_sombor(tree, scores)
         and low <= first_so - first_pso <= high
     ):
         raise OracleInvariantError(
@@ -433,16 +403,16 @@ def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: floa
     # Each tree's n - 1 terms are at most the largest term. float() keeps
     # the bound within its binade or rounds it up to the next power of two,
     # so every value up to the exact bound still rounds by at most u/2.
-    so_bound = float((seq.n - 1) * max(map(max, so_terms.values()))) * scale
+    so_bound = so_grid.value((seq.n - 1) * max(map(max, so_terms.values())))
     # In grid steps u is a power of two of at least 2, or inf past the float
     # range or for an infinite half_gap, which fails low > u before int(u)
     # runs (a NaN fails the < test). Python compares an int with a float
     # exactly, and int(u) keeps high + 2u exact.
-    u = math.ulp(max(so_bound, half_gap)) / scale
-    if low > u and high + 2 * int(u) < half_gap / scale:
+    u = math.ulp(max(so_bound, half_gap)) / so_grid.scale
+    if low > u and high + 2 * int(u) < half_gap / so_grid.scale:
         return True
     for so, pso in map(sums, _class_walk(seq)):
-        so, pso = float(so) * scale, float(pso) * scale
+        so, pso = so_grid.value(so), pso_grid.value(pso)
         if not so - half_gap < pso < so:
             return False
     return True

@@ -13,12 +13,11 @@ A descent step rebuilds nothing that its switch keeps (see ``descend``).
 import math
 import operator
 from bisect import bisect_left
-from collections.abc import Iterable, Sequence
 from enum import Enum
 
 from .degseq import DegreeSequence, _Value
 from .greedy import build_greedy
-from .indices import ScoreAssignment, _grid_shift, pseudo_sombor, sombor, score_assignment
+from .indices import ScoreAssignment, _Grid, pseudo_sombor, sombor, score_assignment
 from .tree_core import BfsLevels, LabeledTree, TreeError, degree_sequence_of
 
 
@@ -104,8 +103,10 @@ def switch_sign(
     """Closed-form sign of pSO(T) - pSO(T') for the switched tree T'.
 
     DECREASE means the switch strictly lowers the pseudo index. Returns the
-    product (scr(u) - scr(t)) * (scr(w) - scr(v)) alongside the sign; a TIE
-    (zero product) cannot occur when q <= 1/(2n).
+    product (scr(u) - scr(t)) * (scr(w) - scr(v)) alongside the sign. A TIE
+    (zero product) cannot occur while the four scores stay distinct as
+    floats, which ``_contract_scores`` checks; q <= 1/(2n) alone does not
+    ensure it, since a small enough q rounds scores of one degree together.
     """
     apply_switch(tree, plan)  # full validation, result discarded
     if scores.n != tree.n:
@@ -341,33 +342,10 @@ class DescentTrace(_Value):
         ]
 
 
-class _RunningSum:
-    """The sum of the edge terms hypot(w_a, w_b), a < b, of a tree under
-    label weights ``weights[1..n]``, kept exactly as an integer on the
-    ``_grid_shift`` grid of the least weight, so a switch adds and removes
-    its terms without rounding and ``value`` carries the bits that
-    ``sombor`` and ``pseudo_sombor`` give for the switched tree."""
-
-    __slots__ = ("weights", "shift", "total")
-
-    def __init__(self, weights: Sequence[float], edges: Iterable[tuple[int, int]]):
-        self.weights = weights
-        self.shift = _grid_shift(min(weights[1:]))
-        self.total = sum(self.term(a, b) for a, b in edges)
-
-    def term(self, a: int, b: int) -> int:
-        w = self.weights
-        # The smaller label's weight first, as the edges are summed.
-        return int(math.ldexp(math.hypot(w[a], w[b]) if a < b else math.hypot(w[b], w[a]),
-                              self.shift))
-
-    def switch(self, plan: SwitchPlan) -> float:
-        u, v, w, t = plan.u, plan.v, plan.w, plan.t
-        self.total += self.term(u, w) + self.term(v, t) - self.term(u, v) - self.term(w, t)
-        return self.value()
-
-    def value(self) -> float:
-        return math.ldexp(float(self.total), -self.shift)
+def _switch_gain(grid: _Grid, plan: SwitchPlan) -> int:
+    """The exact change of a sum of ``grid`` terms under the switch."""
+    u, v, w, t = plan.u, plan.v, plan.w, plan.t
+    return grid.term(u, w) + grid.term(v, t) - grid.term(u, v) - grid.term(w, t)
 
 
 def descend(tree: LabeledTree, q: float) -> tuple[LabeledTree, DescentTrace]:
@@ -382,26 +360,30 @@ def descend(tree: LabeledTree, q: float) -> tuple[LabeledTree, DescentTrace]:
 
     A switch keeps the degrees, so every scan after the first finds the
     contract's scores kept, and it reads the traversal that proved the
-    switched tree a tree. SO and pSO move by the switch's four edge terms,
-    exactly, on a power-of-two grid. Each step checks that pSO strictly
-    falls, and the end checks both sums against ``sombor`` and
+    switched tree a tree. SO and pSO are exact sums on an ``indices._Grid``
+    and move by the switch's four edge terms. Each step checks that pSO
+    strictly falls, and the end checks both sums against ``sombor`` and
     ``pseudo_sombor`` of the terminal tree.
     """
     scores = _contract_scores(tree, q)
-    so = _RunningSum(tuple(map(len, tree._adj)), tree.edges)
-    pso = _RunningSum((0.0, *scores.values), tree.edges)
+    so_grid = _Grid(tuple(map(len, tree._adj[1:])))
+    pso_grid = _Grid(scores.values)
+    so = sum(so_grid.term(a, b) for a, b in tree.edges)
+    pso = sum(pso_grid.term(a, b) for a, b in tree.edges)
     current = tree
-    pso_current = pso.value()
-    so_current = so.value()
+    pso_current = pso_grid.value(pso)
+    so_current = so_grid.value(so)
     steps = []
     while (violation := find_violation(current, q)) is not None:
         current = apply_switch(current, violation.plan)
-        pso_next = pso.switch(violation.plan)
+        pso += _switch_gain(pso_grid, violation.plan)
+        pso_next = pso_grid.value(pso)
         if not pso_next < pso_current:
             raise DescentInvariantError(
                 f"switch failed to lower the pseudo index ({pso_current!r} -> {pso_next!r})"
             )
-        so_next = so.switch(violation.plan)
+        so += _switch_gain(so_grid, violation.plan)
+        so_next = so_grid.value(so)
         steps.append(
             DescentStep(
                 plan=violation.plan,

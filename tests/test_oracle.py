@@ -10,7 +10,7 @@ import pytest
 from sombortrees import oracle
 from sombortrees.degseq import DegreeSequence, NotTreeRealizableError
 from sombortrees.greedy import build_greedy
-from sombortrees.indices import ScoreAssignment, pseudo_sombor, score_assignment, sombor
+from sombortrees.indices import ScoreAssignment, _Grid, pseudo_sombor, score_assignment, sombor
 from sombortrees.oracle import (
     compute_q,
     QConstant,
@@ -299,14 +299,17 @@ def _prefix_walk(seq, scores):
     ``prufer_edges``' decoder after a prefix (degrees, pointer, leaf) and
     the edges it has joined depend on the prefix only. The walk keeps that
     state, with the exact integer sums of the joined edges' terms (see
-    ``_grid_terms``), for every prefix of the current code; the next code
+    ``_Grid``), for every prefix of the current code; the next code
     undoes and redoes only the steps past the prefix the two share. Each
     value is rounded once. The walk keeps its own stack, so its depth does
     not grow with n."""
     n = seq.n
     code = oracle._code_multiset(seq)
     heads = {*code, n}
-    scale, (so_terms, pso_terms) = oracle._grid_terms((seq.degrees, scores.values), heads)
+    least = min(*seq.degrees, *scores.values)
+    so_grid, pso_grid = _Grid(seq.degrees, least), _Grid(scores.values, least)
+    so_terms = {e: so_grid.column(e) for e in heads}
+    pso_terms = {e: pso_grid.column(e) for e in heads}
     # The decoder joins its last leaf to vertex n.
     so_last, pso_last = so_terms[n], pso_terms[n]
     degree = [0, *seq.degrees]
@@ -329,7 +332,7 @@ def _prefix_walk(seq, scores):
                 leaf = pointer = degree.index(1, pointer + 1)
             if i < end:
                 states[i + 1] = (leaf, pointer, so, pso)
-        yield float(so + so_last[leaf]) * scale, float(pso + pso_last[leaf]) * scale
+        yield so_grid.value(so + so_last[leaf]), pso_grid.value(pso + pso_last[leaf])
         # Lexicographic successor. Walk back over the longest non-increasing
         # suffix to the entry before it, undoing their decoder steps; that
         # entry takes the next larger label of the suffix, whose rest is
@@ -538,7 +541,8 @@ def decoder_value_counts(seq):
     of the sequence without its 2s replaced, kept as a reference: one
     ``_decoder_pass`` whose states map each exact SO sum of the edges
     joined so far to its number of code prefixes."""
-    scale, (terms,) = oracle._grid_terms((seq.degrees,), oracle._edge_heads(seq))
+    grid = _Grid(seq.degrees)
+    terms = {e: grid.column(e) for e in oracle._edge_heads(seq)}
 
     def join(sums, e, leaf, into):
         add = terms[e][leaf]
@@ -551,7 +555,7 @@ def decoder_value_counts(seq):
 
     values = Counter()
     for so, trees in _decoder_pass(seq, {0: 1}, join).items():
-        values[float(so) * scale] += trees
+        values[grid.value(so)] += trees
     return values
 
 
@@ -571,18 +575,29 @@ def test_grid_sums_round_like_fsum(seq):
     labels = range(1, seq.n + 1)
     scores = _class_scores(seq).values
     for rows in ((seq.degrees,), (scores,), (seq.degrees, scores)):
-        scale, columns = oracle._grid_terms(rows, labels)
-        for weights, terms in zip(rows, columns):
+        least = min(map(min, rows))
+        for weights in rows:
+            grid = _Grid(weights, least)
+            terms = {e: grid.column(e) for e in labels}
             term = EdgeTerms(weights).__getitem__
             for edges in oracle._class_walk(seq):
-                exact = float(sum(terms[b][a] for a, b in edges)) * scale
+                exact = grid.value(sum(terms[b][a] for a, b in edges))
                 assert exact == math.fsum(map(term, edges)), edges
 
 
+def grid_columns(rows, heads):
+    """``(scale, columns)``: the ``_Grid`` of each row of label weights, all
+    on the shift of the least weight of every row, with ``columns[r][e]``
+    its ``column(e)`` over row r for each label e in ``heads``."""
+    least = min(map(min, rows))
+    grids = [_Grid(weights, least) for weights in rows]
+    return grids[0].scale, [{e: grid.column(e) for e in heads} for grid in grids]
+
+
 def reference_grid_terms(rows, heads):
-    """``_grid_terms`` one cell at a time, each term put on the grid through
-    its exact ratio: the formulation the ``ldexp`` scaling replaced, kept as
-    its reference."""
+    """``grid_columns`` one cell at a time, each term put on the grid
+    through its exact ratio: the formulation the ``ldexp`` scaling replaced,
+    kept as its reference."""
     shift = 54 - math.frexp(min(map(min, rows)))[1]
     columns = []
     for weights in rows:
@@ -637,7 +652,24 @@ def test_grid_terms_match_the_per_cell_reference():
     # Each term put on the grid by one ldexp must give the exact-ratio
     # integers, and the scale must be the same.
     for rows, heads in _grid_cases():
-        assert oracle._grid_terms(rows, heads) == reference_grid_terms(rows, heads), rows
+        assert grid_columns(rows, heads) == reference_grid_terms(rows, heads), rows
+
+
+def test_grid_term_matches_its_column():
+    # One edge's term and the bulk column that holds it are two paths to
+    # the same integer: term(a, b) is column(max(a, b))[min(a, b)], cell by
+    # cell, on every grid the spectrum and the sandwich ask for.
+    for rows, heads in _grid_cases():
+        least = min(map(min, rows))
+        for weights in rows:
+            grid = _Grid(weights, least)
+            labels = range(1, len(weights) + 1)
+            for e in heads:
+                column = grid.column(e)
+                assert len(column) == len(weights) + 1
+                for a in labels:
+                    assert grid.term(a, e) == column[a], (weights, a, e)
+                    assert grid.term(e, a) == column[a], (weights, a, e)
 
 
 @pytest.mark.parametrize(

@@ -139,13 +139,20 @@ def test_switch_sign_decrease_matches_direct_difference():
 
 
 def test_switch_sign_tie_with_engineered_scores():
-    # q = 1 puts vertices 3 and 4 on the same score, zeroing one factor
-    tree = LabeledTree(5, [(1, 2), (2, 3), (1, 4), (4, 5)])
-    scores = score_assignment(tree, 1.0)
-    assert scores[3] == scores[4]
-    sign, product = switch_sign(tree, SwitchPlan(3, 2, 1, 4), scores)
-    assert sign is SwitchSign.TIE
-    assert product == 0.0
+    # q = 1 puts vertices 3 and 4 on the same score, zeroing one factor. So
+    # does q = 1e-17 <= 1/(2n) for the leaves 4 and 5, whose scores both
+    # round to 1.0, on a degree-ordered tree.
+    cases = [
+        (LabeledTree(5, [(1, 2), (2, 3), (1, 4), (4, 5)]), 1.0, SwitchPlan(3, 2, 1, 4), (3, 4)),
+        (LabeledTree(6, [(1, 2), (2, 3), (3, 4), (1, 5), (1, 6)]), 1e-17,
+         SwitchPlan(4, 3, 1, 5), (4, 5)),
+    ]
+    for tree, q, plan, (a, b) in cases:
+        scores = score_assignment(tree, q)
+        assert scores[a] == scores[b]
+        sign, product = switch_sign(tree, plan, scores)
+        assert sign is SwitchSign.TIE
+        assert product == 0.0
 
 
 def test_switch_sign_rejects_scores_of_another_length():
