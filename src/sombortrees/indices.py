@@ -51,13 +51,6 @@ class _Grid:
         return int(math.ldexp(math.hypot(w[a], w[b]) if a < b else math.hypot(w[b], w[a]),
                               self.shift))
 
-    def column(self, e: int) -> list[int]:
-        """``term(a, e)`` for every label a at index a; entry 0 is unused."""
-        w, shift = self.weights, self.shift
-        x = w[e]
-        return [0, *[int(math.ldexp(math.hypot(v, x), shift)) for v in w[1:e]],
-                *[int(math.ldexp(math.hypot(x, v), shift)) for v in w[e:]]]
-
     def value(self, total: int) -> float:
         """The float of an exact sum of terms: one rounding, then the scale."""
         return float(total) * self.scale

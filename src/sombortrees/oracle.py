@@ -29,9 +29,9 @@ and ``pseudo_sombor``.
   is the per-tree verdict. Otherwise the float test runs on every tree of
   the class walk, whose cost is the class size that the cap bounds.
 
-The spectrum and the sandwich each rebuild the class's first tree once
-through ``prufer_decode`` as a spot check, and raise
-``OracleInvariantError`` when their fast values disagree with it.
+The spectrum spot-checks its values on the class's first tree, decoded
+through ``prufer_decode``, and the sandwich on the greedy tree ``verify``
+holds; a disagreement raises ``OracleInvariantError``.
 """
 
 import math
@@ -58,7 +58,7 @@ class ResourceCapExceededError(RuntimeError):
 class OracleInvariantError(RuntimeError):
     """The enumeration disagrees with itself: the spectrum counts a number
     of trees other than the formula's, or a fast value differs from the
-    slow path on the class's first tree."""
+    slow path on the spectrum's first tree or the sandwich's greedy tree."""
 
 
 def _split_ways(m: int, k: int) -> int:
@@ -291,8 +291,8 @@ def sombor_value_counts(seq: DegreeSequence, profiles: dict | None = None) -> Co
     whose ``value`` gives each exact sum the bits of ``sombor``. The
     cost follows D''s distinct degrees and the profiles, not the class
     size: ``2^m,1,1`` holds m! trees in one value and D' = 1,1 is one
-    edge. The class's first tree, decoded through ``prufer_decode``, must
-    have a value among the keys.
+    edge. As a spot check, the class's first tree, decoded through
+    ``prufer_decode``, must have a value among the keys.
 
     ``profiles`` is a memo the caller owns, keyed by D''s degree tuple: it
     holds ``_reduced_profiles`` of every D' seen until the caller drops it,
@@ -346,7 +346,9 @@ def sombor_value_counts(seq: DegreeSequence, profiles: dict | None = None) -> Co
     return values
 
 
-def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: float) -> bool:
+def _sandwich_holds(
+    seq: DegreeSequence, tree: LabeledTree, scores: ScoreAssignment, half_gap: float
+) -> bool:
     """Whether every tree of the class (n >= 2) has SO - half_gap < pSO < SO,
     in the floats ``sombor`` and ``pseudo_sombor`` give it.
 
@@ -370,16 +372,18 @@ def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: floa
     ``_class_walk``, which is the per-tree verdict by definition. It takes
     constant memory and one step per tree, so its cost is the class size.
 
-    The class's first tree, rebuilt once through ``prufer_decode``, must
-    have ``sombor`` and ``pseudo_sombor`` equal to its grid sums, rounded,
-    and its D within the certificate's range; else
+    ``tree`` is a tree of the class, such as the greedy tree ``verify``
+    passes. A head ends each of its edges, since only at n = 2 are two
+    leaves adjacent, and there the edge ends at n. Its rounded grid sums
+    must equal its ``sombor`` and ``pseudo_sombor``, and its D lie within
+    the certificate's range, which bounds every tree of the class; else
     ``OracleInvariantError``."""
     heads = _edge_heads(seq)
     # One least weight, so both grids share their scale.
     least = min(*seq.degrees, *scores.values)
     so_grid, pso_grid = _Grid(seq.degrees, least), _Grid(scores.values, least)
-    so_terms = {e: so_grid.column(e) for e in heads}
-    pso_terms = {e: pso_grid.column(e) for e in heads}
+    so_terms = {e: [0, *(so_grid.term(a, e) for a in range(1, seq.n + 1))] for e in heads}
+    pso_terms = {e: [0, *(pso_grid.term(a, e) for a in range(1, seq.n + 1))] for e in heads}
 
     # A tree's exact SO and pSO sums on the grid; one end of every edge is a head.
     def sums(edges):
@@ -388,17 +392,16 @@ def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: floa
             for terms in (so_terms, pso_terms)
         ]
 
-    tree = _decoded(seq, _code_multiset(seq))
-    first_so, first_pso = sums(tree.edges)
+    tree_so, tree_pso = sums(tree.edges)
     spans = [[so_terms[e][a] - pso_terms[e][a] for e in heads if e != a] for a in range(1, seq.n)]
     low, high = sum(map(min, spans)), sum(map(max, spans))
     if not (
-        so_grid.value(first_so) == sombor(tree)
-        and pso_grid.value(first_pso) == pseudo_sombor(tree, scores)
-        and low <= first_so - first_pso <= high
+        so_grid.value(tree_so) == sombor(tree)
+        and pso_grid.value(tree_pso) == pseudo_sombor(tree, scores)
+        and low <= tree_so - tree_pso <= high
     ):
         raise OracleInvariantError(
-            f"sandwich pass of {seq.render()} disagrees with prufer_decode on its first tree"
+            f"sandwich pass of {seq.render()} disagrees with the greedy tree's indices"
         )
     # Each tree's n - 1 terms are at most the largest term. float() keeps
     # the bound within its binade or rounds it up to the next power of two,
@@ -421,8 +424,8 @@ def _sandwich_holds(seq: DegreeSequence, scores: ScoreAssignment, half_gap: floa
 class SpectrumSummary(_Value):
     """Distinct index values over one tree class, with multiplicities.
 
-    Values are strictly increasing; multiplicities count the labeled trees
-    attaining each.
+    Values are finite and strictly increasing; multiplicities count the
+    labeled trees attaining each.
     """
 
     __slots__ = __match_args__ = ("values", "multiplicities")
@@ -434,6 +437,8 @@ class SpectrumSummary(_Value):
             raise ValueError("spectrum must contain at least one value")
         if len(self.values) != len(self.multiplicities):
             raise ValueError("values and multiplicities differ in length")
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError("spectrum values must be finite")
         if any(a >= b for a, b in zip(self.values, self.values[1:])):
             raise ValueError("spectrum values must be strictly increasing")
         if any(m < 1 for m in self.multiplicities):
@@ -572,7 +577,7 @@ def verify_greedy_minimum(
         # Scores depend only on the per-label degrees, which every tree of
         # the class shares, so one assignment serves the whole pass.
         scores = score_assignment(greedy_tree, q.value)
-        sandwich = _sandwich_holds(seq, scores, (z2 - z1) / 2)
+        sandwich = _sandwich_holds(seq, greedy_tree, scores, (z2 - z1) / 2)
     return VerificationReport(
         seq=seq,
         tree_count=total,

@@ -137,19 +137,16 @@ def _level_violation(
     # In the two cases that recycle a child of alpha, beta has a parent and
     # a child, so deg(alpha) >= 2 and alpha has a child below it.
     gamma = info.parent[beta]
-    if info.parent[alpha] == beta:
-        return Violation(
-            ViolationKind.LEVEL_CASE_PARENT,
-            SwitchPlan(alpha, children[alpha][0], gamma, beta),
-        )
     if _is_proper_descendant(info, alpha, beta):
-        # alpha sits at depth >= 2 inside beta's subtree. Swapping via
-        # alpha's parent would reconnect two vertices of that subtree and
-        # close a cycle, so recycle one of alpha's children instead.
-        return Violation(
-            ViolationKind.LEVEL_CASE_GRANDCHILD,
-            SwitchPlan(alpha, children[alpha][0], gamma, beta),
-        )
+        # alpha is beta's child, or sits at depth >= 2 inside beta's subtree.
+        # Swapping via alpha's parent would then repeat beta or reconnect two
+        # vertices of that subtree and close a cycle, so recycle one of
+        # alpha's children instead.
+        if info.parent[alpha] == beta:
+            kind = ViolationKind.LEVEL_CASE_PARENT
+        else:
+            kind = ViolationKind.LEVEL_CASE_GRANDCHILD
+        return Violation(kind, SwitchPlan(alpha, children[alpha][0], gamma, beta))
     return Violation(
         ViolationKind.LEVEL_CASE_NONPARENT,
         SwitchPlan(alpha, info.parent[alpha], gamma, beta),

@@ -243,6 +243,8 @@ class PruferCode(_Value):
     def __init__(self, n: int, code: tuple[int, ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "code", tuple(code))
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TreeError(f"vertex count must be an integer, got {n!r}")
         if self.n < 2:
             raise TreeError("Prufer codes exist only for n >= 2")
         if len(self.code) != self.n - 2:

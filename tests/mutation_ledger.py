@@ -1,0 +1,181 @@
+"""Mutation ledger: small faults put into ``src/``, each with the tests that
+must catch it.
+
+Run from the repository root::
+
+    python tests/mutation_ledger.py
+
+For every entry of ``LEDGER`` the script copies ``src/``, ``tests/`` and
+``pyproject.toml`` into a temporary directory, replaces the entry's ``old``
+text, which must occur exactly once in its file, with ``new``, and runs
+``pytest -x -q`` on the entry's nodes there. The entry holds when pytest
+reports a failed test (exit code 1). The run exits 1 when any entry does
+not hold: its nodes all pass, cannot be collected or time out, or its
+``old`` text is missing or ambiguous, so a refactor that moves the code
+must move the entry too.
+
+``EQUIVALENT`` lists mutants no test can catch, each with the reason. Their
+``old`` text is checked the same way; no tests run for them.
+
+pytest does not collect this file, as its name does not start with
+``test_``.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+
+LEDGER = [
+    {
+        "name": "contract memo key without q",
+        "path": "src/sombortrees/switching.py",
+        "old": "key = (tuple(map(len, tree._adj)), type(q), q)",
+        "new": "key = (tuple(map(len, tree._adj)),)",
+        "nodes": ["tests/test_switching.py::test_contract_memo_keeps_no_verdict_across_trees_or_q"],
+    },
+    {
+        "name": "switched tree without its connectivity check",
+        "path": "src/sombortrees/tree_core.py",
+        "old": "if len(bfs.order) < self.n:",
+        "new": "if False:",
+        "nodes": ["tests/test_switching.py::test_apply_switch_rejects_non_tree_result"],
+    },
+    {
+        "name": "suffix minimum over the last children",
+        "path": "src/sombortrees/switching.py",
+        "old": "min(least_after[i], kids[0]) if kids",
+        "new": "min(least_after[i], kids[-1]) if kids",
+        "nodes": ["tests/test_switching.py::test_find_violation_matches_reference_along_descent[0]"],
+    },
+    {
+        "name": "suffix minimum one parent short",
+        "path": "src/sombortrees/switching.py",
+        "old": "for i in range(len(group) - 1, 0, -1):",
+        "new": "for i in range(len(group) - 2, 0, -1):",
+        "nodes": ["tests/test_switching.py::test_find_violation_matches_reference_along_descent[0]"],
+    },
+    {
+        "name": "running pSO off by one grid step per switch",
+        "path": "src/sombortrees/switching.py",
+        "old": "pso += _switch_gain(pso_grid, violation.plan)",
+        "new": "pso += _switch_gain(pso_grid, violation.plan) + 1",
+        "nodes": ["tests/test_switching.py::test_find_violation_matches_reference_along_descent[0]"],
+    },
+    {
+        "name": "certificate without the ulp margin of its least sum",
+        "path": "src/sombortrees/oracle.py",
+        "old": "if low > u and",
+        "new": "if low > 0 and",
+        "nodes": ["tests/test_oracle.py::test_sandwich_verdict_where_pso_can_pass_so"],
+    },
+    {
+        "name": "certificate with one ulp of margin below the half gap",
+        "path": "src/sombortrees/oracle.py",
+        "old": "high + 2 * int(u) <",
+        "new": "high + int(u) <",
+        "nodes": ["tests/test_oracle.py::test_certificate_keeps_two_ulps_below_the_half_gap"],
+    },
+    {
+        "name": "certificate's greatest sum from the least terms",
+        "path": "src/sombortrees/oracle.py",
+        "old": "low, high = sum(map(min, spans)), sum(map(max, spans))",
+        "new": "low, high = sum(map(min, spans)), sum(map(min, spans))",
+        "nodes": ["tests/test_oracle.py::test_certificate_declines_an_oversized_q"],
+    },
+    {
+        "name": "sandwich spot check without pseudo_sombor",
+        "path": "src/sombortrees/oracle.py",
+        "old": "and pso_grid.value(tree_pso) == pseudo_sombor(tree, scores)",
+        "new": "",
+        "nodes": ["tests/test_oracle.py::test_sandwich_spot_check_catches_a_wrong_pseudo_value"],
+    },
+    {
+        "name": "subdivided edge without its -h(2,2)",
+        "path": "src/sombortrees/oracle.py",
+        "old": "h(a, two) + h(two, b) - h(two, two)",
+        "new": "h(a, two) + h(two, b)",
+        "nodes": ["tests/test_cli.py::test_verify_golden"],
+    },
+    {
+        "name": "C(m, k - 1) ways to lay m 2s on k edges",
+        "path": "src/sombortrees/oracle.py",
+        "old": "math.comb(m - 1, k - 1)",
+        "new": "math.comb(m, k - 1)",
+        "nodes": ["tests/test_oracle.py::test_value_counts_total_the_class_size"],
+    },
+    {
+        "name": "grid term with the larger label's weight first",
+        "path": "src/sombortrees/indices.py",
+        "old": "math.hypot(w[a], w[b]) if a < b else math.hypot(w[b], w[a])",
+        "new": "math.hypot(w[b], w[a]) if a < b else math.hypot(w[a], w[b])",
+        "nodes": ["tests/test_oracle.py::test_grid_term_takes_the_smaller_labels_weight_first"],
+    },
+]
+
+EQUIVALENT = [
+    {
+        "name": "level pass with >= for >",
+        "path": "src/sombortrees/switching.py",
+        "old": "if beta > alpha:",
+        "new": "if beta >= alpha:",
+        "why": "alpha is a label below level j and beta a label on level j, so"
+               " they are never equal and the two tests agree on every tree.",
+    },
+]
+
+
+def _run(entry: dict) -> tuple[bool, str]:
+    """Whether the entry's nodes catch its mutant, and the first failure
+    or what went wrong."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        base = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, base / name, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", base)
+        path = base / entry["path"]
+        path.write_text(path.read_text().replace(entry["old"], entry["new"]))
+        env = {**os.environ, "PYTHONPATH": str(base / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                   *entry["nodes"]]
+        try:
+            proc = subprocess.run(command, cwd=base, env=env, capture_output=True,
+                                  text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return False, f"timed out after {TIMEOUT_S} s"
+    if proc.returncode == 1:
+        failed = [line for line in proc.stdout.splitlines() if line.startswith("FAILED")]
+        return True, failed[0] if failed else "caught"
+    if proc.returncode == 0:
+        return False, "not caught: every named test passes"
+    return False, f"pytest exit {proc.returncode}: {proc.stdout.strip().splitlines()[-1:]}"
+
+
+def main() -> int:
+    failures = 0
+    for entry in EQUIVALENT + LEDGER:
+        start = time.perf_counter()
+        count = (ROOT / entry["path"]).read_text().count(entry["old"])
+        if count != 1:
+            held, detail = False, f"old text occurs {count} times in {entry['path']}"
+        elif entry in EQUIVALENT:
+            held, detail = True, "equivalent, not run"
+        else:
+            held, detail = _run(entry)
+        failures += not held
+        print(f"{'ok' if held else 'FAIL'}  {entry['name']}: {detail}"
+              f" ({time.perf_counter() - start:.1f} s)", flush=True)
+    print(f"{len(LEDGER) + len(EQUIVALENT) - failures} of {len(LEDGER) + len(EQUIVALENT)}"
+          " entries hold")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

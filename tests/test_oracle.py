@@ -288,6 +288,11 @@ def test_greedy_never_beaten_small_brute_force():
         assert report.sandwich_holds == brute_verdict
 
 
+def grid_column(grid, e):
+    """``grid.term(a, e)`` for every label a at index a; entry 0 is unused."""
+    return [0, *(grid.term(a, e) for a in range(1, len(grid.weights)))]
+
+
 def _prefix_walk(seq, scores):
     """(SO, pSO) of every tree of the class (n >= 2), in the lexicographic
     order of the codes, as ``sombor`` and ``pseudo_sombor`` give them: the
@@ -308,8 +313,8 @@ def _prefix_walk(seq, scores):
     heads = {*code, n}
     least = min(*seq.degrees, *scores.values)
     so_grid, pso_grid = _Grid(seq.degrees, least), _Grid(scores.values, least)
-    so_terms = {e: so_grid.column(e) for e in heads}
-    pso_terms = {e: pso_grid.column(e) for e in heads}
+    so_terms = {e: grid_column(so_grid, e) for e in heads}
+    pso_terms = {e: grid_column(pso_grid, e) for e in heads}
     # The decoder joins its last leaf to vertex n.
     so_last, pso_last = so_terms[n], pso_terms[n]
     degree = [0, *seq.degrees]
@@ -390,7 +395,7 @@ def test_class_walk_matches_slow_path(seq):
     # The class's own half gap, and bands that some or all trees break.
     for half_gap in _bands(slow_pairs, (spectrum.z2 - spectrum.z1) / 2) + [0.0]:
         slow_verdict = all(so - half_gap < pso < so for so, pso in slow_pairs)
-        assert oracle._sandwich_holds(seq, scores, half_gap) == slow_verdict
+        assert oracle._sandwich_holds(seq, build_greedy(seq), scores, half_gap) == slow_verdict
     assert report.sandwich_holds
 
 
@@ -542,7 +547,7 @@ def decoder_value_counts(seq):
     ``_decoder_pass`` whose states map each exact SO sum of the edges
     joined so far to its number of code prefixes."""
     grid = _Grid(seq.degrees)
-    terms = {e: grid.column(e) for e in oracle._edge_heads(seq)}
+    terms = {e: grid_column(grid, e) for e in oracle._edge_heads(seq)}
 
     def join(sums, e, leaf, into):
         add = terms[e][leaf]
@@ -578,7 +583,7 @@ def test_grid_sums_round_like_fsum(seq):
         least = min(map(min, rows))
         for weights in rows:
             grid = _Grid(weights, least)
-            terms = {e: grid.column(e) for e in labels}
+            terms = {e: grid_column(grid, e) for e in labels}
             term = EdgeTerms(weights).__getitem__
             for edges in oracle._class_walk(seq):
                 exact = grid.value(sum(terms[b][a] for a, b in edges))
@@ -588,10 +593,10 @@ def test_grid_sums_round_like_fsum(seq):
 def grid_columns(rows, heads):
     """``(scale, columns)``: the ``_Grid`` of each row of label weights, all
     on the shift of the least weight of every row, with ``columns[r][e]``
-    its ``column(e)`` over row r for each label e in ``heads``."""
+    its ``grid_column`` of e over row r for each label e in ``heads``."""
     least = min(map(min, rows))
     grids = [_Grid(weights, least) for weights in rows]
-    return grids[0].scale, [{e: grid.column(e) for e in heads} for grid in grids]
+    return grids[0].scale, [{e: grid_column(grid, e) for e in heads} for grid in grids]
 
 
 def reference_grid_terms(rows, heads):
@@ -648,28 +653,22 @@ def _grid_cases():
     yield (star.degrees, _class_scores(star).values), oracle._edge_heads(star)
 
 
+def test_grid_term_takes_the_smaller_labels_weight_first():
+    # hypot(1.6333333333333333, 3.92) and hypot(3.92, 1.6333333333333333)
+    # differ in the last bit on CPython 3.11, so a term carries the bits
+    # pseudo_sombor gives the edge only with the smaller label's weight first.
+    edge = LabeledTree(2, [(1, 2)])
+    for weights in ((3.92, 1.6333333333333333), (1.6333333333333333, 3.92)):
+        grid = _Grid(weights)
+        expected = pseudo_sombor(edge, ScoreAssignment(weights))
+        assert grid.value(grid.term(1, 2)) == grid.value(grid.term(2, 1)) == expected
+
+
 def test_grid_terms_match_the_per_cell_reference():
     # Each term put on the grid by one ldexp must give the exact-ratio
     # integers, and the scale must be the same.
     for rows, heads in _grid_cases():
         assert grid_columns(rows, heads) == reference_grid_terms(rows, heads), rows
-
-
-def test_grid_term_matches_its_column():
-    # One edge's term and the bulk column that holds it are two paths to
-    # the same integer: term(a, b) is column(max(a, b))[min(a, b)], cell by
-    # cell, on every grid the spectrum and the sandwich ask for.
-    for rows, heads in _grid_cases():
-        least = min(map(min, rows))
-        for weights in rows:
-            grid = _Grid(weights, least)
-            labels = range(1, len(weights) + 1)
-            for e in heads:
-                column = grid.column(e)
-                assert len(column) == len(weights) + 1
-                for a in labels:
-                    assert grid.term(a, e) == column[a], (weights, a, e)
-                    assert grid.term(e, a) == column[a], (weights, a, e)
 
 
 @pytest.mark.parametrize(
@@ -692,18 +691,19 @@ def test_sandwich_matches_labeled_walk(seq):
     half_gap = None if spectrum.z2 is None else (spectrum.z2 - spectrum.z1) / 2
     for half_gap in _bands(pairs, half_gap):
         verdict = all(so - half_gap < pso < so for so, pso in pairs)
-        assert oracle._sandwich_holds(seq, scores, half_gap) == verdict, half_gap
+        assert oracle._sandwich_holds(seq, build_greedy(seq), scores, half_gap) == verdict, half_gap
 
 
 @pytest.mark.parametrize("seq", PSO_CAN_PASS_SO, ids=lambda s: s.render())
 def test_sandwich_verdict_where_pso_can_pass_so(seq):
     # Weights within 1e-3 of the degrees, some above: on some trees pSO
     # reaches or passes SO, so the upper side of the test binds too.
+    tree = build_greedy(seq)
     for scores in _perturbed_scores(seq):
         pairs = list(_prefix_walk(seq, scores))
         for half_gap in _bands(pairs) + [math.inf]:
             verdict = all(so - half_gap < pso < so for so, pso in pairs)
-            assert oracle._sandwich_holds(seq, scores, half_gap) == verdict, half_gap
+            assert oracle._sandwich_holds(seq, tree, scores, half_gap) == verdict, half_gap
 
 
 def _without_twos(seq):
@@ -734,10 +734,10 @@ def _sandwich_traffic(monkeypatch, passes=None):
             passes.append(reduced)
         return real_pass(reduced)
 
-    def sandwich_holds(seq, scores, half_gap):
+    def sandwich_holds(seq, tree, scores, half_gap):
         inside.append(seq)
         try:
-            return real_holds(seq, scores, half_gap)
+            return real_holds(seq, tree, scores, half_gap)
         finally:
             inside.pop()
 
@@ -845,7 +845,7 @@ def test_certificate_declines_an_oversized_q(monkeypatch, seq):
     pairs = list(_prefix_walk(seq, scores))
     assert not all(so - half_gap < pso < so for so, pso in pairs)
     walked, started = _sandwich_traffic(monkeypatch)
-    assert oracle._sandwich_holds(seq, scores, half_gap) is False
+    assert oracle._sandwich_holds(seq, build_greedy(seq), scores, half_gap) is False
     assert (walked, started) == ([seq], [])
 
 
@@ -860,20 +860,36 @@ def test_certificate_declines_a_shrunk_half_gap(monkeypatch, seq):
     walked, started = _sandwich_traffic(monkeypatch)
     for half_gap, verdict in ((flip, True), (math.nextafter(flip, 0.0), False)):
         assert all(so - half_gap < pso < so for so, pso in pairs) == verdict
-        assert oracle._sandwich_holds(seq, scores, half_gap) is verdict
+        assert oracle._sandwich_holds(seq, build_greedy(seq), scores, half_gap) is verdict
     assert (walked, started) == ([seq, seq], [])
 
 
 def test_certificate_declines_pso_within_an_ulp_below_so(monkeypatch):
     # The last leaf's score sits 2e-15 below its degree, so every tree's
     # exact pSO is below its SO by less than an ulp of SO, and every tree
-    # rounds to pSO == SO: a certificate without its ulp margin would pass
-    # the class.
+    # rounds to pSO == SO: the certificate must leave the class to the walk.
     seq = DegreeSequence((3, 3, 2, 2, 1, 1, 1, 1))
     scores = ScoreAssignment(seq.degrees[:-1] + (1 - 2e-15,))
     assert all(pso == so for so, pso in _prefix_walk(seq, scores))
     walked, started = _sandwich_traffic(monkeypatch)
-    assert oracle._sandwich_holds(seq, scores, 0.5) is False
+    assert oracle._sandwich_holds(seq, build_greedy(seq), scores, 0.5) is False
+    assert (walked, started) == ([seq], [])
+
+
+def test_certificate_keeps_two_ulps_below_the_half_gap(monkeypatch):
+    # The star 6,1^6 is its own class, so its one tree's D is the
+    # certificate's greatest sum. At these scores, one float below the least
+    # half gap the tree passes lies more than one ulp u of the SO bound
+    # above that sum but within 2u: a certificate with one ulp of margin
+    # there would pass a failing class.
+    seq = DegreeSequence((6,) + (1,) * 6)
+    offsets = (6, 3, 2, 1, 2, 4, 4)
+    scores = ScoreAssignment(tuple(d - c * 1e-5 for d, c in zip(seq.degrees, offsets)))
+    pairs = list(_prefix_walk(seq, scores))
+    half_gap = math.nextafter(_flip_point(pairs), 0.0)
+    assert not all(so - half_gap < pso < so for so, pso in pairs)
+    walked, started = _sandwich_traffic(monkeypatch)
+    assert oracle._sandwich_holds(seq, build_greedy(seq), scores, half_gap) is False
     assert (walked, started) == ([seq], [])
 
 
@@ -889,14 +905,15 @@ def test_certificate_declines_a_last_score_just_below_one(monkeypatch):
     pairs = list(_prefix_walk(seq, scores))
     assert len(pairs) == 12 and all(so - half_gap < pso < so for so, pso in pairs)
     walked, started = _sandwich_traffic(monkeypatch)
-    assert oracle._sandwich_holds(seq, scores, half_gap) is True
+    assert oracle._sandwich_holds(seq, build_greedy(seq), scores, half_gap) is True
     assert (walked, started) == ([seq], [])
 
 
-def test_sandwich_decodes_the_first_tree_once(monkeypatch):
-    # One prufer_decode per call, whether the certificate decides alone
-    # (at verify's q) or the walk runs too (at q = 1/(2n)): the walk takes
-    # its edge lists from prufer_edges and builds no tree.
+def test_sandwich_decodes_no_tree(monkeypatch):
+    # No prufer_decode, whether the certificate decides alone (at verify's
+    # q) or the walk runs too (at q = 1/(2n)): the spot check sums the
+    # greedy tree it is handed, and the walk takes its edge lists from
+    # prufer_edges and builds no tree.
     seq = MULTI_VALUE_7_TO_9[0]
     spectrum = sombor_spectrum(seq)
     half_gap = (spectrum.z2 - spectrum.z1) / 2
@@ -904,11 +921,10 @@ def test_sandwich_decodes_the_first_tree_once(monkeypatch):
     real = oracle.prufer_decode
     monkeypatch.setattr(oracle, "prufer_decode", lambda code: decoded.append(code) or real(code))
     walked, started = _sandwich_traffic(monkeypatch)
+    tree = build_greedy(seq)
     for q in (compute_q(seq, spectrum).value, 1 / (2 * seq.n)):
-        scores = score_assignment(build_greedy(seq), q)
-        decoded.clear()
-        oracle._sandwich_holds(seq, scores, half_gap)
-        assert len(decoded) == 1, q
+        oracle._sandwich_holds(seq, tree, score_assignment(tree, q), half_gap)
+        assert decoded == [], q
     assert (walked, started) == ([seq], [])
 
 
@@ -918,7 +934,7 @@ def test_certificate_declines_a_non_finite_half_gap(monkeypatch, half_gap, verdi
     # so the walk gives the per-tree verdict either way.
     seq = DegreeSequence((3, 2, 2, 1, 1, 1))
     walked, started = _sandwich_traffic(monkeypatch)
-    assert oracle._sandwich_holds(seq, _class_scores(seq), half_gap) is verdict
+    assert oracle._sandwich_holds(seq, build_greedy(seq), _class_scores(seq), half_gap) is verdict
     assert (walked, started) == ([seq], [])
 
 
@@ -1017,5 +1033,5 @@ def test_sandwich_spot_check_catches_a_wrong_pseudo_value(monkeypatch):
     monkeypatch.setattr(
         oracle, "pseudo_sombor", lambda tree, scores: math.nextafter(real(tree, scores), 0.0)
     )
-    with pytest.raises(oracle.OracleInvariantError, match="sandwich pass .* first tree"):
+    with pytest.raises(oracle.OracleInvariantError, match="sandwich pass .* greedy tree"):
         verify_greedy_minimum(DegreeSequence((3, 2, 2, 1, 1, 1)))

@@ -65,16 +65,17 @@ def _bench_run(monkeypatch):
 @pytest.mark.parametrize(
     "workload, argv, calls",
     [
-        # One prufer_decode spot check each in the spectrum and in the
-        # sandwich check; neither visits the trees one by one.
+        # One prufer_decode, the spectrum's spot check; the sandwich check
+        # sums the greedy tree verify already holds. Neither visits the
+        # trees one by one.
         ("verify-class", ["verify", "-d", "3,2,2,1,1,1"],
-         {"tree_core.prufer_decode": 2, "oracle.sombor_spectrum": 1}),
+         {"tree_core.prufer_decode": 1, "oracle.sombor_spectrum": 1}),
         # 12 classes, one of them with two values: every class still goes
         # through the wrapped spectrum and verify, and decodes its first
-        # tree once, however many share a decoder pass; the multi-value
-        # class decodes it once more in its sandwich check.
+        # tree once in its spectrum's spot check, however many share a
+        # profile count; the multi-value class's sandwich decodes none.
         ("verify-sweep", ["verify", "--sweep", "--max-n", "6"],
-         {"tree_core.prufer_decode": 13, "oracle.sombor_spectrum": 12,
+         {"tree_core.prufer_decode": 12, "oracle.sombor_spectrum": 12,
           "oracle.verify_greedy_minimum": 12}),
         # Four switches: one scan per switch plus the final empty one, and
         # one bfs_levels call per scan, which after a switch returns the

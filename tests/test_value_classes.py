@@ -3,6 +3,7 @@ constructor, repr, equality and hash, immutability, pattern matching,
 copying, pickling and the validation messages."""
 
 import copy
+import math
 import pickle
 
 import pytest
@@ -154,6 +155,8 @@ def test_sequence_fields_become_tuples():
         (lambda: PruferCode(4, (1,)), TreeError, "code for n=4 must have length 2, got 1"),
         (lambda: PruferCode(4, (1, 5)), TreeError, "code entry 5 out of range 1..4"),
         (lambda: PruferCode(4, (1, True)), TreeError, "code entry True out of range 1..4"),
+        (lambda: PruferCode(3.0, (1,)), TreeError, "vertex count must be an integer, got 3.0"),
+        (lambda: PruferCode(True, ()), TreeError, "vertex count must be an integer, got True"),
         (lambda: SwitchPlan(1, 2, 1, 3), SwitchError,
          "switch vertices must be four distinct labels, got (1, 2, 1, 3)"),
         (lambda: SpectrumSummary((), ()), ValueError, "spectrum must contain at least one value"),
@@ -162,6 +165,10 @@ def test_sequence_fields_become_tuples():
         (lambda: SpectrumSummary((2.0, 1.0), (1, 1)), ValueError,
          "spectrum values must be strictly increasing"),
         (lambda: SpectrumSummary((1.0,), (0,)), ValueError, "multiplicities must be positive"),
+        (lambda: SpectrumSummary((1.0, math.nan), (1, 1)), ValueError,
+         "spectrum values must be finite"),
+        (lambda: SpectrumSummary((1.0, math.inf), (1, 1)), ValueError,
+         "spectrum values must be finite"),
     ],
 )
 def test_validation_messages(build, error, message):
