@@ -125,9 +125,7 @@ def cmd_verify(args) -> int:
     for seq in candidates:
         _require_within_cap(seq, args.cap)
         checked.append(seq)
-    # Classes that differ only in their 2s share one edge-profile count.
-    profiles: dict = {}
-    reports = [verify_greedy_minimum(seq, args.cap, profiles) for seq in checked]
+    reports = [verify_greedy_minimum(seq, args.cap) for seq in checked]
     sys.stdout.write(format_report_table(reports))
     failures = sum(1 for r in reports if not r.minimum_attained)
     if args.sweep:

@@ -18,9 +18,8 @@ and ``pseudo_sombor``.
   spanning tree of K_k. A degree-2 label only subdivides an edge, so each
   profile's exact SO sums, with the 2s laid on its edges as ordered runs,
   and their counts follow in closed form. The profiles depend on that
-  reduced sequence alone, so a caller that verifies many classes keeps
-  them in a memo it owns: ``verify`` counts them once per distinct reduced
-  sequence and lays each class's 2s onto them.
+  reduced sequence alone, so classes that differ only in their 2s share
+  one count and each lays its own 2s onto it.
 - The sandwich first bounds D = SO - pSO with no pass: every label a < n
   is the leaf end of one edge, so D lies between sums over a of the least
   and greatest D-term of a's edges to the heads. When that range exceeds u
@@ -34,6 +33,7 @@ through ``prufer_decode``, and the sandwich on the greedy tree ``verify``
 holds; a disagreement raises ``OracleInvariantError``.
 """
 
+import functools
 import math
 import random
 from collections import Counter
@@ -190,15 +190,17 @@ def _compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, tupl
             yield math.comb(total, c) * ways, (c, *rest)
 
 
-def _reduced_profiles(reduced: DegreeSequence) -> tuple:
+@functools.cache
+def _reduced_profiles(reduced: tuple[int, ...]) -> tuple:
     """The half of ``sombor_value_counts`` that depends on D' alone, the
-    sequence without its 2s (n' >= 2): ``(grid, h22, pairs, counts)``.
+    degrees without the 2s (n' >= 2): ``(grid, h22, pairs, counts)``.
 
     ``grid`` is the ``_Grid`` over D''s distinct degrees and 2, ``h22`` the
     term h(2,2) on it, and ``pairs`` the (plain, split) terms of each
     unordered degree pair without a 2, in the order of their digits: the
-    pair's edge term, and that edge's terms once subdivided. ``counts`` maps each edge profile, the number of edges of
-    each pair as one int in radix n', to its number of trees of D'.
+    pair's edge term, and that edge's terms once subdivided. ``counts``
+    maps each edge profile, the number of edges of each pair as one int in
+    radix n', to its number of trees of D'.
 
     The counts come from the matrix-tree theorem by type. Let D' have k
     distinct degrees d_i, n_i labels each, and N_i = n_i(d_i - 1). Weight
@@ -219,11 +221,17 @@ def _reduced_profiles(reduced: DegreeSequence) -> tuple:
     column starts at N_k = 0 and stays there, so only the trees t with
     deg_t(k) = 1 can pass: those whose Prufer codes run over kinds 1..k-1,
     (k-1)^(k-2) of the k^(k-2). Then e_ij = c_ij + c_ji, plus one if ij is
-    in t, for i < j, and e_ii = c_ii. D' = 1,1 (k = 1) is one edge."""
-    radix = reduced.n
+    in t, for i < j, and e_ii = c_ii. D' = 1,1 (k = 1) is one edge.
+
+    The result is cached for the life of the process, keyed by D''s degree
+    tuple, so classes that differ only in their 2s share one count and a
+    repeated D' builds nothing. Its ``pairs`` and ``counts`` are shared
+    between calls and must not be changed. A long-lived process keeps every
+    count until ``_reduced_profiles.cache_clear()``."""
+    radix = len(reduced)
     # Degrees in the labels' order, so each term is hypot(larger, smaller)
     # as on the class's own grid, whose smallest weight is also 1.
-    weights = sorted({*reduced.degrees, 2}, reverse=True)
+    weights = sorted({*reduced, 2}, reverse=True)
     grid = _Grid(weights)
     h = grid.term
     two = weights.index(2) + 1
@@ -234,7 +242,7 @@ def _reduced_profiles(reduced: DegreeSequence) -> tuple:
             if two not in (a, b):
                 place[a, b] = place[b, a] = radix ** len(pairs)
                 pairs.append((h(a, b), h(a, two) + h(two, b) - h(two, two)))
-    runs = Counter(reduced.degrees)
+    runs = Counter(reduced)
     kinds = [weights.index(d) + 1 for d in runs]
     k = len(kinds)
     if k == 1:
@@ -272,7 +280,7 @@ def _reduced_profiles(reduced: DegreeSequence) -> tuple:
     return grid, h(two, two), pairs, counts
 
 
-def sombor_value_counts(seq: DegreeSequence, profiles: dict | None = None) -> Counter:
+def sombor_value_counts(seq: DegreeSequence) -> Counter:
     """Exact index value -> number of labeled trees attaining it.
 
     A label of degree 2 only subdivides an edge. Let D' be the sequence
@@ -293,14 +301,6 @@ def sombor_value_counts(seq: DegreeSequence, profiles: dict | None = None) -> Co
     size: ``2^m,1,1`` holds m! trees in one value and D' = 1,1 is one
     edge. As a spot check, the class's first tree, decoded through
     ``prufer_decode``, must have a value among the keys.
-
-    ``profiles`` is a memo the caller owns, keyed by D''s degree tuple: it
-    holds ``_reduced_profiles`` of every D' seen until the caller drops it,
-    so classes that differ only in their 2s share one count, and each class
-    still expands its own 2s. None gives a fresh memo, one count per call.
-    ``verify`` keeps one for its whole run at negligible memory: its run
-    over every class with n <= 16 peaks at 17.7 MB, as one without the
-    memo does.
     """
     require_tree_realizable(seq)
     values: Counter = Counter()
@@ -309,11 +309,7 @@ def sombor_value_counts(seq: DegreeSequence, profiles: dict | None = None) -> Co
     else:
         m = seq.degrees.count(2)
         reduced = tuple(d for d in seq.degrees if d != 2)
-        if profiles is None:
-            profiles = {}
-        if reduced not in profiles:
-            profiles[reduced] = _reduced_profiles(DegreeSequence(reduced))
-        grid, h22, pairs, counts = profiles[reduced]
+        grid, h22, pairs, counts = _reduced_profiles(reduced)
         radix = len(reduced)
         laid = [int(m == 0)] + [math.comb(m - 1, k - 1) for k in range(1, min(m, radix - 1) + 1)]
         exact: dict = {}  # exact SO sum less m * h(2,2) -> trees / m!
@@ -482,10 +478,9 @@ def spectrum_from_counts(counts: Counter) -> SpectrumSummary:
     return SpectrumSummary(tuple(values), tuple(multiplicities))
 
 
-def sombor_spectrum(seq: DegreeSequence, profiles: dict | None = None) -> SpectrumSummary:
-    """Distinct Sombor values over the whole tree class, with multiplicities;
-    ``profiles`` is ``sombor_value_counts``' memo."""
-    return spectrum_from_counts(sombor_value_counts(seq, profiles))
+def sombor_spectrum(seq: DegreeSequence) -> SpectrumSummary:
+    """Distinct Sombor values over the whole tree class, with multiplicities."""
+    return spectrum_from_counts(sombor_value_counts(seq))
 
 
 class QConstant(_Value):
@@ -546,26 +541,18 @@ class VerificationReport(_Value):
         object.__setattr__(self, "q_used", q_used)
 
 
-def verify_greedy_minimum(
-    seq: DegreeSequence, cap: int = DEFAULT_TREE_CAP, profiles: dict | None = None
-) -> VerificationReport:
+def verify_greedy_minimum(seq: DegreeSequence, cap: int = DEFAULT_TREE_CAP) -> VerificationReport:
     """Exhaustively check that the greedy tree attains the smallest Sombor
     value of its class, and that every pseudo index respects the half-gap
     sandwich when at least two distinct values exist.
 
     Sizes the class and refuses it when it holds more than ``cap`` trees,
     before any enumeration: verification is all-or-nothing, never truncated.
-
-    ``profiles`` is the memo of ``sombor_value_counts``, owned by the
-    caller and keyed by the sequence without its 2s. A caller that verifies
-    many classes passes one memo to every call, so each distinct sequence
-    without its 2s is counted once; None gives each call its own. A
-    refused class leaves it unchanged.
     """
     total = _require_within_cap(seq, cap)
     greedy_tree = build_greedy(seq)
     greedy_so = sombor(greedy_tree)
-    spectrum = sombor_spectrum(seq, profiles)
+    spectrum = sombor_spectrum(seq)
     if spectrum.tree_count != total:
         raise OracleInvariantError(
             f"enumeration yielded {spectrum.tree_count} trees, expected {total}"

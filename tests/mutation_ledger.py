@@ -117,6 +117,67 @@ LEDGER = [
         "new": "math.hypot(w[b], w[a]) if a < b else math.hypot(w[a], w[b])",
         "nodes": ["tests/test_oracle.py::test_grid_term_takes_the_smaller_labels_weight_first"],
     },
+    {
+        "name": "descent that may stop short of the greedy tree",
+        "path": "src/sombortrees/switching.py",
+        "old": "if current != target:",
+        "new": "if False:",
+        "nodes": ["tests/test_switching.py::test_descend_refuses_to_stop_short_of_the_greedy_tree"],
+    },
+    {
+        "name": "descent step without its pSO check",
+        "path": "src/sombortrees/switching.py",
+        "old": "if not pso_next < pso_current:",
+        "new": "if False:",
+        "nodes": ["tests/test_switching.py::test_descend_refuses_a_switch_that_does_not_lower_pso"],
+    },
+    {
+        "name": "descent end without its running-sum check",
+        "path": "src/sombortrees/switching.py",
+        "old": "if (so_current, pso_current) != (sombor(current), pseudo_sombor(current, scores)):",
+        "new": "if False:",
+        "nodes": ["tests/test_switching.py::test_descend_checks_its_running_sums_on_the_terminal_tree"],
+    },
+    {
+        "name": "size text without its upward correction",
+        "path": "src/sombortrees/oracle.py",
+        "old": "elif 10 ** (k + 1) <= total:",
+        "new": "elif False:",
+        "nodes": ["tests/test_oracle.py::test_size_text_bounds_long_sizes"],
+    },
+    {
+        "name": "forced leaves' row kept with a negative entry",
+        "path": "src/sombortrees/oracle.py",
+        "old": "if min(row) >= 0:",
+        "new": "if True:",
+        "nodes": ["tests/test_oracle.py::test_profile_counts_match_the_decoder_pass",
+                  "tests/test_properties.py::test_profile_counts_add_up"],
+    },
+    {
+        "name": "forced leaves' row without its multinomial",
+        "path": "src/sombortrees/oracle.py",
+        "old": "ways = trees * (math.factorial(total) // math.prod(map(math.factorial, row)))",
+        "new": "ways = trees",
+        "nodes": ["tests/test_oracle.py::test_profile_counts_match_the_decoder_pass",
+                  "tests/test_properties.py::test_profile_counts_add_up"],
+    },
+    # tests/test_oracle.py is not collected under this mutant: its
+    # MULTI_VALUE_7_TO_9 table runs the spectrum's spot check at import,
+    # which raises.
+    {
+        "name": "forced leaves' row without its digits",
+        "path": "src/sombortrees/oracle.py",
+        "old": "forced = profile + sum(c * p for c, p in zip(row, row_places))",
+        "new": "forced = profile",
+        "nodes": ["tests/test_properties.py::test_profile_counts_add_up"],
+    },
+    {
+        "name": "profile count without its cache",
+        "path": "src/sombortrees/oracle.py",
+        "old": "@functools.cache\n",
+        "new": "",
+        "nodes": ["tests/test_cli.py::test_verify_sweep_runs_one_pass_per_sequence_without_its_2s"],
+    },
 ]
 
 EQUIVALENT = [

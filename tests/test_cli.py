@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sombortrees import cli, oracle
+from sombortrees import cli, oracle, switching
 from sombortrees.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -319,6 +319,20 @@ def test_verify_oracle_invariant_exit_5(capsys, monkeypatch, name, fake, degrees
     assert "Traceback" not in err
 
 
+def test_descend_invariant_exit_5(tmp_path, capsys, monkeypatch):
+    # A descent that stops short of the greedy tree prints nothing and
+    # writes no trace.
+    monkeypatch.setattr(switching, "find_violation", lambda tree, q: None)
+    path, trace_path = tmp_path / "shape_b.txt", tmp_path / "trace.json"
+    path.write_text("1 2\n2 3\n3 4\n1 5\n1 6\n")
+    code, out, err = run_cli(capsys, "descend", str(path), "--trace-json", str(trace_path))
+    assert code == 5
+    assert out == ""
+    assert err.startswith("internal invariant violated: descent stalled")
+    assert "Traceback" not in err
+    assert not trace_path.exists()
+
+
 # 103 vertices, 101 code entries, 10,100 trees in 20 values.
 BROOM_103 = ("verify", "-d", ",".join(["100", "2", "2"] + ["1"] * 100))
 BROOM_103_SHA = "54a4fc8af14126275a811e322654b1bbdcedc58dc0aff1c6b7ff430f037d5f05"
@@ -387,25 +401,21 @@ def test_verify_golden(capsys, argv, stdout_sha):
     ids=["sweep-9", "sweep-12"],
 )
 def test_verify_sweep_runs_one_pass_per_sequence_without_its_2s(
-    capsys, monkeypatch, max_n, passes, stdout_sha
+    capsys, max_n, passes, stdout_sha
 ):
-    # Classes that differ only in their 2s share one profile pass over the
-    # sequence without them, and the table keeps its bytes.
-    started = []
-    real_pass = oracle._reduced_profiles
-
-    def reduced_profiles(reduced):
-        started.append(reduced.degrees)
-        return real_pass(reduced)
-
-    monkeypatch.setattr(oracle, "_reduced_profiles", reduced_profiles)
+    # Classes that differ only in their 2s share one cached profile count
+    # of the sequence without them, and the table keeps its bytes.
+    oracle._reduced_profiles.cache_clear()
     code, out, _ = run_cli(capsys, "verify", "--sweep", "--max-n", str(max_n))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
-    reduced = {
-        tuple(d for d in seq.degrees if d != 2) for seq in oracle.realizable_sequences(max_n)
-    }
-    assert sorted(started) == sorted(reduced) and len(started) == passes
+    classes = list(oracle.realizable_sequences(max_n))
+    info = oracle._reduced_profiles.cache_info()
+    assert info.misses == passes and info.misses + info.hits == len(classes)
+    # The counted sequences are the classes': asking for each again counts none.
+    for seq in classes:
+        oracle._reduced_profiles(tuple(d for d in seq.degrees if d != 2))
+    assert oracle._reduced_profiles.cache_info().misses == passes
 
 
 def test_verify_stack_depth_does_not_grow_with_n(capsys):

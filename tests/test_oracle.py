@@ -74,6 +74,8 @@ def test_count_star_without_the_factorials():
 def test_size_text_bounds_long_sizes():
     assert oracle._size_text(10**30 - 1) == "9" * 30
     assert oracle._size_text(10**30) == "at least 10^30"
+    # log10 of 10^512 rounds to just below 512, so the count is corrected up.
+    assert oracle._size_text(10**512) == "at least 10^512"
     assert oracle._size_text(10**5000 - 1) == "at least 10^4999"
     assert oracle._size_text(math.factorial(2000)) == "at least 10^5735"
 
@@ -707,16 +709,17 @@ def test_sandwich_verdict_where_pso_can_pass_so(seq):
 
 
 def _without_twos(seq):
-    """The sequence the spectrum counts edge profiles of: ``seq`` without its 2s."""
-    return DegreeSequence(tuple(d for d in seq.degrees if d != 2))
+    """The degrees the spectrum counts edge profiles of, as ``_reduced_profiles``
+    takes them: ``seq``'s without its 2s."""
+    return tuple(d for d in seq.degrees if d != 2)
 
 
 def _sandwich_traffic(monkeypatch, passes=None):
     """Patches ``_sandwich_holds`` to record, during its calls, the classes
-    whose trees it walks through ``_class_walk`` and the sequences of any
-    ``_reduced_profiles`` pass it starts; and ``_reduced_profiles`` to record
-    every sequence any pass runs over in ``passes`` when given. Returns
-    (walked, started)."""
+    whose trees it walks through ``_class_walk`` and the degrees of any
+    ``_reduced_profiles`` call it makes; and ``_reduced_profiles`` to record
+    the degrees of every call, cached or not, in ``passes`` when given.
+    Returns (walked, started)."""
     walked, started, inside = [], [], []
     real_holds, real_walk, real_pass = (
         oracle._sandwich_holds, oracle._class_walk, oracle._reduced_profiles
@@ -750,7 +753,8 @@ def _sandwich_traffic(monkeypatch, passes=None):
 def test_certificate_settles_every_multi_value_class_up_to_12(monkeypatch):
     # At the q verify picks, every tree's SO - pSO lies far inside
     # (0, half_gap), so the per-label certificate decides alone: no class
-    # is walked, and the only profile pass of each class is its spectrum's.
+    # is walked, and the only profile count each class asks for is its
+    # spectrum's.
     passes = []
     walked, started = _sandwich_traffic(monkeypatch, passes)
     multi_value = 0
@@ -781,28 +785,36 @@ def _report_bits(report):
 
 @pytest.mark.parametrize("order", ["sweep", "reverse", "shuffled"])
 def test_shared_profiles_give_the_unshared_reports(order):
-    # One memo carried from class to class, in any order, must give every
-    # class the report, bit for bit, that a call with its own memo gives.
+    # The profile cache, warmed from class to class in any order, must give
+    # every class the report, bit for bit, that a cleared cache gives.
     classes = list(realizable_sequences(12))
     if order == "reverse":
         classes.reverse()
     elif order == "shuffled":
         random.Random(20).shuffle(classes)
-    profiles = {}
-    shared = [_report_bits(verify_greedy_minimum(seq, profiles=profiles)) for seq in classes]
-    assert shared == [_report_bits(verify_greedy_minimum(seq)) for seq in classes]
-    assert set(profiles) == {_without_twos(seq).degrees for seq in classes}
+    oracle._reduced_profiles.cache_clear()
+    shared = [_report_bits(verify_greedy_minimum(seq)) for seq in classes]
+    assert oracle._reduced_profiles.cache_info().misses == 42
+    alone = []
+    for seq in classes:
+        oracle._reduced_profiles.cache_clear()
+        alone.append(_report_bits(verify_greedy_minimum(seq)))
+    assert shared == alone
 
 
-def test_value_counts_share_a_pass_only_through_a_memo(monkeypatch):
-    passes = []
-    _sandwich_traffic(monkeypatch, passes)
+def test_value_counts_count_each_sequence_without_its_2s_once():
+    # 3,2,2,1,1,1 and 3,2,1,1,1 share D' = 3,1,1,1: one count serves both
+    # classes and a repeated class, and each gets the values a cleared
+    # cache gives it.
     seq, sibling = DegreeSequence((3, 2, 2, 1, 1, 1)), DegreeSequence((3, 2, 1, 1, 1))
-    alone = [sombor_value_counts(s) for s in (seq, seq, sibling)]
-    assert len(passes) == 3
-    profiles = {}
-    assert [sombor_value_counts(s, profiles) for s in (seq, seq, sibling)] == alone
-    assert len(passes) == 4 and list(profiles) == [(3, 1, 1, 1)]
+    alone = []
+    for s in (seq, seq, sibling):
+        oracle._reduced_profiles.cache_clear()
+        alone.append(sombor_value_counts(s))
+    oracle._reduced_profiles.cache_clear()
+    assert [sombor_value_counts(s) for s in (seq, seq, sibling)] == alone
+    info = oracle._reduced_profiles.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 @pytest.mark.parametrize(
@@ -814,19 +826,15 @@ def test_value_counts_share_a_pass_only_through_a_memo(monkeypatch):
     ],
     ids=["over-cap", "not-realizable"],
 )
-def test_refused_class_leaves_the_memo_unchanged(monkeypatch, seq, error):
-    profiles = {}
-    verify_greedy_minimum(DegreeSequence((2, 2, 1, 1)), profiles=profiles)
-    before = dict(profiles)
-
-    def reduced_profiles(*args):
-        raise AssertionError("a refused class started a profile pass")
-
-    monkeypatch.setattr(oracle, "_reduced_profiles", reduced_profiles)
+def test_refused_class_leaves_the_memo_unchanged(seq, error):
+    # A refused class asks for no count: the cache sees neither a hit nor
+    # a miss.
+    oracle._reduced_profiles.cache_clear()
+    verify_greedy_minimum(DegreeSequence((2, 2, 1, 1)))
+    before = oracle._reduced_profiles.cache_info()
     with pytest.raises(error):
-        verify_greedy_minimum(seq, profiles=profiles)
-    assert profiles.keys() == before.keys()
-    assert all(profiles[key] is before[key] for key in before)
+        verify_greedy_minimum(seq)
+    assert oracle._reduced_profiles.cache_info() == before
 
 
 MULTI_VALUE_7_TO_9 = [
@@ -960,7 +968,7 @@ def test_value_counts_match_the_full_decoder_pass(seq):
 
 
 REDUCED_UP_TO_20 = sorted(
-    {_without_twos(seq).degrees for seq in realizable_sequences(20)}, key=lambda d: (len(d), d)
+    {_without_twos(seq) for seq in realizable_sequences(20)}, key=lambda d: (len(d), d)
 )
 
 
@@ -974,8 +982,8 @@ def test_profile_counts_match_the_decoder_pass():
     assert (6, 5, 4, 3) + (1,) * 12 in REDUCED_UP_TO_20
     wider = [(7, 6, 5, 4, 3) + (1,) * 17, (5, 5, 4, 4, 3, 3) + (1,) * 14]
     for degrees in REDUCED_UP_TO_20 + wider:
-        reduced = DegreeSequence(degrees)
-        assert oracle._reduced_profiles(reduced)[3] == decoder_profile_counts(reduced), degrees
+        counts = oracle._reduced_profiles(degrees)[3]
+        assert counts == decoder_profile_counts(DegreeSequence(degrees)), degrees
 
 
 def test_value_counts_total_the_class_size():

@@ -166,7 +166,7 @@ def test_profile_counts_add_up(reduced):
         for a in range(b + 1)
         if 2 not in (weights[a], weights[b])
     ]
-    counts = _reduced_profiles(reduced)[3]
+    counts = _reduced_profiles(reduced.degrees)[3]
     assert sum(counts.values()) == count_trees(reduced)
     for profile in counts:
         assert profile < radix ** len(pairs)

@@ -4,6 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
+from sombortrees import switching
 from sombortrees.degseq import DegreeSequence
 from sombortrees.greedy import build_greedy
 from sombortrees.indices import pseudo_sombor, score_assignment, sombor
@@ -532,3 +533,25 @@ def test_descend_trace_json_shape():
 
 def test_descent_invariant_error_is_runtime_error():
     assert issubclass(DescentInvariantError, RuntimeError)
+
+
+# Each of descend's three checks, with a fault put where it looks.
+
+
+def test_descend_refuses_to_stop_short_of_the_greedy_tree(monkeypatch):
+    monkeypatch.setattr(switching, "find_violation", lambda tree, q: None)
+    with pytest.raises(DescentInvariantError, match="descent stalled"):
+        descend(SHAPE_B, 1 / 12)
+
+
+def test_descend_refuses_a_switch_that_does_not_lower_pso(monkeypatch):
+    monkeypatch.setattr(switching, "_switch_gain", lambda grid, plan: 0)
+    with pytest.raises(DescentInvariantError, match="switch failed to lower"):
+        descend(SHAPE_B, 1 / 12)
+
+
+def test_descend_checks_its_running_sums_on_the_terminal_tree(monkeypatch):
+    real = switching.sombor
+    monkeypatch.setattr(switching, "sombor", lambda tree: real(tree) + 1.0)
+    with pytest.raises(DescentInvariantError, match="running sums .* drifted"):
+        descend(SHAPE_B, 1 / 12)
