@@ -74,14 +74,18 @@ class Violation(_Value):
 
 
 def _require_plan_applies(tree: LabeledTree, plan: SwitchPlan) -> None:
-    if not tree.adjacent(plan.u, plan.v):
-        raise SwitchError(f"required edge {{{plan.u},{plan.v}}} is missing")
-    if not tree.adjacent(plan.w, plan.t):
-        raise SwitchError(f"required edge {{{plan.w},{plan.t}}} is missing")
-    if tree.adjacent(plan.u, plan.w):
-        raise SwitchError(f"vertices {plan.u} and {plan.w} must not be adjacent")
-    if tree.adjacent(plan.v, plan.t):
-        raise SwitchError(f"vertices {plan.v} and {plan.t} must not be adjacent")
+    # A label outside 1..n has no edge. The two required edges name all
+    # four labels, so such a plan is refused before the adjacency tests.
+    for a, b in ((plan.u, plan.v), (plan.w, plan.t)):
+        try:
+            present = tree.adjacent(a, b)
+        except TreeError:
+            present = False
+        if not present:
+            raise SwitchError(f"required edge {{{a},{b}}} is missing")
+    for a, b in ((plan.u, plan.w), (plan.v, plan.t)):
+        if tree.adjacent(a, b):
+            raise SwitchError(f"vertices {a} and {b} must not be adjacent")
 
 
 def apply_switch(tree: LabeledTree, plan: SwitchPlan) -> LabeledTree:
@@ -129,7 +133,7 @@ def _is_proper_descendant(info: BfsLevels, node: int, ancestor: int) -> bool:
 
 def _level_violation(
     info: BfsLevels,
-    children: dict[int, list[int]],
+    children: list[list[int]],
     alpha: int,
     beta: int,
 ) -> Violation:
@@ -257,11 +261,12 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
     info = tree.bfs_levels()
     level, parent = info.level, info.parent
     depth = level[info.order[-1]]
+    # children is indexed by label, like the traversal; a leaf's is empty.
     by_level: list[list[int]] = [[1]] + [[] for _ in range(depth)]
-    children: dict[int, list[int]] = {}
+    children: list[list[int]] = [[] for _ in range(tree.n + 1)]
     for u in range(2, tree.n + 1):
         by_level[level[u]].append(u)
-        children.setdefault(parent[u], []).append(u)
+        children[parent[u]].append(u)
 
     # Level pass: a deeper vertex out-scoring a shallower one. Scores fall
     # strictly with the label, so alpha out-scores beta exactly when
@@ -284,14 +289,14 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
     for group in by_level:
         least_after = [tree.n + 1] * len(group)
         for i in range(len(group) - 1, 0, -1):
-            kids = children.get(group[i])
+            kids = children[group[i]]
             least_after[i - 1] = min(least_after[i], kids[0]) if kids else least_after[i]
         for i, a in enumerate(group):
-            kids_a = children.get(a)
+            kids_a = children[a]
             if kids_a and kids_a[-1] > least_after[i]:
                 gamma = kids_a[-1]
                 for b in group[i + 1:]:
-                    kids_b = children.get(b)
+                    kids_b = children[b]
                     if kids_b and gamma > kids_b[0]:
                         return Violation(ViolationKind.SAME_LEVEL,
                                          SwitchPlan(a, gamma, kids_b[0], b))

@@ -1,9 +1,10 @@
 """Labeled trees on vertices 1..n, rooted at vertex 1, and the Prufer codec.
 
 Edges are normalized to (min, max) pairs sorted lexicographically, so two
-trees compare equal exactly when their edge sets coincide. Trees are
-immutable after validation and safe to share: a tree holds only tuples and
-its own breadth-first traversal, which it hands out as fresh dicts, and
+trees compare equal exactly when their edge sets coincide. Per-label data
+is a sequence indexed by label, with index 0 as padding. Trees are
+immutable after validation and safe to share: a tree holds only tuples,
+among them its own breadth-first traversal, which every caller shares, and
 nothing in the package assigns to one. ``PruferCode``'s ``__slots__`` base
 ``degseq._Value`` refuses assignment and deletion.
 """
@@ -21,7 +22,11 @@ class TreeError(ValueError):
 
 class BfsLevels(namedtuple("BfsLevels", ("level", "parent", "order"))):
     """Breadth-first view of a tree: distances to the root, parent links,
-    and the traversal order (children visited in increasing label order)."""
+    and the traversal order (children visited in increasing label order).
+
+    ``level`` and ``parent`` are tuples indexed by label, of length n + 1.
+    Index 0, and any label the traversal does not reach, has level -1 and
+    parent 0; the root has level 0 and parent 0."""
 
     __slots__ = ()
 
@@ -104,13 +109,11 @@ class LabeledTree:
         """Distances to vertex 1, parent of every non-root vertex, and the
         breadth-first order that visits children by increasing label.
 
-        The tree traverses itself once and keeps the result; each call
-        returns its own copies of the two dicts, so no caller can change
-        what another sees."""
+        The tree traverses itself once and keeps the result, which holds
+        only tuples; every call returns that same object."""
         if self._bfs is None:
             self._bfs = _breadth_first(self._adj)
-        level, parent, order = self._bfs
-        return BfsLevels(level.copy(), parent.copy(), order)
+        return self._bfs
 
     def _switched(self, u: int, v: int, w: int, t: int) -> "LabeledTree":
         """This tree with the edges {u,v}, {w,t} replaced by {u,w}, {v,t},
@@ -210,19 +213,21 @@ class LabeledTree:
 
 def _breadth_first(adj: Sequence[Sequence[int]]) -> BfsLevels:
     """The traversal from vertex 1 over the neighbour rows ``adj``, which
-    need not form a tree: it visits only the labels vertex 1 reaches."""
-    level = {1: 0}
-    parent: dict[int, int] = {}
+    need not form a tree: it visits only the labels vertex 1 reaches, and
+    the rest keep level -1."""
+    level = [-1] * len(adj)
+    parent = [0] * len(adj)
+    level[1] = 0
     order = [1]
     # The loop walks the list it appends to, one level after another.
     for u in order:
         below = level[u] + 1
         for v in adj[u]:
-            if v not in level:
+            if level[v] < 0:
                 level[v] = below
                 parent[v] = u
                 order.append(v)
-    return BfsLevels(level, parent, tuple(order))
+    return BfsLevels(tuple(level), tuple(parent), tuple(order))
 
 
 def degree_sequence_of(tree: LabeledTree) -> tuple[tuple[int, ...], bool]:

@@ -161,15 +161,13 @@ LEDGER = [
         "nodes": ["tests/test_oracle.py::test_profile_counts_match_the_decoder_pass",
                   "tests/test_properties.py::test_profile_counts_add_up"],
     },
-    # tests/test_oracle.py is not collected under this mutant: its
-    # MULTI_VALUE_7_TO_9 table runs the spectrum's spot check at import,
-    # which raises.
     {
         "name": "forced leaves' row without its digits",
         "path": "src/sombortrees/oracle.py",
         "old": "forced = profile + sum(c * p for c, p in zip(row, row_places))",
         "new": "forced = profile",
-        "nodes": ["tests/test_properties.py::test_profile_counts_add_up"],
+        "nodes": ["tests/test_oracle.py::test_profile_counts_match_the_decoder_pass",
+                  "tests/test_properties.py::test_profile_counts_add_up"],
     },
     {
         "name": "profile count without its cache",
@@ -177,6 +175,28 @@ LEDGER = [
         "old": "@functools.cache\n",
         "new": "",
         "nodes": ["tests/test_cli.py::test_verify_sweep_runs_one_pass_per_sequence_without_its_2s"],
+    },
+    {
+        "name": "traversal that visits the root again",
+        "path": "src/sombortrees/tree_core.py",
+        "old": "if level[v] < 0:",
+        "new": "if level[v] <= 0:",
+        "nodes": ["tests/test_tree_core.py::test_bfs_levels_figure_tree"],
+    },
+    {
+        "name": "children filed under their own label",
+        "path": "src/sombortrees/switching.py",
+        "old": "children[parent[u]].append(u)",
+        "new": "children[u].append(u)",
+        "nodes": ["tests/test_switching.py::test_find_violation_matches_reference_along_descent[0]"],
+    },
+    {
+        "name": "plan label outside 1..n raised as a TreeError",
+        "path": "src/sombortrees/switching.py",
+        "old": "            present = False\n",
+        "new": "            raise\n",
+        "nodes": ["tests/test_switching.py::test_label_outside_the_tree_is_a_missing_edge",
+                  "tests/test_switching.py::test_apply_switch_matches_rebuilt_tree_exhaustive"],
     },
 ]
 

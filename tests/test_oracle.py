@@ -8,7 +8,7 @@ from itertools import permutations
 import pytest
 
 from sombortrees import oracle
-from sombortrees.degseq import DegreeSequence, NotTreeRealizableError
+from sombortrees.degseq import DegreeSequence, NotTreeRealizableError, parse_degree_sequence
 from sombortrees.greedy import build_greedy
 from sombortrees.indices import ScoreAssignment, _Grid, pseudo_sombor, score_assignment, sombor
 from sombortrees.oracle import (
@@ -837,16 +837,30 @@ def test_refused_class_leaves_the_memo_unchanged(seq, error):
     assert oracle._reduced_profiles.cache_info() == before
 
 
+# The classes with 7 <= n <= 9 and more than one Sombor value, written out
+# so that a fault in the spectrum fails tests instead of their collection.
 MULTI_VALUE_7_TO_9 = [
-    seq for seq in realizable_sequences(9) if seq.n >= 7 and len(sombor_value_counts(seq)) > 1
+    "4,2,2,1,1,1,1", "3,3,2,1,1,1,1", "3,2,2,2,1,1,1",
+    "5,2,2,1,1,1,1,1", "4,3,2,1,1,1,1,1", "4,2,2,2,1,1,1,1", "3,3,2,2,1,1,1,1",
+    "3,2,2,2,2,1,1,1",
+    "6,2,2,1,1,1,1,1,1", "5,3,2,1,1,1,1,1,1", "5,2,2,2,1,1,1,1,1", "4,4,2,1,1,1,1,1,1",
+    "4,3,3,1,1,1,1,1,1", "4,3,2,2,1,1,1,1,1", "4,2,2,2,2,1,1,1,1", "3,3,3,2,1,1,1,1,1",
+    "3,3,2,2,2,1,1,1,1", "3,2,2,2,2,2,1,1,1",
 ]
 
 
-@pytest.mark.parametrize("seq", MULTI_VALUE_7_TO_9, ids=lambda s: s.render())
-def test_certificate_declines_an_oversized_q(monkeypatch, seq):
+def test_multi_value_classes_7_to_9_are_written_out():
+    found = [seq.render() for seq in realizable_sequences(9)
+             if seq.n >= 7 and len(sombor_value_counts(seq)) > 1]
+    assert MULTI_VALUE_7_TO_9 == found
+
+
+@pytest.mark.parametrize("degrees", MULTI_VALUE_7_TO_9)
+def test_certificate_declines_an_oversized_q(monkeypatch, degrees):
     # q = 1/(2n) is far above the spectrum-gap rule's q here, so some tree
     # has SO - pSO past the half gap: the certificate must not vouch for
     # the class, and the walk gives the per-tree verdict.
+    seq = parse_degree_sequence(degrees)
     spectrum = sombor_spectrum(seq)
     half_gap = (spectrum.z2 - spectrum.z1) / 2
     scores = score_assignment(build_greedy(seq), 1 / (2 * seq.n))
@@ -857,11 +871,12 @@ def test_certificate_declines_an_oversized_q(monkeypatch, seq):
     assert (walked, started) == ([seq], [])
 
 
-@pytest.mark.parametrize("seq", MULTI_VALUE_7_TO_9, ids=lambda s: s.render())
-def test_certificate_declines_a_shrunk_half_gap(monkeypatch, seq):
+@pytest.mark.parametrize("degrees", MULTI_VALUE_7_TO_9)
+def test_certificate_declines_a_shrunk_half_gap(monkeypatch, degrees):
     # At the least half gap every tree passes, the largest SO - pSO lies
     # within the certificate's ulp margin, so the walk decides: the
     # sandwich holds there and fails one float below.
+    seq = parse_degree_sequence(degrees)
     scores = _class_scores(seq)
     pairs = list(_prefix_walk(seq, scores))
     flip = _flip_point(pairs)
@@ -922,7 +937,7 @@ def test_sandwich_decodes_no_tree(monkeypatch):
     # q) or the walk runs too (at q = 1/(2n)): the spot check sums the
     # greedy tree it is handed, and the walk takes its edge lists from
     # prufer_edges and builds no tree.
-    seq = MULTI_VALUE_7_TO_9[0]
+    seq = parse_degree_sequence(MULTI_VALUE_7_TO_9[0])
     spectrum = sombor_spectrum(seq)
     half_gap = (spectrum.z2 - spectrum.z1) / 2
     decoded = []

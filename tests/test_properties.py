@@ -73,8 +73,8 @@ def test_code_occurrences_match_degrees(tree):
 def test_bfs_level_law(tree):
     info = tree.bfs_levels()
     assert info.level[1] == 0
-    for u, parent in info.parent.items():
-        assert info.level[parent] == info.level[u] - 1
+    for u in range(2, tree.n + 1):
+        assert info.level[info.parent[u]] == info.level[u] - 1
     assert set(info.order) == set(range(1, tree.n + 1))
 
 

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 import pytest
 
@@ -86,16 +86,18 @@ def _reference_apply_switch(tree: LabeledTree, plan: SwitchPlan) -> LabeledTree:
 
 def test_apply_switch_matches_rebuilt_tree_exhaustive():
     # Every plan of four distinct labels on every degree-ordered labeled
-    # tree with n <= 7: the spliced successor equals a freshly validated
-    # tree in its edges, neighbour rows and traversal, and every plan the
-    # rebuild refuses is refused for the same reason.
+    # tree with n <= 7, plus the plans that mix an edge's two ends with the
+    # labels 0 and n + 1 outside the tree: the spliced successor equals a
+    # freshly validated tree in its edges, neighbour rows and traversal,
+    # and every plan the rebuild refuses is refused for the same reason.
     outcomes = set()
     for n in range(4, 8):
         for code in product(range(1, n + 1), repeat=n - 2):
             tree = prufer_decode(PruferCode(n, code))
             if not degree_sequence_of(tree)[1]:
                 continue
-            for labels in permutations(range(1, n + 1), 4):
+            outside = permutations((*tree.edges[0], 0, n + 1))
+            for labels in chain(permutations(range(1, n + 1), 4), outside):
                 plan = SwitchPlan(*labels)
                 try:
                     expected = _reference_apply_switch(tree, plan)
@@ -117,9 +119,26 @@ def test_apply_switch_matches_rebuilt_tree_exhaustive():
 def test_bfs_levels_of_a_switched_tree_cannot_be_changed_by_a_caller():
     switched = apply_switch(SHAPE_B, SwitchPlan(3, 4, 1, 2))
     info = switched.bfs_levels()
-    info.level[4] = 99
-    info.parent.clear()
+    with pytest.raises(TypeError):
+        info.level[4] = 99
+    with pytest.raises(TypeError):
+        info.parent[2] = 5
     assert switched.bfs_levels() == LabeledTree(6, switched.edges).bfs_levels()
+
+
+def test_bfs_levels_hands_out_the_kept_traversal():
+    switched = apply_switch(SHAPE_B, SwitchPlan(3, 4, 1, 2))
+    for tree in (SHAPE_B, switched):
+        assert tree.bfs_levels() is tree.bfs_levels()
+
+
+def test_label_outside_the_tree_is_a_missing_edge():
+    plan = SwitchPlan(1, 2, 5, 99)
+    scores = score_assignment(GREEDY_6, 1 / 12)
+    for call in (lambda: apply_switch(GREEDY_6, plan),
+                 lambda: switch_sign(GREEDY_6, plan, scores)):
+        with pytest.raises(SwitchError, match=r"^required edge \{5,99\} is missing$"):
+            call()
 
 
 def test_apply_switch_valid_example():
@@ -295,7 +314,7 @@ def test_every_violation_plan_decreases_exhaustive():
 def _reference_find_violation(tree: LabeledTree, q: float) -> Violation | None:
     scores = _contract_scores(tree, q)
     info = tree.bfs_levels()
-    depth = max(info.level.values())
+    depth = max(info.level)
     by_level: list[list[int]] = [[] for _ in range(depth + 1)]
     for u in range(1, tree.n + 1):
         by_level[info.level[u]].append(u)

@@ -214,11 +214,12 @@ def test_bfs_levels_figure_tree():
     assert all(info.level[u] == 2 for u in (6, 7, 8, 9, 10))
     assert info.order == tuple(range(1, 11))
     assert info.parent[6] == 2 and info.parent[10] == 4
-    assert 1 not in info.parent
+    assert info.parent[1] == 0 and (info.level[0], info.parent[0]) == (-1, 0)
+    assert len(info.level) == len(info.parent) == 11
 
 
 def test_bfs_levels_small():
-    assert LabeledTree(1, []).bfs_levels().level == {1: 0}
+    assert LabeledTree(1, []).bfs_levels().level == (-1, 0)
     info = LabeledTree(2, [(1, 2)]).bfs_levels()
     assert info.level[2] == 1 and info.parent[2] == 1
 
@@ -227,8 +228,8 @@ def test_bfs_level_law():
     # parent of every non-root vertex sits one level higher
     for tree_edges in all_labeled_trees(6):
         info = LabeledTree(6, tree_edges).bfs_levels()
-        for u, p in info.parent.items():
-            assert info.level[p] == info.level[u] - 1
+        for u in range(2, 7):
+            assert info.level[info.parent[u]] == info.level[u] - 1
 
 
 def test_prufer_code_validation():
