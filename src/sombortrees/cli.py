@@ -26,7 +26,7 @@ from .oracle import (
     sample_tree,
     verify_greedy_minimum,
 )
-from .switching import DescentInvariantError, SwitchError, descend
+from .switching import DescentInvariantError, DescentTrace, SwitchError, descend
 from .tree_core import LabeledTree, TreeError
 
 EXIT_OK = 0
@@ -42,6 +42,28 @@ class CommandLineError(ValueError):
 
 def _fmt(value: float) -> str:
     return format(value, ".10g")
+
+
+# One trace step as ``json.dumps(..., indent=2)`` lays it out inside the list.
+_STEP_JSON = (
+    '  {{\n    "u": {},\n    "v": {},\n    "w": {},\n    "t": {},\n    "kind": "{}",\n'
+    '    "pso_before": {!r},\n    "pso_after": {!r},\n    "so_before": {!r},\n'
+    '    "so_after": {!r}\n  }}'
+)
+
+
+def _trace_json(trace: DescentTrace) -> str:
+    """The bytes of ``json.dumps(trace.to_json(), indent=2)`` without the
+    pure-Python encoder that ``indent`` forces. A label is an int, a kind
+    an ASCII name and an index a finite float, which ``json`` writes as its
+    ``repr``."""
+    if not trace.steps:
+        return "[]"
+    return "[\n" + ",\n".join(
+        _STEP_JSON.format(s.plan.u, s.plan.v, s.plan.w, s.plan.t, s.kind.value,
+                          s.pso_before, s.pso_after, s.so_before, s.so_after)
+        for s in trace.steps
+    ) + "\n]"
 
 
 def _q_flag(text: str):
@@ -157,7 +179,7 @@ def cmd_descend(args) -> int:
     terminal, trace = descend(tree, q_value)
     if args.trace_json:
         try:
-            Path(args.trace_json).write_text(json.dumps(trace.to_json(), indent=2) + "\n")
+            Path(args.trace_json).write_text(_trace_json(trace) + "\n")
         except OSError as exc:
             raise CommandLineError(f"cannot write trace file {args.trace_json}: {exc}") from exc
     print(f"n = {tree.n}")

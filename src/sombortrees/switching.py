@@ -7,12 +7,15 @@ score/level disorder together with a disorder-removing switch, and
 ``descend`` applies such switches until none remains, which for a
 degree-ordered labeling leaves exactly the greedy tree. Under the descent's
 contract scores strictly decrease in the label, so the scan compares labels.
-A descent step rebuilds nothing that its switch keeps (see ``descend``).
+A descent step rebuilds nothing that its switch keeps: the scan's state
+goes from each tree to its successor (see ``find_violation`` and
+``apply_switch``).
 """
 
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
+from collections.abc import Sequence
 from enum import Enum
 
 from .degseq import DegreeSequence, _Value
@@ -93,12 +96,52 @@ def apply_switch(tree: LabeledTree, plan: SwitchPlan) -> LabeledTree:
 
     Once the plan's four adjacency checks pass, the switched edge set has
     n - 1 distinct edges, so one traversal from vertex 1 decides whether it
-    is a tree; the new tree keeps that traversal for the next scan."""
+    is a tree; the new tree keeps that traversal. Only the same-level plan
+    below takes a proof in its place.
+
+    When ``plan`` is the plan that the tree's own scan returned, the scan's
+    state goes on to the new tree (see ``find_violation``); for any other
+    plan the new tree's first scan starts afresh.
+
+    - A SAME_LEVEL plan (a, gamma, delta, b) takes no traversal. Here a and
+      b are distinct vertices on one level j, with children gamma and
+      delta. Dropping {a, gamma} and {delta, b} leaves three parts: the
+      subtrees of gamma and delta, which lie below level j, and the rest,
+      which holds the root, a and b. {a, delta} and {gamma, b} each join
+      one subtree to the rest, so the result is a tree in which every
+      vertex keeps its level. The state keeps its levels, moves gamma and
+      delta between the two children rows, fixes their two parents, and
+      resumes the same-level pass at j.
+    - Any other plan of the scan is proved a tree by the traversal, which
+      the state is rebuilt from; the level pass resumes at the witness
+      level j."""
     _require_plan_applies(tree, plan)
-    try:
-        return tree._switched(plan.u, plan.v, plan.w, plan.t)
-    except TreeError as exc:
-        raise SwitchError(f"switch {plan} does not produce a tree: {exc}") from exc
+    scan = tree._scan
+    found = scan.violation if scan is not None else None
+    own = found is not None and plan == found.plan
+    successor = tree._switched(plan.u, plan.v, plan.w, plan.t)
+    if own and found.kind is ViolationKind.SAME_LEVEL:
+        a, gamma, delta, b = plan.u, plan.v, plan.w, plan.t
+        parent = list(scan.parent)
+        parent[gamma], parent[delta] = b, a
+        children = list(scan.children)
+        for x, out, into in ((a, gamma, delta), (b, delta, gamma)):
+            row = list(children[x])
+            row.remove(out)
+            insort(row, into)
+            children[x] = row
+        successor._scan = _Scan(scan.key, scan.scores, scan.level, parent, children,
+                                scan.by_level, True, scan.at)
+        return successor
+    info = successor.bfs_levels()
+    if len(info.order) < tree.n:
+        raise SwitchError(
+            f"switch {plan} does not produce a tree: vertex 1 reaches "
+            f"{len(info.order)} of {tree.n} labels, so the edges close a cycle"
+        )
+    if own:
+        successor._scan = _fresh_scan(info, scan.key, scan.scores, scan.at)
+    return successor
 
 
 def switch_sign(
@@ -123,37 +166,39 @@ def switch_sign(
     return SwitchSign.TIE, product
 
 
-def _is_proper_descendant(info: BfsLevels, node: int, ancestor: int) -> bool:
+def _is_proper_descendant(level: Sequence[int], parent: Sequence[int], node: int,
+                          ancestor: int) -> bool:
     x = node
-    target_level = info.level[ancestor]
-    while info.level[x] > target_level:
-        x = info.parent[x]
+    target_level = level[ancestor]
+    while level[x] > target_level:
+        x = parent[x]
     return x == ancestor and node != ancestor
 
 
 def _level_violation(
-    info: BfsLevels,
-    children: list[list[int]],
+    level: Sequence[int],
+    parent: Sequence[int],
+    children: Sequence[Sequence[int]],
     alpha: int,
     beta: int,
 ) -> Violation:
     # alpha out-scores beta, so alpha < beta and deg(alpha) >= deg(beta).
     # In the two cases that recycle a child of alpha, beta has a parent and
     # a child, so deg(alpha) >= 2 and alpha has a child below it.
-    gamma = info.parent[beta]
-    if _is_proper_descendant(info, alpha, beta):
+    gamma = parent[beta]
+    if _is_proper_descendant(level, parent, alpha, beta):
         # alpha is beta's child, or sits at depth >= 2 inside beta's subtree.
         # Swapping via alpha's parent would then repeat beta or reconnect two
         # vertices of that subtree and close a cycle, so recycle one of
         # alpha's children instead.
-        if info.parent[alpha] == beta:
+        if parent[alpha] == beta:
             kind = ViolationKind.LEVEL_CASE_PARENT
         else:
             kind = ViolationKind.LEVEL_CASE_GRANDCHILD
         return Violation(kind, SwitchPlan(alpha, children[alpha][0], gamma, beta))
     return Violation(
         ViolationKind.LEVEL_CASE_NONPARENT,
-        SwitchPlan(alpha, info.parent[alpha], gamma, beta),
+        SwitchPlan(alpha, parent[alpha], gamma, beta),
     )
 
 
@@ -194,9 +239,6 @@ def _least_switch_gain(tree: LabeledTree, values: tuple[float, ...], gaps: list[
     return gain
 
 
-_contract_memo: tuple = (None, None)  # (key, scores) of the last accepted call
-
-
 def _contract_scores(tree: LabeledTree, q: float) -> ScoreAssignment:
     """The scores deg(u) - u*q under which the disorder scan and the
     descent are guaranteed: q in (0, 1/(2n)], scores strictly decreasing
@@ -209,16 +251,7 @@ def _contract_scores(tree: LabeledTree, q: float) -> ScoreAssignment:
     largest pSO, and ``math.fsum`` rounds each pSO by half an ulp, so a
     drop of more than 5 ulps always shows in the floats; the contract asks
     ``_least_switch_gain`` for 8, against the bound (n - 1) hypot(scr(1),
-    scr(2)) on every pSO of the class.
-
-    The scores and the verdict depend on the degree vector and q alone, and
-    a switch keeps the degrees, so the last accepted (degrees, q) and its
-    scores are kept: every scan of a descent after the first is a lookup.
-    A refusal is never kept, so it is raised again on every call."""
-    global _contract_memo
-    key = (tuple(map(len, tree._adj)), type(q), q)
-    if _contract_memo[0] == key:
-        return _contract_memo[1]
+    scr(2)) on every pSO of the class."""
     if not 0 < q <= 1.0 / (2 * tree.n):
         raise ValueError(f"q must lie in (0, 1/(2n)], got {q}")
     scores = score_assignment(tree, q)
@@ -235,8 +268,59 @@ def _contract_scores(tree: LabeledTree, q: float) -> ScoreAssignment:
             f"q = {q} is too small for the descent: a switch could lower the "
             "pseudo index by less than floating point resolves"
         )
-    _contract_memo = (key, scores)
     return scores
+
+
+class _Scan:
+    """The disorder scan's state on one tree, kept on it as ``_scan``.
+
+    ``key`` is the accepted (type(q), q) and ``scores`` its contract's
+    scores. ``level`` and ``parent`` are indexed by label, as in
+    ``BfsLevels``; ``children[u]`` and ``by_level[k]`` are ascending label
+    lists. The cursor is the pass (``same_level``) and the level ``at`` it
+    resumes from: no level before ``at`` of that pass holds a disorder, nor
+    does any level of the level pass once ``same_level`` is set.
+    ``violation`` is what the last scan returned. No list is changed once
+    the state is made, so states share the rows they have in common."""
+
+    __slots__ = ("key", "scores", "level", "parent", "children", "by_level",
+                 "same_level", "at", "violation")
+
+    def __init__(self, key: tuple, scores: ScoreAssignment, level: Sequence[int],
+                 parent: Sequence[int], children: list[list[int]],
+                 by_level: list[list[int]], same_level: bool, at: int):
+        self.key, self.scores = key, scores
+        self.level, self.parent = level, parent
+        self.children, self.by_level = children, by_level
+        self.same_level, self.at = same_level, at
+        self.violation = None
+
+
+def _fresh_scan(info: BfsLevels, key: tuple, scores: ScoreAssignment, at: int) -> _Scan:
+    """The state of a level pass at level ``at`` over the traversal ``info``."""
+    level, parent = info.level, info.parent
+    # children is indexed by label, like the traversal; a leaf's is empty.
+    by_level: list[list[int]] = [[1]] + [[] for _ in range(level[info.order[-1]])]
+    children: list[list[int]] = [[] for _ in level]
+    for u in range(2, len(level)):
+        by_level[level[u]].append(u)
+        children[parent[u]].append(u)
+    return _Scan(key, scores, level, parent, children, by_level, False, at)
+
+
+def _scan_of(tree: LabeledTree, q: float) -> _Scan:
+    """The tree's kept scan state, made at level 1 of the level pass by the
+    first scan. The contract is checked for a state that holds no accepted
+    q or another one; a switch keeps the degrees, so a state handed on
+    keeps its accepted q and scores. A refusal is never kept."""
+    key = (type(q), q)
+    scan = tree._scan
+    if scan is None or scan.key != key:
+        scores = _contract_scores(tree, q)
+        if scan is None:
+            scan = tree._scan = _fresh_scan(tree.bfs_levels(), key, scores, 1)
+        scan.key, scan.scores = key, scores
+    return scan
 
 
 def find_violation(tree: LabeledTree, q: float) -> Violation | None:
@@ -256,38 +340,58 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
     ValueError outside that contract. Once it holds, both passes compare
     labels alone: u out-scores v exactly when u < v, so a parent's
     least-scored child is its largest label and its best-scored its smallest.
-    """
-    _contract_scores(tree, q)
-    info = tree.bfs_levels()
-    level, parent = info.level, info.parent
-    depth = level[info.order[-1]]
-    # children is indexed by label, like the traversal; a leaf's is empty.
-    by_level: list[list[int]] = [[1]] + [[] for _ in range(depth)]
-    children: list[list[int]] = [[] for _ in range(tree.n + 1)]
-    for u in range(2, tree.n + 1):
-        by_level[level[u]].append(u)
-        children[parent[u]].append(u)
 
-    # Level pass: a deeper vertex out-scoring a shallower one. Scores fall
-    # strictly with the label, so alpha out-scores beta exactly when
-    # alpha < beta, and the least label below level j out-scores any beta
-    # on j that some deeper vertex does. The root carries the top score, so
-    # level 0 never witnesses and the repair always has a parent above beta.
-    least_below = [tree.n + 1] * (depth + 1)
-    for k in range(depth, 0, -1):
-        least_below[k - 1] = min(least_below[k], by_level[k][0])
-    for j in range(1, depth):
-        alpha = least_below[j]
-        for beta in by_level[j]:
-            if beta > alpha:
-                return _level_violation(info, children, alpha, beta)
+    The tree keeps the scan's state, and the scan resumes at the state's
+    cursor, so a repeated call returns the same answer. ``apply_switch``
+    hands the state on when it applies the plan returned here, and three
+    facts make the successor's resumed scan return what a fresh one would:
+
+    - The level pass never goes back. A level switch with witness level j
+      keeps the label set of every level above j, and so the set of labels
+      below each such level, and no level above j gains a witness.
+    - There is one phase change. A same-level switch keeps every vertex's
+      level, so a clear level pass stays clear.
+    - The same-level pass never goes back. A switch at level j changes the
+      children of two level-j parents only, so every group above j keeps
+      its children.
+    """
+    scan = _scan_of(tree, q)
+    scan.violation = _resume(scan, tree.n)
+    return scan.violation
+
+
+def _resume(scan: _Scan, n: int) -> Violation | None:
+    """The disorder scan from the cursor of ``scan``, which it leaves at the
+    level of the disorder found, or past the last level when there is
+    none."""
+    by_level, children = scan.by_level, scan.children
+    depth = len(by_level) - 1
+    if not scan.same_level:
+        # Level pass: a deeper vertex out-scoring a shallower one. Scores
+        # fall strictly with the label, so alpha out-scores beta exactly
+        # when alpha < beta, and the least label below level j out-scores
+        # any beta on j that some deeper vertex does. The root carries the
+        # top score, so level 0 never witnesses and the repair always has a
+        # parent above beta.
+        least_below = [n + 1] * (depth + 1)
+        for k in range(depth, scan.at, -1):
+            least_below[k - 1] = min(least_below[k], by_level[k][0])
+        for j in range(scan.at, depth):
+            row = by_level[j]
+            i = bisect_right(row, least_below[j])
+            if i < len(row):
+                scan.at = j
+                return _level_violation(scan.level, scan.parent, children,
+                                        least_below[j], row[i])
+        scan.same_level, scan.at = True, 0
 
     # Same-level pass: a out-scores each later b of its ascending group, but
     # a's last child gamma is out-scored by b's first child delta. The first
     # such a is the first whose gamma exceeds the least first child of the
     # parents after it, and its b the first of those below gamma.
-    for group in by_level:
-        least_after = [tree.n + 1] * len(group)
+    for j in range(scan.at, depth + 1):
+        group = by_level[j]
+        least_after = [n + 1] * len(group)
         for i in range(len(group) - 1, 0, -1):
             kids = children[group[i]]
             least_after[i - 1] = min(least_after[i], kids[0]) if kids else least_after[i]
@@ -298,8 +402,10 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
                 for b in group[i + 1:]:
                     kids_b = children[b]
                     if kids_b and gamma > kids_b[0]:
+                        scan.at = j
                         return Violation(ViolationKind.SAME_LEVEL,
                                          SwitchPlan(a, gamma, kids_b[0], b))
+    scan.at = depth + 1
     return None
 
 
@@ -360,14 +466,17 @@ def descend(tree: LabeledTree, q: float) -> tuple[LabeledTree, DescentTrace]:
     checked against the greedy construction; any discrepancy raises
     DescentInvariantError rather than being repaired.
 
-    A switch keeps the degrees, so every scan after the first finds the
-    contract's scores kept, and it reads the traversal that proved the
-    switched tree a tree. SO and pSO are exact sums on an ``indices._Grid``
-    and move by the switch's four edge terms. Each step checks that pSO
-    strictly falls, and the end checks both sums against ``sombor`` and
-    ``pseudo_sombor`` of the terminal tree.
+    Each scan resumes from the state its predecessor handed on with the
+    switch (see ``find_violation``). That state carries the contract's
+    accepted q and scores, so only the start tree is checked against the
+    contract. A same-level step runs no traversal, and a level step runs
+    the one that proves its tree a tree (see ``apply_switch``), so a
+    descent traverses 1 + (level steps) trees. SO and pSO are exact sums on
+    an ``indices._Grid`` and move by the switch's four edge terms. Each
+    step checks that pSO strictly falls, and the end checks both sums
+    against ``sombor`` and ``pseudo_sombor`` of the terminal tree.
     """
-    scores = _contract_scores(tree, q)
+    scores = _scan_of(tree, q).scores
     so_grid = _Grid(tuple(map(len, tree._adj[1:])))
     pso_grid = _Grid(scores.values)
     so = sum(so_grid.term(a, b) for a, b in tree.edges)

@@ -3,10 +3,16 @@
 Edges are normalized to (min, max) pairs sorted lexicographically, so two
 trees compare equal exactly when their edge sets coincide. Per-label data
 is a sequence indexed by label, with index 0 as padding. Trees are
-immutable after validation and safe to share: a tree holds only tuples,
-among them its own breadth-first traversal, which every caller shares, and
-nothing in the package assigns to one. ``PruferCode``'s ``__slots__`` base
-``degseq._Value`` refuses assignment and deletion.
+immutable after validation and safe to share: a tree's edges, neighbour
+rows and breadth-first traversal, made on first request and shared by
+every caller, are tuples, and nothing in the package assigns to them.
+``PruferCode``'s ``__slots__`` base ``degseq._Value`` refuses assignment
+and deletion.
+
+A tree also keeps the disorder scan's state (``_scan``), which only
+``switching`` reads and writes, and whose answers are a function of the
+tree. A same-level switch hands that state to its successor in place of a
+traversal (see ``switching.apply_switch``).
 """
 
 from bisect import bisect_left, insort
@@ -38,7 +44,7 @@ class LabeledTree:
     self-loop, duplicate and cycle, in one pass with a union-find. A tree
     holds only valid labels, so this package reads ``_adj`` by index."""
 
-    __slots__ = ("n", "edges", "_adj", "_bfs")
+    __slots__ = ("n", "edges", "_adj", "_bfs", "_scan")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -87,6 +93,7 @@ class LabeledTree:
         self.edges = tuple(canon)
         self._adj = tuple(map(tuple, adj))
         self._bfs = None
+        self._scan = None
 
     def _check_label(self, u: int) -> None:
         if not isinstance(u, int) or isinstance(u, bool) or not 1 <= u <= self.n:
@@ -121,22 +128,16 @@ class LabeledTree:
 
         The caller guarantees four distinct labels with u~v, w~t, u!~w and
         v!~t, so the result has n - 1 distinct edges, and it is a tree
-        exactly when the traversal from vertex 1 reaches all n labels.
-        Raises TreeError otherwise; on success that traversal is the new
-        tree's ``bfs_levels``. The edges and the four changed neighbour
-        rows are spliced in sorted order, as construction would sort them."""
+        exactly when its traversal from vertex 1 reaches all n labels. The
+        caller proves that, by that traversal or otherwise, before the
+        result is used. The edges and the four changed neighbour rows are
+        spliced in sorted order, as construction would sort them."""
         adj = list(self._adj)
         for x, old, new in ((u, v, w), (v, u, t), (w, t, u), (t, w, v)):
             row = list(adj[x])
             row.remove(old)
             insort(row, new)
             adj[x] = tuple(row)
-        bfs = _breadth_first(adj)
-        if len(bfs.order) < self.n:
-            raise TreeError(
-                f"vertex 1 reaches {len(bfs.order)} of {self.n} labels, "
-                "so the edges close a cycle"
-            )
         edges = list(self.edges)
         for a, b in ((u, v), (w, t)):
             del edges[bisect_left(edges, (a, b) if a < b else (b, a))]
@@ -146,7 +147,8 @@ class LabeledTree:
         tree.n = self.n
         tree.edges = tuple(edges)
         tree._adj = tuple(adj)
-        tree._bfs = bfs
+        tree._bfs = None
+        tree._scan = None
         return tree
 
     def to_edge_text(self) -> str:

@@ -34,16 +34,16 @@ TIMEOUT_S = 300
 
 LEDGER = [
     {
-        "name": "contract memo key without q",
+        "name": "scan state's accepted contract key without q",
         "path": "src/sombortrees/switching.py",
-        "old": "key = (tuple(map(len, tree._adj)), type(q), q)",
-        "new": "key = (tuple(map(len, tree._adj)),)",
+        "old": "key = (type(q), q)",
+        "new": "key = ()",
         "nodes": ["tests/test_switching.py::test_contract_memo_keeps_no_verdict_across_trees_or_q"],
     },
     {
         "name": "switched tree without its connectivity check",
-        "path": "src/sombortrees/tree_core.py",
-        "old": "if len(bfs.order) < self.n:",
+        "path": "src/sombortrees/switching.py",
+        "old": "if len(info.order) < tree.n:",
         "new": "if False:",
         "nodes": ["tests/test_switching.py::test_apply_switch_rejects_non_tree_result"],
     },
@@ -198,16 +198,58 @@ LEDGER = [
         "nodes": ["tests/test_switching.py::test_label_outside_the_tree_is_a_missing_edge",
                   "tests/test_switching.py::test_apply_switch_matches_rebuilt_tree_exhaustive"],
     },
+    {
+        "name": "level pass resumed one level past the witness level",
+        "path": "src/sombortrees/switching.py",
+        "old": "_fresh_scan(info, scan.key, scan.scores, scan.at)",
+        "new": "_fresh_scan(info, scan.key, scan.scores, scan.at + 1)",
+        "nodes": ["tests/test_switching.py::test_every_degree_ordered_tree_up_to_9_descends_along_the_reference"],
+    },
+    {
+        "name": "same-level pass resumed one level past the switch",
+        "path": "src/sombortrees/switching.py",
+        "old": "scan.by_level, True, scan.at)",
+        "new": "scan.by_level, True, scan.at + 1)",
+        "nodes": ["tests/test_switching.py::test_every_degree_ordered_tree_up_to_9_descends_along_the_reference"],
+    },
+    {
+        "name": "same-level hand-on that moves one children row",
+        "path": "src/sombortrees/switching.py",
+        "old": "((a, gamma, delta), (b, delta, gamma))",
+        "new": "((a, gamma, delta),)",
+        "nodes": ["tests/test_switching.py::test_every_degree_ordered_tree_up_to_9_descends_along_the_reference"],
+    },
+    {
+        "name": "state handed on for a plan that is not the tree's own",
+        "path": "src/sombortrees/switching.py",
+        "old": "own = found is not None and plan == found.plan",
+        "new": "own = found is not None",
+        "nodes": ["tests/test_switching.py::test_a_plan_the_scan_did_not_return_hands_on_no_state"],
+    },
+    {
+        "name": "same-level step proved by a traversal",
+        "path": "src/sombortrees/switching.py",
+        "old": "if own and found.kind is ViolationKind.SAME_LEVEL:",
+        "new": "if False:",
+        "nodes": ["tests/test_switching.py::test_a_descent_traverses_once_plus_once_per_level_step"],
+    },
+    {
+        "name": "trace writer that lays out the empty trace on two lines",
+        "path": "src/sombortrees/cli.py",
+        "old": 'return "[]"',
+        "new": 'return "[\\n]"',
+        "nodes": ["tests/test_cli.py::test_trace_writer_matches_json_dumps_with_indent_2"],
+    },
 ]
 
 EQUIVALENT = [
     {
-        "name": "level pass with >= for >",
+        "name": "level pass with the first beta >= alpha for the first beta > alpha",
         "path": "src/sombortrees/switching.py",
-        "old": "if beta > alpha:",
-        "new": "if beta >= alpha:",
-        "why": "alpha is a label below level j and beta a label on level j, so"
-               " they are never equal and the two tests agree on every tree.",
+        "old": "i = bisect_right(row, least_below[j])",
+        "new": "i = bisect_left(row, least_below[j])",
+        "why": "alpha, the least label below level j (n + 1 when there is none),"
+               " never lies on level j's row, so both searches stop at the same beta.",
     },
 ]
 

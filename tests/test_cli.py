@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import pytest
 
 from sombortrees import cli, oracle, switching
 from sombortrees.cli import main
+from sombortrees.degseq import DegreeSequence, parse_degree_sequence
+from sombortrees.tree_core import PruferCode, degree_sequence_of, prufer_decode
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -470,25 +473,28 @@ DESCEND_82 = ",".join(["4"] * 10 + ["3"] * 10 + ["2"] * 30 + ["1"] * 32)
 DESCEND_162 = ",".join(["4"] * 20 + ["3"] * 20 + ["2"] * 60 + ["1"] * 62)
 
 
+# (degrees, seed, sha256 of stdout, sha256 of --trace-json)
+DESCEND_GOLDENS = [
+    (
+        "4,3,3,2,1,1,1,1,1,1", 7,
+        "3a0dc123dd9f848a15a7f3e3f7d7a33feb93986e3058f73e9e6e7f4fa6c4b01f",
+        "b3a78c0e8df1ee0eeca319b78ce14436aa314ff78528a11f717213358a411fe3",
+    ),
+    (
+        DESCEND_82, 0,
+        "3d7a8cf5594c1c885c12f57be41fe249c11dab27203f7075ee84166645bec814",
+        "880a970782f4b42f05c9944a7048a2c2e8303e9783c6d6bbf280783a5071a135",
+    ),
+    (
+        DESCEND_162, 0,
+        "3843416d535826ebbcf4e3315d62bf826a89a021d89de287b9a3c32eb77cf92c",
+        "4cf16a998e0a8c96abaaa0520c1d524704506e7f6520b8b7c2516e8e47fbe054",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "degrees, seed, stdout_sha, trace_sha",
-    [
-        (
-            "4,3,3,2,1,1,1,1,1,1", 7,
-            "3a0dc123dd9f848a15a7f3e3f7d7a33feb93986e3058f73e9e6e7f4fa6c4b01f",
-            "b3a78c0e8df1ee0eeca319b78ce14436aa314ff78528a11f717213358a411fe3",
-        ),
-        (
-            DESCEND_82, 0,
-            "3d7a8cf5594c1c885c12f57be41fe249c11dab27203f7075ee84166645bec814",
-            "880a970782f4b42f05c9944a7048a2c2e8303e9783c6d6bbf280783a5071a135",
-        ),
-        (
-            DESCEND_162, 0,
-            "3843416d535826ebbcf4e3315d62bf826a89a021d89de287b9a3c32eb77cf92c",
-            "4cf16a998e0a8c96abaaa0520c1d524704506e7f6520b8b7c2516e8e47fbe054",
-        ),
-    ],
+    "degrees, seed, stdout_sha, trace_sha", DESCEND_GOLDENS,
     ids=["n10-seed7", "n82-seed0", "n162-seed0"],
 )
 def test_descend_random_golden(tmp_path, capsys, degrees, seed, stdout_sha, trace_sha):
@@ -502,6 +508,28 @@ def test_descend_random_golden(tmp_path, capsys, degrees, seed, stdout_sha, trac
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
     assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == trace_sha
+
+
+def test_trace_writer_matches_json_dumps_with_indent_2():
+    # The --trace-json writer against json.dumps(..., indent=2), byte for
+    # byte: the empty trace, every golden descent above, and 60 descents
+    # from seeded random starts of random classes, each at two q.
+    traces = [switching.DescentTrace(())]
+    for degrees, seed, _, _ in DESCEND_GOLDENS:
+        seq = parse_degree_sequence(degrees)
+        start = oracle.sample_tree(seq, random.Random(seed))
+        traces.append(switching.descend(start, 1 / (2 * seq.n))[1])
+    rng = random.Random(53)
+    for _ in range(30):
+        n = rng.randint(4, 40)
+        code = PruferCode(n, tuple(rng.randint(1, n) for _ in range(n - 2)))
+        degrees = sorted(degree_sequence_of(prufer_decode(code))[0], reverse=True)
+        start = oracle.sample_tree(DegreeSequence(tuple(degrees)), rng)
+        for q in (1 / (2 * n), 1 / (5 * n)):
+            traces.append(switching.descend(start, q)[1])
+    assert sum(1 for trace in traces if trace.steps) >= 50
+    for trace in traces:
+        assert cli._trace_json(trace) == json.dumps(trace.to_json(), indent=2)
 
 
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])

@@ -4,13 +4,14 @@ from itertools import chain, permutations, product
 
 import pytest
 
-from sombortrees import switching
+from sombortrees import switching, tree_core
 from sombortrees.degseq import DegreeSequence
 from sombortrees.greedy import build_greedy
 from sombortrees.indices import pseudo_sombor, score_assignment, sombor
 from sombortrees.oracle import enumerate_trees, realizable_sequences, sample_tree
 from sombortrees.switching import (
     DescentInvariantError,
+    DescentTrace,
     SwitchError,
     SwitchPlan,
     SwitchSign,
@@ -333,7 +334,8 @@ def _reference_find_violation(tree: LabeledTree, q: float) -> Violation | None:
         for beta in by_level[j]:
             for alpha in candidates:
                 if scores[alpha] > scores[beta]:
-                    return _level_violation(info, children, alpha, beta)
+                    return _level_violation(info.level, info.parent, children,
+                                            alpha, beta)
 
     # Same-level pass: children misordered against their parents' scores.
     for group in by_level:
@@ -418,11 +420,90 @@ def test_find_violation_matches_reference_along_descent(degrees, seed):
     assert tree == terminal == build_greedy(seq)
 
 
+def _assert_descends_along_the_reference(tree: LabeledTree, q: float) -> DescentTrace:
+    # descend's trace replayed on trees rebuilt from their edges: each
+    # step's violation is the from-scratch reference scan's, and the last
+    # tree is the greedy tree.
+    terminal, trace = descend(tree, q)
+    for step in trace.steps:
+        assert _reference_find_violation(tree, q) == Violation(step.kind, step.plan)
+        tree = _reference_apply_switch(tree, step.plan)
+    assert _reference_find_violation(tree, q) is None
+    assert tree == terminal == build_greedy(DegreeSequence(degree_sequence_of(tree)[0]))
+    return trace
+
+
+def test_every_degree_ordered_tree_up_to_9_descends_along_the_reference():
+    # All 13,391 degree-ordered labeled trees with n <= 9: every resumed
+    # scan of the descent returns the plan of a fresh reference scan.
+    trees, kinds = 0, set()
+    for seq in realizable_sequences(9):
+        for tree in enumerate_trees(seq):
+            trace = _assert_descends_along_the_reference(tree, 1 / (2 * seq.n))
+            kinds |= {step.kind for step in trace.steps}
+            trees += 1
+    assert trees == 13_391
+    assert kinds == set(ViolationKind)
+
+
+def test_a_plan_the_scan_did_not_return_hands_on_no_state():
+    # Along a descent, each tree is scanned, and then valid switches other
+    # than the scan's, lowering pSO and raising it, go through
+    # apply_switch: the successor's scan must be a fresh reference scan of
+    # the successor rebuilt from its edges, whatever kind the tree's own
+    # plan was.
+    seq = DegreeSequence((4, 4, 3, 3, 3, 2, 2, 2) + (1,) * 9)
+    q = 1 / (2 * seq.n)
+    rng = random.Random(5)
+    tree = sample_tree(seq, rng)
+    signs, own_kinds = set(), set()
+    while (own := find_violation(tree, q)) is not None:
+        own_kinds.add(own.kind)
+        tried = 0
+        while tried < 12:
+            (a, b), (c, d) = rng.sample(tree.edges, 2)
+            try:
+                plan = SwitchPlan(*rng.choice([(a, b, c, d), (b, a, c, d),
+                                               (a, b, d, c), (b, a, d, c)]))
+                successor = apply_switch(tree, plan)
+            except SwitchError:
+                continue
+            if plan == own.plan:
+                continue
+            signs.add(switch_sign(tree, plan, score_assignment(tree, q))[0])
+            rebuilt = LabeledTree(tree.n, successor.edges)
+            assert find_violation(successor, q) == _reference_find_violation(rebuilt, q)
+            tried += 1
+        tree = apply_switch(tree, own.plan)
+    assert signs == {SwitchSign.DECREASE, SwitchSign.INCREASE}
+    assert own_kinds >= {ViolationKind.SAME_LEVEL, ViolationKind.LEVEL_CASE_NONPARENT}
+
+
+def test_a_descent_traverses_once_plus_once_per_level_step(monkeypatch):
+    # The start tree's scan runs the one traversal, each level step runs
+    # the one that proves its tree a tree, and a same-level step runs none.
+    calls = []
+    real = tree_core._breadth_first
+
+    def counted(adj):
+        calls.append(len(adj))
+        return real(adj)
+
+    monkeypatch.setattr(tree_core, "_breadth_first", counted)
+    for degrees, seed in ((_N82, 0), (_N82, 1), (_N74, 0), (_N72, 0)):
+        seq = DegreeSequence(degrees)
+        calls.clear()
+        _, trace = descend(sample_tree(seq, random.Random(seed)), 1 / (2 * seq.n))
+        level_steps = sum(step.kind is not ViolationKind.SAME_LEVEL for step in trace.steps)
+        assert level_steps < len(trace.steps)
+        assert len(calls) == 1 + level_steps
+
+
 def test_contract_memo_keeps_no_verdict_across_trees_or_q():
-    # A descent leaves its degrees and q accepted; a tree of the same size
-    # with unordered labels, or SHAPE_B at a refused q right after its own
-    # degrees were accepted, must still be refused, and another accepted q
-    # must get its own scores.
+    # A descent leaves its trees' scan states holding an accepted q; a tree
+    # of the same size with unordered labels, or SHAPE_B at a refused q
+    # right after its state accepted another, must still be refused, and
+    # another accepted q must get its own scores.
     seq = DegreeSequence(_N82)
     descend(sample_tree(seq, random.Random(0)), 1 / (2 * seq.n))
     unordered = LabeledTree(seq.n, [(u, u + 1) for u in range(1, seq.n)])
@@ -433,6 +514,8 @@ def test_contract_memo_keeps_no_verdict_across_trees_or_q():
         find_violation(SHAPE_B, 1e-15)
     with pytest.raises(ValueError, match="too small for the descent"):
         _contract_scores(SHAPE_B, 1e-15)
+    assert find_violation(SHAPE_B, 1 / 24) == find_violation(SHAPE_B, 1 / 12)
+    assert SHAPE_B._scan.scores == score_assignment(SHAPE_B, 1 / 12)
     assert _contract_scores(SHAPE_B, 1 / 12) == score_assignment(SHAPE_B, 1 / 12)
     assert _contract_scores(SHAPE_B, 1 / 24) == score_assignment(SHAPE_B, 1 / 24)
     assert _contract_scores(GREEDY_6, 1 / 24) == score_assignment(GREEDY_6, 1 / 24)
