@@ -51,6 +51,17 @@ class _Grid:
         return int(math.ldexp(math.hypot(w[a], w[b]) if a < b else math.hypot(w[b], w[a]),
                               self.shift))
 
+    def switch_gain(self, u: int, v: int, w: int, t: int) -> int:
+        """term(u, w) + term(v, t) - term(u, v) - term(w, t): the exact
+        change of a sum of terms when {u,v}, {w,t} become {u,w}, {v,t}.
+        Each term is computed as ``term`` computes it."""
+        x, y, z, r = self.weights[u], self.weights[v], self.weights[w], self.weights[t]
+        hypot, ldexp, shift = math.hypot, math.ldexp, self.shift
+        return (int(ldexp(hypot(x, z) if u < w else hypot(z, x), shift))
+                + int(ldexp(hypot(y, r) if v < t else hypot(r, y), shift))
+                - int(ldexp(hypot(x, y) if u < v else hypot(y, x), shift))
+                - int(ldexp(hypot(z, r) if w < t else hypot(r, z), shift)))
+
     def value(self, total: int) -> float:
         """The float of an exact sum of terms: one rounding, then the scale."""
         return float(total) * self.scale

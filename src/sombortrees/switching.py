@@ -21,7 +21,7 @@ from enum import Enum
 from .degseq import DegreeSequence, _Value
 from .greedy import build_greedy
 from .indices import ScoreAssignment, _Grid, pseudo_sombor, sombor, score_assignment
-from .tree_core import BfsLevels, LabeledTree, TreeError, degree_sequence_of
+from .tree_core import BfsLevels, LabeledTree, degree_sequence_of
 
 
 class SwitchError(ValueError):
@@ -77,17 +77,17 @@ class Violation(_Value):
 
 
 def _require_plan_applies(tree: LabeledTree, plan: SwitchPlan) -> None:
-    # A label outside 1..n has no edge. The two required edges name all
-    # four labels, so such a plan is refused before the adjacency tests.
+    # A label outside 1..n (an int, not a bool) has no edge. The two
+    # required edges name each of the four labels once, so such a plan is
+    # refused before the adjacency tests read the neighbour rows.
+    n, adj = tree.n, tree._adj
     for a, b in ((plan.u, plan.v), (plan.w, plan.t)):
-        try:
-            present = tree.adjacent(a, b)
-        except TreeError:
-            present = False
-        if not present:
+        if not (isinstance(a, int) and not isinstance(a, bool) and 1 <= a <= n
+                and isinstance(b, int) and not isinstance(b, bool) and 1 <= b <= n
+                and b in adj[a]):
             raise SwitchError(f"required edge {{{a},{b}}} is missing")
     for a, b in ((plan.u, plan.w), (plan.v, plan.t)):
-        if tree.adjacent(a, b):
+        if b in adj[a]:
             raise SwitchError(f"vertices {a} and {b} must not be adjacent")
 
 
@@ -96,8 +96,8 @@ def apply_switch(tree: LabeledTree, plan: SwitchPlan) -> LabeledTree:
 
     Once the plan's four adjacency checks pass, the switched edge set has
     n - 1 distinct edges, so one traversal from vertex 1 decides whether it
-    is a tree; the new tree keeps that traversal. Only the same-level plan
-    below takes a proof in its place.
+    is a tree; the new tree keeps that traversal. Two plans of the tree's
+    own scan take a proof in its place.
 
     When ``plan`` is the plan that the tree's own scan returned, the scan's
     state goes on to the new tree (see ``find_violation``); for any other
@@ -111,27 +111,41 @@ def apply_switch(tree: LabeledTree, plan: SwitchPlan) -> LabeledTree:
       one subtree to the rest, so the result is a tree in which every
       vertex keeps its level. The state keeps its levels, moves gamma and
       delta between the two children rows, fixes their two parents, and
-      resumes the same-level pass at j.
-    - Any other plan of the scan is proved a tree by the traversal, which
-      the state is rebuilt from; the level pass resumes at the witness
-      level j."""
+      keeps its cursor: the same-level pass resumes at parent a of level
+      j's group, with the group's suffix minima (see ``_Scan``).
+    - A LEVEL_CASE_NONPARENT plan (alpha, p, gamma, beta) takes no
+      traversal either. Here p and gamma are the parents of alpha and
+      beta, and beta's level j lies above alpha's. alpha is not in beta's
+      subtree, which a walk up from alpha to level j checks, and beta is not
+      in alpha's, which lies below level j; so the two subtrees are
+      disjoint, and neither holds the root, p or gamma. Dropping {alpha, p}
+      and {gamma, beta} leaves them and the rest, and {alpha, gamma} and
+      {p, beta} each join one of them to the rest, so the result is a
+      tree. alpha's subtree rises by s = level[alpha] - j and beta's falls
+      by s; the state moves their labels' levels and the level rows from j
+      down, shares the rows above j, swaps alpha and beta between the
+      children rows of gamma and p, and resumes the level pass at j. Both
+      subtree walks stop past n labels, so a state whose rows do not form
+      a tree is refused rather than walked forever.
+    - Any other plan is proved a tree by the traversal; for the scan's own
+      LEVEL_CASE_PARENT and LEVEL_CASE_GRANDCHILD plans the state is
+      rebuilt from it, and the level pass resumes at the witness level j."""
     _require_plan_applies(tree, plan)
     scan = tree._scan
     found = scan.violation if scan is not None else None
-    own = found is not None and plan == found.plan
+    own = found is not None and (plan is found.plan or plan == found.plan)
     successor = tree._switched(plan.u, plan.v, plan.w, plan.t)
     if own and found.kind is ViolationKind.SAME_LEVEL:
         a, gamma, delta, b = plan.u, plan.v, plan.w, plan.t
         parent = list(scan.parent)
         parent[gamma], parent[delta] = b, a
-        children = list(scan.children)
-        for x, out, into in ((a, gamma, delta), (b, delta, gamma)):
-            row = list(children[x])
-            row.remove(out)
-            insort(row, into)
-            children[x] = row
+        children = _moved(scan.children, ((a, gamma, delta), (b, delta, gamma)))
         successor._scan = _Scan(scan.key, scan.scores, scan.level, parent, children,
-                                scan.by_level, True, scan.at)
+                                scan.by_level, True, scan.at,
+                                scan.least_after, scan.first, scan.dirty)
+        return successor
+    if own and found.kind is ViolationKind.LEVEL_CASE_NONPARENT:
+        successor._scan = _rehung(scan, plan, tree.n)
         return successor
     info = successor.bfs_levels()
     if len(info.order) < tree.n:
@@ -281,18 +295,38 @@ class _Scan:
     resumes from: no level before ``at`` of that pass holds a disorder, nor
     does any level of the level pass once ``same_level`` is set.
     ``violation`` is what the last scan returned. No list is changed once
-    the state is made, so states share the rows they have in common."""
+    the state is made, so states share the rows they have in common.
+
+    In the same-level pass the cursor also holds a place in the group
+    ``by_level[at]``: the pass resumes at its parent ``first``, and no
+    parent before it holds a disorder. ``least_after`` (None until the pass
+    reaches the group) is the group's table of suffix minima: entry i is
+    at most the least first child of the parents after i, and equal to it
+    from i = ``dirty`` on. The scan recomputes entries ``first`` to
+    ``dirty`` - 1 on a copy before it reads them.
+
+    The table is only a filter: the pass confirms each candidate parent
+    against the parents after it, so a too small entry costs time and
+    never changes the answer. So the state of a switch between the group's
+    parents a = ``first`` and b = ``dirty`` goes on with the table. The
+    switch hands a's last child gamma to b and b's first child delta <
+    gamma to a. Entries from b on cover neither and keep their values.
+    Every other entry covers b, whose new first child exceeds delta, and
+    one before a also covers a, whose new first child is its old one or
+    delta; both were in the old minimum, so no minimum falls."""
 
     __slots__ = ("key", "scores", "level", "parent", "children", "by_level",
-                 "same_level", "at", "violation")
+                 "same_level", "at", "least_after", "first", "dirty", "violation")
 
     def __init__(self, key: tuple, scores: ScoreAssignment, level: Sequence[int],
                  parent: Sequence[int], children: list[list[int]],
-                 by_level: list[list[int]], same_level: bool, at: int):
+                 by_level: list[list[int]], same_level: bool, at: int,
+                 least_after: list[int] | None = None, first: int = 0, dirty: int = 0):
         self.key, self.scores = key, scores
         self.level, self.parent = level, parent
         self.children, self.by_level = children, by_level
         self.same_level, self.at = same_level, at
+        self.least_after, self.first, self.dirty = least_after, first, dirty
         self.violation = None
 
 
@@ -306,6 +340,64 @@ def _fresh_scan(info: BfsLevels, key: tuple, scores: ScoreAssignment, at: int) -
         by_level[level[u]].append(u)
         children[parent[u]].append(u)
     return _Scan(key, scores, level, parent, children, by_level, False, at)
+
+
+def _moved(children: list[list[int]],
+           moves: tuple[tuple[int, int, int], ...]) -> list[list[int]]:
+    """``children`` with each (x, out, into) of ``moves`` taking ``out`` out
+    of row x and ``into`` into it, in order. Rows are copied, not changed."""
+    children = list(children)
+    for x, out, into in moves:
+        row = list(children[x])
+        row.remove(out)
+        insort(row, into)
+        children[x] = row
+    return children
+
+
+def _rehung(scan: _Scan, plan: SwitchPlan, n: int) -> _Scan:
+    """The state after the scan's own LEVEL_CASE_NONPARENT plan (alpha, p,
+    gamma, beta), proved a tree as ``apply_switch`` states. Raises
+    SwitchError when alpha lies in beta's subtree, or when a subtree walk
+    passes n labels."""
+    alpha, p, gamma, beta = plan.u, plan.v, plan.w, plan.t
+    j, deep = scan.level[beta], scan.level[alpha]
+    if _is_proper_descendant(scan.level, scan.parent, alpha, beta):
+        raise SwitchError(
+            f"switch {plan} does not produce a tree: {alpha} lies in the subtree of {beta}"
+        )
+    level, children = list(scan.level), scan.children
+    # arrivals[k - j] gathers the labels whose new level is k.
+    arrivals: list[list[int]] = [[] for _ in range(len(scan.by_level) - j)]
+    for root, k in ((alpha, j), (beta, deep)):
+        layer, seen = [root], 0
+        while layer:
+            seen += len(layer)
+            if seen > n:
+                raise SwitchError(
+                    f"switch {plan}: the subtree of {root} holds more than {n} labels, "
+                    "so the kept scan state is not a tree's"
+                )
+            if k - j == len(arrivals):
+                arrivals.append([])
+            arrivals[k - j] += layer
+            for u in layer:
+                level[u] = k
+            layer = [c for u in layer for c in children[u]]
+            k += 1
+    parent = list(scan.parent)
+    parent[alpha], parent[beta] = gamma, p
+    children = _moved(children, ((gamma, beta, alpha), (p, alpha, beta)))
+    # A label keeps its level unless it moved, and a moved label changed it.
+    by_level = scan.by_level[:j]
+    for k, arrived in enumerate(arrivals, j):
+        row = [u for u in scan.by_level[k] if level[u] == k] if k < len(scan.by_level) else []
+        row += arrived
+        row.sort()
+        by_level.append(row)
+    while not by_level[-1]:
+        by_level.pop()
+    return _Scan(scan.key, scan.scores, level, parent, children, by_level, False, j)
 
 
 def _scan_of(tree: LabeledTree, q: float) -> _Scan:
@@ -343,8 +435,11 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
 
     The tree keeps the scan's state, and the scan resumes at the state's
     cursor, so a repeated call returns the same answer. ``apply_switch``
-    hands the state on when it applies the plan returned here, and three
-    facts make the successor's resumed scan return what a fresh one would:
+    hands the state on when it applies the plan returned here: a
+    same-level or LEVEL_CASE_NONPARENT switch moves what it changes, and
+    any other switch rebuilds the state from the traversal that proves
+    its tree. Four facts make the successor's resumed scan return what a
+    fresh one would:
 
     - The level pass never goes back. A level switch with witness level j
       keeps the label set of every level above j, and so the set of labels
@@ -354,6 +449,12 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
     - The same-level pass never goes back. A switch at level j changes the
       children of two level-j parents only, so every group above j keeps
       its children.
+    - Inside level j's group it never goes back past a. A switch between
+      the group's parents a and b keeps the children of every parent
+      before a, and the least first child of the parents after any of
+      them can only rise (see ``_Scan``), so no parent before a gains a
+      disorder. The pass resumes at a itself, which may still hold one,
+      and recomputes only the suffix minima from a to b.
     """
     scan = _scan_of(tree, q)
     scan.violation = _resume(scan, tree.n)
@@ -362,8 +463,9 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
 
 def _resume(scan: _Scan, n: int) -> Violation | None:
     """The disorder scan from the cursor of ``scan``, which it leaves at the
-    level of the disorder found, or past the last level when there is
-    none."""
+    disorder found, or past the last level when there is none. At a
+    same-level disorder the cursor is its level, the group's suffix minima
+    and the indices of a and b (see ``_Scan``)."""
     by_level, children = scan.by_level, scan.children
     depth = len(by_level) - 1
     if not scan.same_level:
@@ -389,23 +491,33 @@ def _resume(scan: _Scan, n: int) -> Violation | None:
     # a's last child gamma is out-scored by b's first child delta. The first
     # such a is the first whose gamma exceeds the least first child of the
     # parents after it, and its b the first of those below gamma.
+    least_after = scan.least_after
     for j in range(scan.at, depth + 1):
         group = by_level[j]
-        least_after = [n + 1] * len(group)
-        for i in range(len(group) - 1, 0, -1):
-            kids = children[group[i]]
-            least_after[i - 1] = min(least_after[i], kids[0]) if kids else least_after[i]
-        for i, a in enumerate(group):
-            kids_a = children[a]
+        if least_after is None:
+            least_after, first, end = [n + 1] * len(group), 0, len(group) - 1
+        else:
+            first, end = scan.first, scan.dirty
+            if end > first:
+                least_after = least_after.copy()
+        least = least_after[end]
+        for i in range(end - 1, first - 1, -1):
+            kids = children[group[i + 1]]
+            if kids and kids[0] < least:
+                least = kids[0]
+            least_after[i] = least
+        for i in range(first, len(group)):
+            kids_a = children[group[i]]
             if kids_a and kids_a[-1] > least_after[i]:
                 gamma = kids_a[-1]
-                for b in group[i + 1:]:
-                    kids_b = children[b]
+                for k in range(i + 1, len(group)):
+                    kids_b = children[group[k]]
                     if kids_b and gamma > kids_b[0]:
-                        scan.at = j
+                        scan.at, scan.least_after, scan.first, scan.dirty = j, least_after, i, k
                         return Violation(ViolationKind.SAME_LEVEL,
-                                         SwitchPlan(a, gamma, kids_b[0], b))
-    scan.at = depth + 1
+                                         SwitchPlan(group[i], gamma, kids_b[0], group[k]))
+        least_after = None
+    scan.at, scan.least_after = depth + 1, None
     return None
 
 
@@ -452,8 +564,7 @@ class DescentTrace(_Value):
 
 def _switch_gain(grid: _Grid, plan: SwitchPlan) -> int:
     """The exact change of a sum of ``grid`` terms under the switch."""
-    u, v, w, t = plan.u, plan.v, plan.w, plan.t
-    return grid.term(u, w) + grid.term(v, t) - grid.term(u, v) - grid.term(w, t)
+    return grid.switch_gain(plan.u, plan.v, plan.w, plan.t)
 
 
 def descend(tree: LabeledTree, q: float) -> tuple[LabeledTree, DescentTrace]:
@@ -469,12 +580,13 @@ def descend(tree: LabeledTree, q: float) -> tuple[LabeledTree, DescentTrace]:
     Each scan resumes from the state its predecessor handed on with the
     switch (see ``find_violation``). That state carries the contract's
     accepted q and scores, so only the start tree is checked against the
-    contract. A same-level step runs no traversal, and a level step runs
-    the one that proves its tree a tree (see ``apply_switch``), so a
-    descent traverses 1 + (level steps) trees. SO and pSO are exact sums on
-    an ``indices._Grid`` and move by the switch's four edge terms. Each
-    step checks that pSO strictly falls, and the end checks both sums
-    against ``sombor`` and ``pseudo_sombor`` of the terminal tree.
+    contract. A same-level or LEVEL_CASE_NONPARENT step runs no traversal,
+    and a LEVEL_CASE_PARENT or LEVEL_CASE_GRANDCHILD step runs the one
+    that proves its tree a tree (see ``apply_switch``), so a descent
+    traverses 1 + (those steps) trees. SO and pSO are exact sums on an
+    ``indices._Grid`` and move by the switch's four edge terms. Each step
+    checks that pSO strictly falls, and the end checks both sums against
+    ``sombor`` and ``pseudo_sombor`` of the terminal tree.
     """
     scores = _scan_of(tree, q).scores
     so_grid = _Grid(tuple(map(len, tree._adj[1:])))

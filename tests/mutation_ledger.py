@@ -50,15 +50,15 @@ LEDGER = [
     {
         "name": "suffix minimum over the last children",
         "path": "src/sombortrees/switching.py",
-        "old": "min(least_after[i], kids[0]) if kids",
-        "new": "min(least_after[i], kids[-1]) if kids",
+        "old": "if kids and kids[0] < least:\n                least = kids[0]",
+        "new": "if kids and kids[-1] < least:\n                least = kids[-1]",
         "nodes": ["tests/test_switching.py::test_find_violation_matches_reference_along_descent[0]"],
     },
     {
         "name": "suffix minimum one parent short",
         "path": "src/sombortrees/switching.py",
-        "old": "for i in range(len(group) - 1, 0, -1):",
-        "new": "for i in range(len(group) - 2, 0, -1):",
+        "old": "0, len(group) - 1",
+        "new": "0, len(group) - 2",
         "nodes": ["tests/test_switching.py::test_find_violation_matches_reference_along_descent[0]"],
     },
     {
@@ -191,12 +191,11 @@ LEDGER = [
         "nodes": ["tests/test_switching.py::test_find_violation_matches_reference_along_descent[0]"],
     },
     {
-        "name": "plan label outside 1..n raised as a TreeError",
+        "name": "plan label above n raised as an IndexError",
         "path": "src/sombortrees/switching.py",
-        "old": "            present = False\n",
-        "new": "            raise\n",
-        "nodes": ["tests/test_switching.py::test_label_outside_the_tree_is_a_missing_edge",
-                  "tests/test_switching.py::test_apply_switch_matches_rebuilt_tree_exhaustive"],
+        "old": "and 1 <= a <= n\n",
+        "new": "and 1 <= a\n",
+        "nodes": ["tests/test_switching.py::test_apply_switch_matches_rebuilt_tree_exhaustive"],
     },
     {
         "name": "level pass resumed one level past the witness level",
@@ -208,8 +207,8 @@ LEDGER = [
     {
         "name": "same-level pass resumed one level past the switch",
         "path": "src/sombortrees/switching.py",
-        "old": "scan.by_level, True, scan.at)",
-        "new": "scan.by_level, True, scan.at + 1)",
+        "old": "scan.by_level, True, scan.at,\n",
+        "new": "scan.by_level, True, scan.at + 1,\n",
         "nodes": ["tests/test_switching.py::test_every_degree_ordered_tree_up_to_9_descends_along_the_reference"],
     },
     {
@@ -222,7 +221,7 @@ LEDGER = [
     {
         "name": "state handed on for a plan that is not the tree's own",
         "path": "src/sombortrees/switching.py",
-        "old": "own = found is not None and plan == found.plan",
+        "old": "own = found is not None and (plan is found.plan or plan == found.plan)",
         "new": "own = found is not None",
         "nodes": ["tests/test_switching.py::test_a_plan_the_scan_did_not_return_hands_on_no_state"],
     },
@@ -231,7 +230,35 @@ LEDGER = [
         "path": "src/sombortrees/switching.py",
         "old": "if own and found.kind is ViolationKind.SAME_LEVEL:",
         "new": "if False:",
-        "nodes": ["tests/test_switching.py::test_a_descent_traverses_once_plus_once_per_level_step"],
+        "nodes": ["tests/test_switching.py::test_a_descent_traverses_once_plus_once_per_parent_or_grandchild_step"],
+    },
+    {
+        "name": "same-level scan resumed at the parent after a",
+        "path": "src/sombortrees/switching.py",
+        "old": "= j, least_after, i, k",
+        "new": "= j, least_after, i + 1, k",
+        "nodes": ["tests/test_switching.py::test_find_violation_matches_reference_exhaustive"],
+    },
+    {
+        "name": "NONPARENT hand-on without its premise walk",
+        "path": "src/sombortrees/switching.py",
+        "old": "if _is_proper_descendant(scan.level, scan.parent, alpha, beta):",
+        "new": "if False:",
+        "nodes": ["tests/test_switching.py::test_nonparent_hand_on_refuses_alpha_inside_betas_subtree"],
+    },
+    {
+        "name": "NONPARENT hand-on that shifts alpha's subtree alone",
+        "path": "src/sombortrees/switching.py",
+        "old": "for root, k in ((alpha, j), (beta, deep)):",
+        "new": "for root, k in ((alpha, j),):",
+        "nodes": ["tests/test_switching.py::test_handed_on_state_matches_the_successors_traversal_along_descent"],
+    },
+    {
+        "name": "NONPARENT hand-on that rebuilds the level rows from j + 1",
+        "path": "src/sombortrees/switching.py",
+        "old": "by_level = scan.by_level[:j]\n    for k, arrived in enumerate(arrivals, j):",
+        "new": "by_level = scan.by_level[:j + 1]\n    for k, arrived in enumerate(arrivals[1:], j + 1):",
+        "nodes": ["tests/test_switching.py::test_handed_on_state_matches_the_successors_traversal_along_descent"],
     },
     {
         "name": "trace writer that lays out the empty trace on two lines",
@@ -250,6 +277,15 @@ EQUIVALENT = [
         "new": "i = bisect_left(row, least_below[j])",
         "why": "alpha, the least label below level j (n + 1 when there is none),"
                " never lies on level j's row, so both searches stop at the same beta.",
+    },
+    {
+        "name": "same-level suffix minima recomputed short of parent b",
+        "path": "src/sombortrees/switching.py",
+        "old": "first, end = scan.first, scan.dirty\n",
+        "new": "first, end = scan.first, scan.dirty - 2\n",
+        "why": "a same-level switch only raises the group's suffix minima, so an entry"
+               " left unrecomputed is a lower bound; the table only filters candidate"
+               " parents, and the pass confirms each one against the parents after it.",
     },
 ]
 

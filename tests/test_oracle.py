@@ -666,6 +666,16 @@ def test_grid_term_takes_the_smaller_labels_weight_first():
         assert grid.value(grid.term(1, 2)) == grid.value(grid.term(2, 1)) == expected
 
 
+def test_grid_switch_gain_is_its_four_terms():
+    # With these weights every edge but {1,4} and {2,3} takes the last bit
+    # of its term from the order of its two weights, so each of the four
+    # inline terms must keep term's order, for every order of the labels.
+    grid = _Grid((3.92, 1.6333333333333333, 1.6333333333333333, 3.92))
+    for u, v, w, t in permutations(range(1, 5)):
+        expected = grid.term(u, w) + grid.term(v, t) - grid.term(u, v) - grid.term(w, t)
+        assert grid.switch_gain(u, v, w, t) == expected
+
+
 def test_grid_terms_match_the_per_cell_reference():
     # Each term put on the grid by one ldexp must give the exact-ratio
     # integers, and the scale must be the same.

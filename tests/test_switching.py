@@ -479,9 +479,11 @@ def test_a_plan_the_scan_did_not_return_hands_on_no_state():
     assert own_kinds >= {ViolationKind.SAME_LEVEL, ViolationKind.LEVEL_CASE_NONPARENT}
 
 
-def test_a_descent_traverses_once_plus_once_per_level_step(monkeypatch):
-    # The start tree's scan runs the one traversal, each level step runs
-    # the one that proves its tree a tree, and a same-level step runs none.
+def test_a_descent_traverses_once_plus_once_per_parent_or_grandchild_step(monkeypatch):
+    # The start tree's scan runs the one traversal, and each
+    # LEVEL_CASE_PARENT or LEVEL_CASE_GRANDCHILD step runs the one that
+    # proves its tree a tree. A same-level step and a LEVEL_CASE_NONPARENT
+    # step run none: each hands on a state its proof moves.
     calls = []
     real = tree_core._breadth_first
 
@@ -490,13 +492,83 @@ def test_a_descent_traverses_once_plus_once_per_level_step(monkeypatch):
         return real(adj)
 
     monkeypatch.setattr(tree_core, "_breadth_first", counted)
+    traversed = {ViolationKind.LEVEL_CASE_PARENT, ViolationKind.LEVEL_CASE_GRANDCHILD}
     for degrees, seed in ((_N82, 0), (_N82, 1), (_N74, 0), (_N72, 0)):
         seq = DegreeSequence(degrees)
         calls.clear()
         _, trace = descend(sample_tree(seq, random.Random(seed)), 1 / (2 * seq.n))
-        level_steps = sum(step.kind is not ViolationKind.SAME_LEVEL for step in trace.steps)
-        assert level_steps < len(trace.steps)
-        assert len(calls) == 1 + level_steps
+        kinds = [step.kind for step in trace.steps]
+        assert ViolationKind.LEVEL_CASE_NONPARENT in kinds
+        assert len(calls) == 1 + sum(kind in traversed for kind in kinds)
+
+
+def _descend_checking_handed_on_states(tree: LabeledTree, q: float) -> set[ViolationKind]:
+    # Each step's successor holds the state its switch handed on. It must
+    # be the state a fresh scan builds from the successor's own traversal,
+    # row for row, with no empty row past the last level.
+    kinds = set()
+    while (violation := find_violation(tree, q)) is not None:
+        kinds.add(violation.kind)
+        tree = apply_switch(tree, violation.plan)
+        state = tree._scan
+        fresh = switching._fresh_scan(LabeledTree(tree.n, tree.edges).bfs_levels(),
+                                      state.key, state.scores, state.at)
+        assert tuple(state.level) == fresh.level
+        assert tuple(state.parent) == fresh.parent
+        assert list(map(list, state.children)) == fresh.children
+        assert list(map(list, state.by_level)) == fresh.by_level
+        assert state.by_level[-1]
+    return kinds
+
+
+def test_handed_on_state_matches_the_successors_traversal_along_descent():
+    # The eight n = 82 start trees of a descend-random run with seed 0.
+    seq = DegreeSequence(_N82)
+    kinds = set()
+    for seed in range(8):
+        kinds |= _descend_checking_handed_on_states(sample_tree(seq, random.Random(seed)),
+                                                    1 / (2 * seq.n))
+    assert kinds >= {ViolationKind.SAME_LEVEL, ViolationKind.LEVEL_CASE_NONPARENT}
+
+
+def test_handed_on_state_matches_the_successors_traversal_up_to_9():
+    # Every step of the descent from each of the 13,391 degree-ordered
+    # labeled trees with n <= 9.
+    kinds = set()
+    for seq in realizable_sequences(9):
+        for tree in enumerate_trees(seq):
+            kinds |= _descend_checking_handed_on_states(tree, 1 / (2 * seq.n))
+    assert kinds == set(ViolationKind)
+
+
+def _forge_nonparent_state(tree: LabeledTree, plan: SwitchPlan) -> None:
+    tree._scan = switching._fresh_scan(tree.bfs_levels(), None, None, 1)
+    tree._scan.violation = Violation(ViolationKind.LEVEL_CASE_NONPARENT, plan)
+
+
+def test_nonparent_hand_on_refuses_alpha_inside_betas_subtree():
+    # alpha = 2 hangs three levels below beta = 6: 1 - 6 - 7 - 8 - 2, with
+    # the leaves 3, 4 and 5 on the root. The plan (2, 8, 1, 6) re-hangs
+    # alpha below beta's parent, as a LEVEL_CASE_NONPARENT plan would, and
+    # closes the cycle 6 - 7 - 8 - 6.
+    tree = LabeledTree(8, [(1, 6), (6, 7), (7, 8), (2, 8), (1, 3), (1, 4), (1, 5)])
+    plan = SwitchPlan(2, 8, 1, 6)
+    _forge_nonparent_state(tree, plan)
+    with pytest.raises(SwitchError, match="2 lies in the subtree of 6"):
+        apply_switch(tree, plan)
+
+
+def test_nonparent_hand_on_stops_a_walk_that_does_not_end():
+    # A state whose children rows loop, 6 -> 7 -> 6, is refused once a
+    # subtree walk passes n labels.
+    tree = LabeledTree(8, [(1, 6), (6, 7), (1, 8), (2, 8), (1, 3), (1, 4), (1, 5)])
+    plan = SwitchPlan(2, 8, 1, 6)
+    _forge_nonparent_state(tree, plan)
+    children = list(tree._scan.children)
+    children[7] = [6]
+    tree._scan.children = children
+    with pytest.raises(SwitchError, match="subtree of 6 holds more than 8 labels"):
+        apply_switch(tree, plan)
 
 
 def test_contract_memo_keeps_no_verdict_across_trees_or_q():

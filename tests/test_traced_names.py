@@ -78,10 +78,10 @@ def _bench_run(monkeypatch):
          {"tree_core.prufer_decode": 12, "oracle.sombor_spectrum": 12,
           "oracle.verify_greedy_minimum": 12}),
         # Four switches: one scan per switch plus the final empty one. The
-        # first is a level switch and the other three are same-level ones.
-        # bfs_levels runs for the start tree's first scan and for the level
-        # switch, whose traversal proves its tree a tree; a same-level
-        # switch hands the scan's state on without one. The scores are
+        # first is a LEVEL_CASE_NONPARENT switch and the other three are
+        # same-level ones. bfs_levels runs once, for the start tree's first
+        # scan: both kinds of switch hand the scan's state on with a proof
+        # that their result is a tree, and no traversal. The scores are
         # built once by descend, whose scans find them in that state, and
         # once by the CLI for the start pSO. A LabeledTree is constructed
         # for the sampled start and for the greedy target; a switch splices
@@ -89,7 +89,7 @@ def _bench_run(monkeypatch):
         ("descend-random", ["descend", "--random", "-d", "4,3,3,2,1,1,1,1,1,1",
                             "--seed", "7", "--trace-json", "{tmp}/trace.json"],
          {"switching.find_violation": 5, "switching.apply_switch": 4,
-          "tree_core.bfs_levels": 2, "indices.score_assignment": 2,
+          "tree_core.bfs_levels": 1, "indices.score_assignment": 2,
           "tree_core.LabeledTree": 2}),
     ],
     ids=["verify-class", "verify-sweep", "descend-random"],
