@@ -8,7 +8,7 @@ score/level disorder together with a disorder-removing switch, and
 degree-ordered labeling leaves exactly the greedy tree. Under the descent's
 contract scores strictly decrease in the label, so the scan compares labels.
 A descent step rebuilds nothing that its switch keeps: the scan's state
-goes from each tree to its successor (see ``find_violation`` and
+moves from each tree to its successor (see ``find_violation`` and
 ``apply_switch``).
 """
 
@@ -100,8 +100,10 @@ def apply_switch(tree: LabeledTree, plan: SwitchPlan) -> LabeledTree:
     own scan take a proof in its place.
 
     When ``plan`` is the plan that the tree's own scan returned, the scan's
-    state goes on to the new tree (see ``find_violation``); for any other
-    plan the new tree's first scan starts afresh.
+    state moves to the new tree (see ``find_violation``) and the tree keeps
+    none, so a later scan of the tree, as after ``switch_sign`` on that
+    plan, starts afresh. For any other plan the new tree's first scan starts
+    afresh.
 
     - A SAME_LEVEL plan (a, gamma, delta, b) takes no traversal. Here a and
       b are distinct vertices on one level j, with children gamma and
@@ -123,10 +125,10 @@ def apply_switch(tree: LabeledTree, plan: SwitchPlan) -> LabeledTree:
       {p, beta} each join one of them to the rest, so the result is a
       tree. alpha's subtree rises by s = level[alpha] - j and beta's falls
       by s; the state moves their labels' levels and the level rows from j
-      down, shares the rows above j, swaps alpha and beta between the
-      children rows of gamma and p, and resumes the level pass at j. Both
-      subtree walks stop past n labels, so a state whose rows do not form
-      a tree is refused rather than walked forever.
+      down, swaps alpha and beta between the children rows of gamma and p,
+      and resumes the level pass at j. Both subtree walks stop past n
+      labels, so a state whose rows do not form a tree is refused rather
+      than walked forever, and a refusal comes before any change.
     - Any other plan is proved a tree by the traversal; for the scan's own
       LEVEL_CASE_PARENT and LEVEL_CASE_GRANDCHILD plans the state is
       rebuilt from it, and the level pass resumes at the witness level j."""
@@ -134,27 +136,24 @@ def apply_switch(tree: LabeledTree, plan: SwitchPlan) -> LabeledTree:
     scan = tree._scan
     found = scan.violation if scan is not None else None
     own = found is not None and (plan is found.plan or plan == found.plan)
+    if own:
+        tree._scan = scan.violation = None
     successor = tree._switched(plan.u, plan.v, plan.w, plan.t)
     if own and found.kind is ViolationKind.SAME_LEVEL:
         a, gamma, delta, b = plan.u, plan.v, plan.w, plan.t
-        parent = list(scan.parent)
-        parent[gamma], parent[delta] = b, a
-        children = _moved(scan.children, ((a, gamma, delta), (b, delta, gamma)))
-        successor._scan = _Scan(scan.key, scan.scores, scan.level, parent, children,
-                                scan.by_level, True, scan.at,
-                                scan.least_after, scan.first, scan.dirty)
-        return successor
-    if own and found.kind is ViolationKind.LEVEL_CASE_NONPARENT:
-        successor._scan = _rehung(scan, plan, tree.n)
-        return successor
-    info = successor.bfs_levels()
-    if len(info.order) < tree.n:
-        raise SwitchError(
-            f"switch {plan} does not produce a tree: vertex 1 reaches "
-            f"{len(info.order)} of {tree.n} labels, so the edges close a cycle"
-        )
-    if own:
-        successor._scan = _fresh_scan(info, scan.key, scan.scores, scan.at)
+        scan.parent[gamma], scan.parent[delta] = b, a
+        _move(scan.children, ((a, gamma, delta), (b, delta, gamma)))
+    elif own and found.kind is ViolationKind.LEVEL_CASE_NONPARENT:
+        _rehung(scan, plan, tree.n)
+    else:
+        info = successor.bfs_levels()
+        if len(info.order) < tree.n:
+            raise SwitchError(
+                f"switch {plan} does not produce a tree: vertex 1 reaches "
+                f"{len(info.order)} of {tree.n} labels, so the edges close a cycle"
+            )
+        scan = _fresh_scan(info, scan.key, scan.scores, scan.at) if own else None
+    successor._scan = scan
     return successor
 
 
@@ -294,8 +293,9 @@ class _Scan:
     lists. The cursor is the pass (``same_level``) and the level ``at`` it
     resumes from: no level before ``at`` of that pass holds a disorder, nor
     does any level of the level pass once ``same_level`` is set.
-    ``violation`` is what the last scan returned. No list is changed once
-    the state is made, so states share the rows they have in common.
+    ``violation`` is what the last scan returned. A state belongs to one
+    tree and shares no list: ``apply_switch`` takes it off the tree and
+    edits it in place into the successor's, or drops it.
 
     In the same-level pass the cursor also holds a place in the group
     ``by_level[at]``: the pass resumes at its parent ``first``, and no
@@ -303,13 +303,13 @@ class _Scan:
     reaches the group) is the group's table of suffix minima: entry i is
     at most the least first child of the parents after i, and equal to it
     from i = ``dirty`` on. The scan recomputes entries ``first`` to
-    ``dirty`` - 1 on a copy before it reads them.
+    ``dirty`` - 1 in place before it reads them.
 
     The table is only a filter: the pass confirms each candidate parent
     against the parents after it, so a too small entry costs time and
-    never changes the answer. So the state of a switch between the group's
-    parents a = ``first`` and b = ``dirty`` goes on with the table. The
-    switch hands a's last child gamma to b and b's first child delta <
+    never changes the answer. So a switch between the group's parents
+    a = ``first`` and b = ``dirty`` keeps the table in the moved state. The
+    switch moves a's last child gamma to b and b's first child delta <
     gamma to a. Entries from b on cover neither and keep their values.
     Every other entry covers b, whose new first child exceeds delta, and
     one before a also covers a, whose new first child is its old one or
@@ -318,57 +318,53 @@ class _Scan:
     __slots__ = ("key", "scores", "level", "parent", "children", "by_level",
                  "same_level", "at", "least_after", "first", "dirty", "violation")
 
-    def __init__(self, key: tuple, scores: ScoreAssignment, level: Sequence[int],
-                 parent: Sequence[int], children: list[list[int]],
-                 by_level: list[list[int]], same_level: bool, at: int,
-                 least_after: list[int] | None = None, first: int = 0, dirty: int = 0):
+    def __init__(self, key: tuple, scores: ScoreAssignment, level: list[int],
+                 parent: list[int], children: list[list[int]],
+                 by_level: list[list[int]], at: int):
         self.key, self.scores = key, scores
         self.level, self.parent = level, parent
         self.children, self.by_level = children, by_level
-        self.same_level, self.at = same_level, at
-        self.least_after, self.first, self.dirty = least_after, first, dirty
+        self.same_level, self.at = False, at
+        self.least_after, self.first, self.dirty = None, 0, 0
         self.violation = None
 
 
 def _fresh_scan(info: BfsLevels, key: tuple, scores: ScoreAssignment, at: int) -> _Scan:
     """The state of a level pass at level ``at`` over the traversal ``info``."""
-    level, parent = info.level, info.parent
+    level, parent = list(info.level), list(info.parent)
     # children is indexed by label, like the traversal; a leaf's is empty.
     by_level: list[list[int]] = [[1]] + [[] for _ in range(level[info.order[-1]])]
     children: list[list[int]] = [[] for _ in level]
     for u in range(2, len(level)):
         by_level[level[u]].append(u)
         children[parent[u]].append(u)
-    return _Scan(key, scores, level, parent, children, by_level, False, at)
+    return _Scan(key, scores, level, parent, children, by_level, at)
 
 
-def _moved(children: list[list[int]],
-           moves: tuple[tuple[int, int, int], ...]) -> list[list[int]]:
-    """``children`` with each (x, out, into) of ``moves`` taking ``out`` out
-    of row x and ``into`` into it, in order. Rows are copied, not changed."""
-    children = list(children)
+def _move(children: list[list[int]], moves: tuple[tuple[int, int, int], ...]) -> None:
+    """Each (x, out, into) of ``moves`` takes ``out`` out of the row
+    ``children[x]`` and puts ``into`` into it, in order."""
     for x, out, into in moves:
-        row = list(children[x])
+        row = children[x]
         row.remove(out)
         insort(row, into)
-        children[x] = row
-    return children
 
 
-def _rehung(scan: _Scan, plan: SwitchPlan, n: int) -> _Scan:
-    """The state after the scan's own LEVEL_CASE_NONPARENT plan (alpha, p,
-    gamma, beta), proved a tree as ``apply_switch`` states. Raises
-    SwitchError when alpha lies in beta's subtree, or when a subtree walk
-    passes n labels."""
+def _rehung(scan: _Scan, plan: SwitchPlan, n: int) -> None:
+    """Edit ``scan`` in place into the state of the tree after its own
+    LEVEL_CASE_NONPARENT plan (alpha, p, gamma, beta), proved a tree as
+    ``apply_switch`` states; the cursor stays at beta's level j, where the
+    scan found the plan. Raises SwitchError, before any edit, when alpha
+    lies in beta's subtree, or when a subtree walk passes n labels."""
     alpha, p, gamma, beta = plan.u, plan.v, plan.w, plan.t
-    j, deep = scan.level[beta], scan.level[alpha]
-    if _is_proper_descendant(scan.level, scan.parent, alpha, beta):
+    level, parent, children, by_level = scan.level, scan.parent, scan.children, scan.by_level
+    j, deep = level[beta], level[alpha]
+    if _is_proper_descendant(level, parent, alpha, beta):
         raise SwitchError(
             f"switch {plan} does not produce a tree: {alpha} lies in the subtree of {beta}"
         )
-    level, children = list(scan.level), scan.children
     # arrivals[k - j] gathers the labels whose new level is k.
-    arrivals: list[list[int]] = [[] for _ in range(len(scan.by_level) - j)]
+    arrivals: list[list[int]] = [[] for _ in range(len(by_level) - j)]
     for root, k in ((alpha, j), (beta, deep)):
         layer, seen = [root], 0
         while layer:
@@ -381,30 +377,29 @@ def _rehung(scan: _Scan, plan: SwitchPlan, n: int) -> _Scan:
             if k - j == len(arrivals):
                 arrivals.append([])
             arrivals[k - j] += layer
-            for u in layer:
-                level[u] = k
             layer = [c for u in layer for c in children[u]]
             k += 1
-    parent = list(scan.parent)
-    parent[alpha], parent[beta] = gamma, p
-    children = _moved(children, ((gamma, beta, alpha), (p, alpha, beta)))
-    # A label keeps its level unless it moved, and a moved label changed it.
-    by_level = scan.by_level[:j]
     for k, arrived in enumerate(arrivals, j):
-        row = [u for u in scan.by_level[k] if level[u] == k] if k < len(scan.by_level) else []
+        for u in arrived:
+            level[u] = k
+    parent[alpha], parent[beta] = gamma, p
+    _move(children, ((gamma, beta, alpha), (p, alpha, beta)))
+    # A label keeps its level unless it moved, and a moved label changed it.
+    by_level += [[] for _ in range(j + len(arrivals) - len(by_level))]
+    for k, arrived in enumerate(arrivals, j):
+        row = [u for u in by_level[k] if level[u] == k]
         row += arrived
         row.sort()
-        by_level.append(row)
+        by_level[k] = row
     while not by_level[-1]:
         by_level.pop()
-    return _Scan(scan.key, scan.scores, level, parent, children, by_level, False, j)
 
 
 def _scan_of(tree: LabeledTree, q: float) -> _Scan:
     """The tree's kept scan state, made at level 1 of the level pass by the
     first scan. The contract is checked for a state that holds no accepted
-    q or another one; a switch keeps the degrees, so a state handed on
-    keeps its accepted q and scores. A refusal is never kept."""
+    q or another one; a switch keeps the degrees, so a moved state keeps
+    its accepted q and scores. A refusal is never kept."""
     key = (type(q), q)
     scan = tree._scan
     if scan is None or scan.key != key:
@@ -435,11 +430,11 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
 
     The tree keeps the scan's state, and the scan resumes at the state's
     cursor, so a repeated call returns the same answer. ``apply_switch``
-    hands the state on when it applies the plan returned here: a
-    same-level or LEVEL_CASE_NONPARENT switch moves what it changes, and
-    any other switch rebuilds the state from the traversal that proves
-    its tree. Four facts make the successor's resumed scan return what a
-    fresh one would:
+    moves the state to the successor when it applies the plan returned
+    here: a same-level or LEVEL_CASE_NONPARENT switch edits what it
+    changes in place, and any other switch rebuilds the state from the
+    traversal that proves its tree. Four facts make the successor's
+    resumed scan return what a fresh one would:
 
     - The level pass never goes back. A level switch with witness level j
       keeps the label set of every level above j, and so the set of labels
@@ -498,8 +493,6 @@ def _resume(scan: _Scan, n: int) -> Violation | None:
             least_after, first, end = [n + 1] * len(group), 0, len(group) - 1
         else:
             first, end = scan.first, scan.dirty
-            if end > first:
-                least_after = least_after.copy()
         least = least_after[end]
         for i in range(end - 1, first - 1, -1):
             kids = children[group[i + 1]]
@@ -577,8 +570,8 @@ def descend(tree: LabeledTree, q: float) -> tuple[LabeledTree, DescentTrace]:
     checked against the greedy construction; any discrepancy raises
     DescentInvariantError rather than being repaired.
 
-    Each scan resumes from the state its predecessor handed on with the
-    switch (see ``find_violation``). That state carries the contract's
+    Each scan resumes from the state that the switch moved from its
+    predecessor (see ``find_violation``). That state carries the contract's
     accepted q and scores, so only the start tree is checked against the
     contract. A same-level or LEVEL_CASE_NONPARENT step runs no traversal,
     and a LEVEL_CASE_PARENT or LEVEL_CASE_GRANDCHILD step runs the one

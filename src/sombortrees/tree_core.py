@@ -13,7 +13,7 @@ A tree also keeps the disorder scan's state (``_scan``), which only
 ``switching`` reads and writes, and whose answers are a function of the
 tree. A same-level switch, and a level switch that re-hangs a vertex
 outside the subtree of the vertex it out-scores (LEVEL_CASE_NONPARENT),
-hand that state to the successor in place of a traversal; each proves the
+move that state to the successor in place of a traversal; each proves the
 successor a tree (see ``switching.apply_switch``).
 """
 

@@ -207,8 +207,8 @@ LEDGER = [
     {
         "name": "same-level pass resumed one level past the switch",
         "path": "src/sombortrees/switching.py",
-        "old": "scan.by_level, True, scan.at,\n",
-        "new": "scan.by_level, True, scan.at + 1,\n",
+        "old": "scan.parent[gamma], scan.parent[delta] = b, a\n",
+        "new": "scan.parent[gamma], scan.parent[delta] = b, a\n        scan.at += 1\n",
         "nodes": ["tests/test_switching.py::test_every_degree_ordered_tree_up_to_9_descends_along_the_reference"],
     },
     {
@@ -233,6 +233,13 @@ LEDGER = [
         "nodes": ["tests/test_switching.py::test_a_descent_traverses_once_plus_once_per_parent_or_grandchild_step"],
     },
     {
+        "name": "hand-on that leaves the state on its predecessor",
+        "path": "src/sombortrees/switching.py",
+        "old": "tree._scan = scan.violation = None",
+        "new": "pass",
+        "nodes": ["tests/test_switching.py::test_handed_on_state_matches_the_successors_traversal_along_descent"],
+    },
+    {
         "name": "same-level scan resumed at the parent after a",
         "path": "src/sombortrees/switching.py",
         "old": "= j, least_after, i, k",
@@ -242,8 +249,8 @@ LEDGER = [
     {
         "name": "NONPARENT hand-on without its premise walk",
         "path": "src/sombortrees/switching.py",
-        "old": "if _is_proper_descendant(scan.level, scan.parent, alpha, beta):",
-        "new": "if False:",
+        "old": "j, deep = level[beta], level[alpha]\n    if _is_proper_descendant(level, parent, alpha, beta):",
+        "new": "j, deep = level[beta], level[alpha]\n    if False:",
         "nodes": ["tests/test_switching.py::test_nonparent_hand_on_refuses_alpha_inside_betas_subtree"],
     },
     {
@@ -256,8 +263,8 @@ LEDGER = [
     {
         "name": "NONPARENT hand-on that rebuilds the level rows from j + 1",
         "path": "src/sombortrees/switching.py",
-        "old": "by_level = scan.by_level[:j]\n    for k, arrived in enumerate(arrivals, j):",
-        "new": "by_level = scan.by_level[:j + 1]\n    for k, arrived in enumerate(arrivals[1:], j + 1):",
+        "old": "for k, arrived in enumerate(arrivals, j):\n        row =",
+        "new": "for k, arrived in enumerate(arrivals[1:], j + 1):\n        row =",
         "nodes": ["tests/test_switching.py::test_handed_on_state_matches_the_successors_traversal_along_descent"],
     },
     {

@@ -474,6 +474,11 @@ def test_a_plan_the_scan_did_not_return_hands_on_no_state():
             rebuilt = LabeledTree(tree.n, successor.edges)
             assert find_violation(successor, q) == _reference_find_violation(rebuilt, q)
             tried += 1
+        # switch_sign applies the own plan to check it, which moves the
+        # state off the tree; the tree then scans afresh.
+        switch_sign(tree, own.plan, score_assignment(tree, q))
+        assert tree._scan is None
+        assert find_violation(tree, q) == own
         tree = apply_switch(tree, own.plan)
     assert signs == {SwitchSign.DECREASE, SwitchSign.INCREASE}
     assert own_kinds >= {ViolationKind.SAME_LEVEL, ViolationKind.LEVEL_CASE_NONPARENT}
@@ -503,18 +508,22 @@ def test_a_descent_traverses_once_plus_once_per_parent_or_grandchild_step(monkey
 
 
 def _descend_checking_handed_on_states(tree: LabeledTree, q: float) -> set[ViolationKind]:
-    # Each step's successor holds the state its switch handed on. It must
+    # Each step's successor holds the state its switch moved to it. It must
     # be the state a fresh scan builds from the successor's own traversal,
-    # row for row, with no empty row past the last level.
+    # row for row, with no empty row past the last level. The predecessor
+    # keeps no state, and scans afresh to the reference's answer.
     kinds = set()
     while (violation := find_violation(tree, q)) is not None:
         kinds.add(violation.kind)
-        tree = apply_switch(tree, violation.plan)
+        predecessor, tree = tree, apply_switch(tree, violation.plan)
+        assert predecessor._scan is None
+        rebuilt = LabeledTree(predecessor.n, predecessor.edges)
+        assert find_violation(predecessor, q) == _reference_find_violation(rebuilt, q)
         state = tree._scan
         fresh = switching._fresh_scan(LabeledTree(tree.n, tree.edges).bfs_levels(),
                                       state.key, state.scores, state.at)
-        assert tuple(state.level) == fresh.level
-        assert tuple(state.parent) == fresh.parent
+        assert state.level == fresh.level
+        assert state.parent == fresh.parent
         assert list(map(list, state.children)) == fresh.children
         assert list(map(list, state.by_level)) == fresh.by_level
         assert state.by_level[-1]
@@ -556,6 +565,7 @@ def test_nonparent_hand_on_refuses_alpha_inside_betas_subtree():
     _forge_nonparent_state(tree, plan)
     with pytest.raises(SwitchError, match="2 lies in the subtree of 6"):
         apply_switch(tree, plan)
+    assert tree._scan is None
 
 
 def test_nonparent_hand_on_stops_a_walk_that_does_not_end():
@@ -569,6 +579,7 @@ def test_nonparent_hand_on_stops_a_walk_that_does_not_end():
     tree._scan.children = children
     with pytest.raises(SwitchError, match="subtree of 6 holds more than 8 labels"):
         apply_switch(tree, plan)
+    assert tree._scan is None
 
 
 def test_contract_memo_keeps_no_verdict_across_trees_or_q():
