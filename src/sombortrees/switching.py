@@ -97,7 +97,9 @@ def apply_switch(tree: LabeledTree, plan: SwitchPlan) -> LabeledTree:
     Once the plan's four adjacency checks pass, the switched edge set has
     n - 1 distinct edges, so one traversal from vertex 1 decides whether it
     is a tree; the new tree keeps that traversal. Two plans of the tree's
-    own scan take a proof in its place.
+    own scan take a proof in its place. The new tree is made from the four
+    neighbour rows the switch changes, and reads its edges off its rows
+    when they are first asked for (see ``LabeledTree._switched``).
 
     When ``plan`` is the plan that the tree's own scan returned, the scan's
     state moves to the new tree (see ``find_violation``) and the tree keeps
@@ -579,7 +581,8 @@ def descend(tree: LabeledTree, q: float) -> tuple[LabeledTree, DescentTrace]:
     traverses 1 + (those steps) trees. SO and pSO are exact sums on an
     ``indices._Grid`` and move by the switch's four edge terms. Each step
     checks that pSO strictly falls, and the end checks both sums against
-    ``sombor`` and ``pseudo_sombor`` of the terminal tree.
+    ``sombor`` and ``pseudo_sombor`` of the terminal tree. Only that end
+    and the start read a tree's edges, so no step builds an edge list.
     """
     scores = _scan_of(tree, q).scores
     so_grid = _Grid(tuple(map(len, tree._adj[1:])))

@@ -3,9 +3,11 @@
 Edges are normalized to (min, max) pairs sorted lexicographically, so two
 trees compare equal exactly when their edge sets coincide. Per-label data
 is a sequence indexed by label, with index 0 as padding. Trees are
-immutable after validation and safe to share: a tree's edges, neighbour
-rows and breadth-first traversal, made on first request and shared by
-every caller, are tuples, and nothing in the package assigns to them.
+immutable after validation and safe to share: a tree's neighbour rows,
+its edges and its breadth-first traversal are tuples shared by every
+caller, and nothing in the package assigns to them. A constructed tree
+keeps the edges it sorted; a switched tree keeps only its rows and, like
+the traversal, derives its edges on first read and keeps them.
 ``PruferCode``'s ``__slots__`` base ``degseq._Value`` refuses assignment
 and deletion.
 
@@ -17,7 +19,7 @@ move that state to the successor in place of a traversal; each proves the
 successor a tree (see ``switching.apply_switch``).
 """
 
-from bisect import bisect_left, insort
+from bisect import insort
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
@@ -46,7 +48,7 @@ class LabeledTree:
     self-loop, duplicate and cycle, in one pass with a union-find. A tree
     holds only valid labels, so this package reads ``_adj`` by index."""
 
-    __slots__ = ("n", "edges", "_adj", "_bfs", "_scan")
+    __slots__ = ("n", "_edges", "_adj", "_bfs", "_scan")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -92,10 +94,19 @@ class LabeledTree:
             adj[u].append(v)
             adj[v].append(u)
         self.n = n
-        self.edges = tuple(canon)
+        self._edges = tuple(canon)
         self._adj = tuple(map(tuple, adj))
         self._bfs = None
         self._scan = None
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The (min, max) edges in lexicographic order, read off the
+        ascending neighbour rows on first request and kept."""
+        if self._edges is None:
+            adj = self._adj
+            self._edges = tuple((u, v) for u in range(1, self.n + 1) for v in adj[u] if v > u)
+        return self._edges
 
     def _check_label(self, u: int) -> None:
         if not isinstance(u, int) or isinstance(u, bool) or not 1 <= u <= self.n:
@@ -132,22 +143,18 @@ class LabeledTree:
         v!~t, so the result has n - 1 distinct edges, and it is a tree
         exactly when its traversal from vertex 1 reaches all n labels. The
         caller proves that, by that traversal or otherwise, before the
-        result is used. The edges and the four changed neighbour rows are
-        spliced in sorted order, as construction would sort them."""
+        result is used. The four changed neighbour rows are spliced in
+        ascending order, as construction would fill them; the result
+        derives its edges from its rows when they are first read."""
         adj = list(self._adj)
         for x, old, new in ((u, v, w), (v, u, t), (w, t, u), (t, w, v)):
             row = list(adj[x])
             row.remove(old)
             insort(row, new)
             adj[x] = tuple(row)
-        edges = list(self.edges)
-        for a, b in ((u, v), (w, t)):
-            del edges[bisect_left(edges, (a, b) if a < b else (b, a))]
-        for a, b in ((u, w), (v, t)):
-            insort(edges, (a, b) if a < b else (b, a))
         tree = LabeledTree.__new__(LabeledTree)
         tree.n = self.n
-        tree.edges = tuple(edges)
+        tree._edges = None
         tree._adj = tuple(adj)
         tree._bfs = None
         tree._scan = None

@@ -184,6 +184,27 @@ LEDGER = [
         "nodes": ["tests/test_tree_core.py::test_bfs_levels_figure_tree"],
     },
     {
+        "name": "switched tree that keeps its predecessor's edges",
+        "path": "src/sombortrees/tree_core.py",
+        "old": "tree._edges = None",
+        "new": "tree._edges = self._edges",
+        "nodes": ["tests/test_switching.py::test_handed_on_state_matches_the_successors_traversal_along_descent"],
+    },
+    {
+        "name": "edges read off the rows in both directions",
+        "path": "src/sombortrees/tree_core.py",
+        "old": "for v in adj[u] if v > u)",
+        "new": "for v in adj[u])",
+        "nodes": ["tests/test_switching.py::test_handed_on_state_matches_the_successors_traversal_along_descent"],
+    },
+    {
+        "name": "edges read off the rows without label 1's",
+        "path": "src/sombortrees/tree_core.py",
+        "old": "for u in range(1, self.n + 1) for v in adj[u]",
+        "new": "for u in range(2, self.n + 1) for v in adj[u]",
+        "nodes": ["tests/test_switching.py::test_handed_on_state_matches_the_successors_traversal_along_descent"],
+    },
+    {
         "name": "children filed under their own label",
         "path": "src/sombortrees/switching.py",
         "old": "children[parent[u]].append(u)",
@@ -293,6 +314,22 @@ EQUIVALENT = [
         "why": "a same-level switch only raises the group's suffix minima, so an entry"
                " left unrecomputed is a lower bound; the table only filters candidate"
                " parents, and the pass confirms each one against the parents after it.",
+    },
+    {
+        "name": "switched tree that derives its edges on every read",
+        "path": "src/sombortrees/tree_core.py",
+        "old": "            self._edges = tuple((u, v)",
+        "new": "            return tuple((u, v)",
+        "why": "a tree's rows never change once it is made, so every derivation"
+               " yields equal edges; only the time of a read differs.",
+    },
+    {
+        "name": "edges read off the rows short of label n's",
+        "path": "src/sombortrees/tree_core.py",
+        "old": "for u in range(1, self.n + 1) for v",
+        "new": "for u in range(1, self.n) for v",
+        "why": "every neighbour of label n is smaller, so the v > u filter keeps"
+               " nothing of row n.",
     },
 ]
 

@@ -508,20 +508,32 @@ def test_a_descent_traverses_once_plus_once_per_parent_or_grandchild_step(monkey
 
 
 def _descend_checking_handed_on_states(tree: LabeledTree, q: float) -> set[ViolationKind]:
-    # Each step's successor holds the state its switch moved to it. It must
+    # Each step's successor derives its edges from the rows the switch
+    # spliced, so they are checked against the predecessor's edges with the
+    # plan's two edges swapped, and the successor against the tree those
+    # edges validate to, in equality, hash and every neighbour row.
+    # The successor also holds the state its switch moved to it. It must
     # be the state a fresh scan builds from the successor's own traversal,
     # row for row, with no empty row past the last level. The predecessor
     # keeps no state, and scans afresh to the reference's answer.
     kinds = set()
+    rebuilt = LabeledTree(tree.n, tree.edges)
     while (violation := find_violation(tree, q)) is not None:
         kinds.add(violation.kind)
-        predecessor, tree = tree, apply_switch(tree, violation.plan)
+        plan = violation.plan
+        predecessor, tree = tree, apply_switch(tree, plan)
         assert predecessor._scan is None
-        rebuilt = LabeledTree(predecessor.n, predecessor.edges)
         assert find_violation(predecessor, q) == _reference_find_violation(rebuilt, q)
+        dropped = {_pair(plan.u, plan.v), _pair(plan.w, plan.t)}
+        added = {_pair(plan.u, plan.w), _pair(plan.v, plan.t)}
+        edges = tuple(sorted(set(predecessor.edges) - dropped | added))
+        rebuilt = LabeledTree(tree.n, edges)
+        assert tree.edges == edges
+        assert tree == rebuilt and hash(tree) == hash(rebuilt)
+        for u in range(tree.n + 1):
+            assert tree._adj[u] == rebuilt._adj[u]
         state = tree._scan
-        fresh = switching._fresh_scan(LabeledTree(tree.n, tree.edges).bfs_levels(),
-                                      state.key, state.scores, state.at)
+        fresh = switching._fresh_scan(rebuilt.bfs_levels(), state.key, state.scores, state.at)
         assert state.level == fresh.level
         assert state.parent == fresh.parent
         assert list(map(list, state.children)) == fresh.children

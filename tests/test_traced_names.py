@@ -84,8 +84,8 @@ def _bench_run(monkeypatch):
         # that their result is a tree, and no traversal. The scores are
         # built once by descend, whose scans find them in that state, and
         # once by the CLI for the start pSO. A LabeledTree is constructed
-        # for the sampled start and for the greedy target; a switch splices
-        # its successor instead.
+        # for the sampled start and for the greedy target; a switch builds
+        # its successor from the four neighbour rows it changes instead.
         ("descend-random", ["descend", "--random", "-d", "4,3,3,2,1,1,1,1,1,1",
                             "--seed", "7", "--trace-json", "{tmp}/trace.json"],
          {"switching.find_violation": 5, "switching.apply_switch": 4,

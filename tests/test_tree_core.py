@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sombortrees.switching import SwitchPlan, apply_switch
 from sombortrees.tree_core import (
     LabeledTree,
     PruferCode,
@@ -304,6 +305,17 @@ def test_equality_and_hash():
     c = LabeledTree(3, [(1, 2), (2, 3)])
     assert a == b and hash(a) == hash(b)
     assert a != c
+
+
+def test_edges_cannot_be_assigned():
+    # Trees are immutable: a constructed tree keeps the edges it sorted, and
+    # a switched tree derives its own from its rows; neither can be replaced.
+    path = LabeledTree(4, [(1, 2), (2, 3), (3, 4)])
+    switched = apply_switch(path, SwitchPlan(1, 2, 3, 4))
+    for tree, edges in ((path, ((1, 2), (2, 3), (3, 4))), (switched, ((1, 3), (2, 3), (2, 4)))):
+        with pytest.raises(AttributeError):
+            tree.edges = ((1, 4), (2, 4), (3, 4))
+        assert tree.edges == edges
 
 
 def test_edge_text_round_trip():
