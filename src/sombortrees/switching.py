@@ -14,7 +14,7 @@ moves from each tree to its successor (see ``find_violation`` and
 
 import math
 import operator
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from enum import Enum
 
@@ -113,10 +113,10 @@ def apply_switch(tree: LabeledTree, plan: SwitchPlan) -> LabeledTree:
       subtrees of gamma and delta, which lie below level j, and the rest,
       which holds the root, a and b. {a, delta} and {gamma, b} each join
       one subtree to the rest, so the result is a tree in which every
-      vertex keeps its level. The state keeps its levels, moves gamma and
-      delta between the two children rows, fixes their two parents, and
-      keeps its cursor: the same-level pass resumes at parent a of level
-      j's group, with the group's suffix minima (see ``_Scan``).
+      vertex keeps its level. The state holds no parent or child, so it
+      is handed on as it is: its levels, level rows and cursor stay
+      valid, and the same-level pass resumes at parent a of level j's
+      group, with the group's suffix minima (see ``_Scan``).
     - A LEVEL_CASE_NONPARENT plan (alpha, p, gamma, beta) takes no
       traversal either. Here p and gamma are the parents of alpha and
       beta, and beta's level j lies above alpha's. alpha is not in beta's
@@ -127,10 +127,8 @@ def apply_switch(tree: LabeledTree, plan: SwitchPlan) -> LabeledTree:
       {p, beta} each join one of them to the rest, so the result is a
       tree. alpha's subtree rises by s = level[alpha] - j and beta's falls
       by s; the state moves their labels' levels and the level rows from j
-      down, swaps alpha and beta between the children rows of gamma and p,
-      and resumes the level pass at j. Both subtree walks stop past n
-      labels, so a state whose rows do not form a tree is refused rather
-      than walked forever, and a refusal comes before any change.
+      down (see ``_rehung``), and resumes the level pass at j. A refusal
+      comes before any change.
     - Any other plan is proved a tree by the traversal; for the scan's own
       LEVEL_CASE_PARENT and LEVEL_CASE_GRANDCHILD plans the state is
       rebuilt from it, and the level pass resumes at the witness level j."""
@@ -141,13 +139,9 @@ def apply_switch(tree: LabeledTree, plan: SwitchPlan) -> LabeledTree:
     if own:
         tree._scan = scan.violation = None
     successor = tree._switched(plan.u, plan.v, plan.w, plan.t)
-    if own and found.kind is ViolationKind.SAME_LEVEL:
-        a, gamma, delta, b = plan.u, plan.v, plan.w, plan.t
-        scan.parent[gamma], scan.parent[delta] = b, a
-        _move(scan.children, ((a, gamma, delta), (b, delta, gamma)))
-    elif own and found.kind is ViolationKind.LEVEL_CASE_NONPARENT:
-        _rehung(scan, plan, tree.n)
-    else:
+    if own and found.kind is ViolationKind.LEVEL_CASE_NONPARENT:
+        _rehung(scan, plan, tree._adj)
+    elif not (own and found.kind is ViolationKind.SAME_LEVEL):
         info = successor.bfs_levels()
         if len(info.order) < tree.n:
             raise SwitchError(
@@ -181,39 +175,44 @@ def switch_sign(
     return SwitchSign.TIE, product
 
 
-def _is_proper_descendant(level: Sequence[int], parent: Sequence[int], node: int,
+def _parent(adj: Sequence[Sequence[int]], level: Sequence[int], x: int) -> int:
+    """The neighbour of the non-root vertex x one level up."""
+    up = level[x] - 1
+    for v in adj[x]:
+        if level[v] == up:
+            return v
+
+
+def _is_proper_descendant(adj: Sequence[Sequence[int]], level: Sequence[int], node: int,
                           ancestor: int) -> bool:
     x = node
     target_level = level[ancestor]
     while level[x] > target_level:
-        x = parent[x]
+        x = _parent(adj, level, x)
     return x == ancestor and node != ancestor
 
 
 def _level_violation(
-    level: Sequence[int],
-    parent: Sequence[int],
-    children: Sequence[Sequence[int]],
-    alpha: int,
-    beta: int,
+    adj: Sequence[Sequence[int]], level: Sequence[int], alpha: int, beta: int
 ) -> Violation:
     # alpha out-scores beta, so alpha < beta and deg(alpha) >= deg(beta).
     # In the two cases that recycle a child of alpha, beta has a parent and
     # a child, so deg(alpha) >= 2 and alpha has a child below it.
-    gamma = parent[beta]
-    if _is_proper_descendant(level, parent, alpha, beta):
+    gamma = _parent(adj, level, beta)
+    if _is_proper_descendant(adj, level, alpha, beta):
         # alpha is beta's child, or sits at depth >= 2 inside beta's subtree.
         # Swapping via alpha's parent would then repeat beta or reconnect two
-        # vertices of that subtree and close a cycle, so recycle one of
-        # alpha's children instead.
-        if parent[alpha] == beta:
+        # vertices of that subtree and close a cycle, so recycle alpha's
+        # smallest child instead: its smallest neighbour one level down.
+        if _parent(adj, level, alpha) == beta:
             kind = ViolationKind.LEVEL_CASE_PARENT
         else:
             kind = ViolationKind.LEVEL_CASE_GRANDCHILD
-        return Violation(kind, SwitchPlan(alpha, children[alpha][0], gamma, beta))
+        child = next(v for v in adj[alpha] if level[v] > level[alpha])
+        return Violation(kind, SwitchPlan(alpha, child, gamma, beta))
     return Violation(
         ViolationKind.LEVEL_CASE_NONPARENT,
-        SwitchPlan(alpha, parent[alpha], gamma, beta),
+        SwitchPlan(alpha, _parent(adj, level, alpha), gamma, beta),
     )
 
 
@@ -290,14 +289,16 @@ class _Scan:
     """The disorder scan's state on one tree, kept on it as ``_scan``.
 
     ``key`` is the accepted (type(q), q) and ``scores`` its contract's
-    scores. ``level`` and ``parent`` are indexed by label, as in
-    ``BfsLevels``; ``children[u]`` and ``by_level[k]`` are ascending label
-    lists. The cursor is the pass (``same_level``) and the level ``at`` it
-    resumes from: no level before ``at`` of that pass holds a disorder, nor
-    does any level of the level pass once ``same_level`` is set.
-    ``violation`` is what the last scan returned. A state belongs to one
-    tree and shares no list: ``apply_switch`` takes it off the tree and
-    edits it in place into the successor's, or drops it.
+    scores. ``level`` is indexed by label, as in ``BfsLevels``, and
+    ``by_level[k]`` is the ascending list of the labels on level k. The
+    state holds no parent or child: the scan reads those off the tree's own
+    ascending neighbour rows ``_adj`` (see ``find_violation``). The cursor
+    is the pass (``same_level``) and the level ``at`` it resumes from: no
+    level before ``at`` of that pass holds a disorder, nor does any level
+    of the level pass once ``same_level`` is set. ``violation`` is what the
+    last scan returned. A state belongs to one tree and shares no list:
+    ``apply_switch`` takes it off the tree and hands it on to the
+    successor, edited in place where the switch moves levels, or drops it.
 
     In the same-level pass the cursor also holds a place in the group
     ``by_level[at]``: the pass resumes at its parent ``first``, and no
@@ -310,22 +311,20 @@ class _Scan:
     The table is only a filter: the pass confirms each candidate parent
     against the parents after it, so a too small entry costs time and
     never changes the answer. So a switch between the group's parents
-    a = ``first`` and b = ``dirty`` keeps the table in the moved state. The
-    switch moves a's last child gamma to b and b's first child delta <
+    a = ``first`` and b = ``dirty`` keeps the table in the handed-on state.
+    The switch moves a's last child gamma to b and b's first child delta <
     gamma to a. Entries from b on cover neither and keep their values.
     Every other entry covers b, whose new first child exceeds delta, and
     one before a also covers a, whose new first child is its old one or
     delta; both were in the old minimum, so no minimum falls."""
 
-    __slots__ = ("key", "scores", "level", "parent", "children", "by_level",
-                 "same_level", "at", "least_after", "first", "dirty", "violation")
+    __slots__ = ("key", "scores", "level", "by_level", "same_level", "at",
+                 "least_after", "first", "dirty", "violation")
 
     def __init__(self, key: tuple, scores: ScoreAssignment, level: list[int],
-                 parent: list[int], children: list[list[int]],
                  by_level: list[list[int]], at: int):
         self.key, self.scores = key, scores
-        self.level, self.parent = level, parent
-        self.children, self.by_level = children, by_level
+        self.level, self.by_level = level, by_level
         self.same_level, self.at = False, at
         self.least_after, self.first, self.dirty = None, 0, 0
         self.violation = None
@@ -333,59 +332,48 @@ class _Scan:
 
 def _fresh_scan(info: BfsLevels, key: tuple, scores: ScoreAssignment, at: int) -> _Scan:
     """The state of a level pass at level ``at`` over the traversal ``info``."""
-    level, parent = list(info.level), list(info.parent)
-    # children is indexed by label, like the traversal; a leaf's is empty.
+    level = list(info.level)
     by_level: list[list[int]] = [[1]] + [[] for _ in range(level[info.order[-1]])]
-    children: list[list[int]] = [[] for _ in level]
     for u in range(2, len(level)):
         by_level[level[u]].append(u)
-        children[parent[u]].append(u)
-    return _Scan(key, scores, level, parent, children, by_level, at)
+    return _Scan(key, scores, level, by_level, at)
 
 
-def _move(children: list[list[int]], moves: tuple[tuple[int, int, int], ...]) -> None:
-    """Each (x, out, into) of ``moves`` takes ``out`` out of the row
-    ``children[x]`` and puts ``into`` into it, in order."""
-    for x, out, into in moves:
-        row = children[x]
-        row.remove(out)
-        insort(row, into)
-
-
-def _rehung(scan: _Scan, plan: SwitchPlan, n: int) -> None:
+def _rehung(scan: _Scan, plan: SwitchPlan, adj: Sequence[Sequence[int]]) -> None:
     """Edit ``scan`` in place into the state of the tree after its own
     LEVEL_CASE_NONPARENT plan (alpha, p, gamma, beta), proved a tree as
     ``apply_switch`` states; the cursor stays at beta's level j, where the
     scan found the plan. Raises SwitchError, before any edit, when alpha
-    lies in beta's subtree, or when a subtree walk passes n labels."""
-    alpha, p, gamma, beta = plan.u, plan.v, plan.w, plan.t
-    level, parent, children, by_level = scan.level, scan.parent, scan.children, scan.by_level
+    lies in beta's subtree.
+
+    ``adj`` holds the neighbour rows of the tree before the switch, which
+    the state's levels describe. Each subtree walk takes, from every label
+    it holds, the neighbours one level down. Over the rows after the
+    switch it would go wrong: there p is beta's neighbour, and lies deeper
+    than beta whenever level[alpha] - 1 > j. The rows are a validated
+    tree's, and a tree has one path between two labels, so a walk along
+    strictly rising levels visits no label twice and ends within n labels.
+    Every level is read before any is written."""
+    alpha, beta = plan.u, plan.t
+    level, by_level = scan.level, scan.by_level
     j, deep = level[beta], level[alpha]
-    if _is_proper_descendant(level, parent, alpha, beta):
+    if _is_proper_descendant(adj, level, alpha, beta):
         raise SwitchError(
             f"switch {plan} does not produce a tree: {alpha} lies in the subtree of {beta}"
         )
     # arrivals[k - j] gathers the labels whose new level is k.
     arrivals: list[list[int]] = [[] for _ in range(len(by_level) - j)]
     for root, k in ((alpha, j), (beta, deep)):
-        layer, seen = [root], 0
+        layer = [root]
         while layer:
-            seen += len(layer)
-            if seen > n:
-                raise SwitchError(
-                    f"switch {plan}: the subtree of {root} holds more than {n} labels, "
-                    "so the kept scan state is not a tree's"
-                )
             if k - j == len(arrivals):
                 arrivals.append([])
             arrivals[k - j] += layer
-            layer = [c for u in layer for c in children[u]]
+            layer = [c for u in layer for c in adj[u] if level[c] > level[u]]
             k += 1
     for k, arrived in enumerate(arrivals, j):
         for u in arrived:
             level[u] = k
-    parent[alpha], parent[beta] = gamma, p
-    _move(children, ((gamma, beta, alpha), (p, alpha, beta)))
     # A label keeps its level unless it moved, and a moved label changed it.
     by_level += [[] for _ in range(j + len(arrivals) - len(by_level))]
     for k, arrived in enumerate(arrivals, j):
@@ -400,8 +388,8 @@ def _rehung(scan: _Scan, plan: SwitchPlan, n: int) -> None:
 def _scan_of(tree: LabeledTree, q: float) -> _Scan:
     """The tree's kept scan state, made at level 1 of the level pass by the
     first scan. The contract is checked for a state that holds no accepted
-    q or another one; a switch keeps the degrees, so a moved state keeps
-    its accepted q and scores. A refusal is never kept."""
+    q or another one; a switch keeps the degrees, so a handed-on state
+    keeps its accepted q and scores. A refusal is never kept."""
     key = (type(q), q)
     scan = tree._scan
     if scan is None or scan.key != key:
@@ -428,15 +416,19 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
     greedy tree. Every returned plan has switch_sign DECREASE. Raises
     ValueError outside that contract. Once it holds, both passes compare
     labels alone: u out-scores v exactly when u < v, so a parent's
-    least-scored child is its largest label and its best-scored its smallest.
+    least-scored child is its largest label and its best-scored its
+    smallest. The level pass reads a vertex's parent as its neighbour one
+    level up. Once it finds no disorder, every label on a level lies
+    below every deeper label, so a non-root vertex's smallest neighbour
+    is its parent and the rest of its ascending row are its children.
 
     The tree keeps the scan's state, and the scan resumes at the state's
     cursor, so a repeated call returns the same answer. ``apply_switch``
-    moves the state to the successor when it applies the plan returned
-    here: a same-level or LEVEL_CASE_NONPARENT switch edits what it
-    changes in place, and any other switch rebuilds the state from the
-    traversal that proves its tree. Four facts make the successor's
-    resumed scan return what a fresh one would:
+    hands the state on to the successor when it applies the plan returned
+    here: a same-level switch keeps it as it is, a LEVEL_CASE_NONPARENT
+    switch edits the levels it moves in place, and any other switch
+    rebuilds the state from the traversal that proves its tree. Four facts
+    make the successor's resumed scan return what a fresh one would:
 
     - The level pass never goes back. A level switch with witness level j
       keeps the label set of every level above j, and so the set of labels
@@ -454,16 +446,16 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
       and recomputes only the suffix minima from a to b.
     """
     scan = _scan_of(tree, q)
-    scan.violation = _resume(scan, tree.n)
+    scan.violation = _resume(scan, tree._adj)
     return scan.violation
 
 
-def _resume(scan: _Scan, n: int) -> Violation | None:
-    """The disorder scan from the cursor of ``scan``, which it leaves at the
-    disorder found, or past the last level when there is none. At a
-    same-level disorder the cursor is its level, the group's suffix minima
-    and the indices of a and b (see ``_Scan``)."""
-    by_level, children = scan.by_level, scan.children
+def _resume(scan: _Scan, adj: Sequence[Sequence[int]]) -> Violation | None:
+    """The disorder scan over the neighbour rows ``adj`` from the cursor of
+    ``scan``, which it leaves at the disorder found, or past the last level
+    when there is none. At a same-level disorder the cursor is its level,
+    the group's suffix minima and the indices of a and b (see ``_Scan``)."""
+    by_level, n = scan.by_level, len(adj) - 1
     depth = len(by_level) - 1
     if not scan.same_level:
         # Level pass: a deeper vertex out-scoring a shallower one. Scores
@@ -480,14 +472,20 @@ def _resume(scan: _Scan, n: int) -> Violation | None:
             i = bisect_right(row, least_below[j])
             if i < len(row):
                 scan.at = j
-                return _level_violation(scan.level, scan.parent, children,
-                                        least_below[j], row[i])
-        scan.same_level, scan.at = True, 0
+                return _level_violation(adj, scan.level, least_below[j], row[i])
+        # The root sits alone on level 0, so the same-level pass starts at
+        # level 1, where every vertex's row is its parent and then its
+        # children, ascending (see ``find_violation``). That also keeps the
+        # one-vertex tree's empty row out of the pass.
+        scan.same_level, scan.at = True, 1
 
     # Same-level pass: a out-scores each later b of its ascending group, but
     # a's last child gamma is out-scored by b's first child delta. The first
     # such a is the first whose gamma exceeds the least first child of the
-    # parents after it, and its b the first of those below gamma.
+    # parents after it, and its b the first of those below gamma. A
+    # vertex's first child, when it has one, is row[1], and its last is
+    # row[-1]. A leaf's row[-1] is its parent, which lies below every label
+    # on level j + 1 and below n + 1, so it never passes the test on gamma.
     least_after = scan.least_after
     for j in range(scan.at, depth + 1):
         group = by_level[j]
@@ -497,20 +495,19 @@ def _resume(scan: _Scan, n: int) -> Violation | None:
             first, end = scan.first, scan.dirty
         least = least_after[end]
         for i in range(end - 1, first - 1, -1):
-            kids = children[group[i + 1]]
-            if kids and kids[0] < least:
-                least = kids[0]
+            row = adj[group[i + 1]]
+            if len(row) > 1 and row[1] < least:
+                least = row[1]
             least_after[i] = least
         for i in range(first, len(group)):
-            kids_a = children[group[i]]
-            if kids_a and kids_a[-1] > least_after[i]:
-                gamma = kids_a[-1]
+            gamma = adj[group[i]][-1]
+            if gamma > least_after[i]:
                 for k in range(i + 1, len(group)):
-                    kids_b = children[group[k]]
-                    if kids_b and gamma > kids_b[0]:
+                    row = adj[group[k]]
+                    if len(row) > 1 and gamma > row[1]:
                         scan.at, scan.least_after, scan.first, scan.dirty = j, least_after, i, k
                         return Violation(ViolationKind.SAME_LEVEL,
-                                         SwitchPlan(group[i], gamma, kids_b[0], group[k]))
+                                         SwitchPlan(group[i], gamma, row[1], group[k]))
         least_after = None
     scan.at, scan.least_after = depth + 1, None
     return None

@@ -50,8 +50,8 @@ LEDGER = [
     {
         "name": "suffix minimum over the last children",
         "path": "src/sombortrees/switching.py",
-        "old": "if kids and kids[0] < least:\n                least = kids[0]",
-        "new": "if kids and kids[-1] < least:\n                least = kids[-1]",
+        "old": "if len(row) > 1 and row[1] < least:\n                least = row[1]",
+        "new": "if len(row) > 1 and row[-1] < least:\n                least = row[-1]",
         "nodes": ["tests/test_switching.py::test_find_violation_matches_reference_along_descent[0]"],
     },
     {
@@ -205,11 +205,25 @@ LEDGER = [
         "nodes": ["tests/test_switching.py::test_handed_on_state_matches_the_successors_traversal_along_descent"],
     },
     {
-        "name": "children filed under their own label",
+        "name": "same-level partner's first child read as its parent",
         "path": "src/sombortrees/switching.py",
-        "old": "children[parent[u]].append(u)",
-        "new": "children[u].append(u)",
+        "old": "if len(row) > 1 and gamma > row[1]:",
+        "new": "if len(row) > 1 and gamma > row[0]:",
         "nodes": ["tests/test_switching.py::test_find_violation_matches_reference_along_descent[0]"],
+    },
+    {
+        "name": "recycled child taken one level up",
+        "path": "src/sombortrees/switching.py",
+        "old": "if level[v] > level[alpha])",
+        "new": "if level[v] < level[alpha])",
+        "nodes": ["tests/test_switching.py::test_every_degree_ordered_tree_up_to_9_descends_along_the_reference"],
+    },
+    {
+        "name": "same-level pass started at the root's level",
+        "path": "src/sombortrees/switching.py",
+        "old": "scan.same_level, scan.at = True, 1",
+        "new": "scan.same_level, scan.at = True, 0",
+        "nodes": ["tests/test_switching.py::test_descend_single_vertex"],
     },
     {
         "name": "plan label above n raised as an IndexError",
@@ -228,15 +242,8 @@ LEDGER = [
     {
         "name": "same-level pass resumed one level past the switch",
         "path": "src/sombortrees/switching.py",
-        "old": "scan.parent[gamma], scan.parent[delta] = b, a\n",
-        "new": "scan.parent[gamma], scan.parent[delta] = b, a\n        scan.at += 1\n",
-        "nodes": ["tests/test_switching.py::test_every_degree_ordered_tree_up_to_9_descends_along_the_reference"],
-    },
-    {
-        "name": "same-level hand-on that moves one children row",
-        "path": "src/sombortrees/switching.py",
-        "old": "((a, gamma, delta), (b, delta, gamma))",
-        "new": "((a, gamma, delta),)",
+        "old": "= j, least_after, i, k",
+        "new": "= j + 1, None, i, k",
         "nodes": ["tests/test_switching.py::test_every_degree_ordered_tree_up_to_9_descends_along_the_reference"],
     },
     {
@@ -249,8 +256,8 @@ LEDGER = [
     {
         "name": "same-level step proved by a traversal",
         "path": "src/sombortrees/switching.py",
-        "old": "if own and found.kind is ViolationKind.SAME_LEVEL:",
-        "new": "if False:",
+        "old": "elif not (own and found.kind is ViolationKind.SAME_LEVEL):",
+        "new": "elif True:",
         "nodes": ["tests/test_switching.py::test_a_descent_traverses_once_plus_once_per_parent_or_grandchild_step"],
     },
     {
@@ -270,7 +277,7 @@ LEDGER = [
     {
         "name": "NONPARENT hand-on without its premise walk",
         "path": "src/sombortrees/switching.py",
-        "old": "j, deep = level[beta], level[alpha]\n    if _is_proper_descendant(level, parent, alpha, beta):",
+        "old": "j, deep = level[beta], level[alpha]\n    if _is_proper_descendant(adj, level, alpha, beta):",
         "new": "j, deep = level[beta], level[alpha]\n    if False:",
         "nodes": ["tests/test_switching.py::test_nonparent_hand_on_refuses_alpha_inside_betas_subtree"],
     },
@@ -279,6 +286,13 @@ LEDGER = [
         "path": "src/sombortrees/switching.py",
         "old": "for root, k in ((alpha, j), (beta, deep)):",
         "new": "for root, k in ((alpha, j),):",
+        "nodes": ["tests/test_switching.py::test_handed_on_state_matches_the_successors_traversal_along_descent"],
+    },
+    {
+        "name": "NONPARENT hand-on that walks the subtrees over the switched rows",
+        "path": "src/sombortrees/switching.py",
+        "old": "_rehung(scan, plan, tree._adj)",
+        "new": "_rehung(scan, plan, successor._adj)",
         "nodes": ["tests/test_switching.py::test_handed_on_state_matches_the_successors_traversal_along_descent"],
     },
     {
@@ -314,6 +328,16 @@ EQUIVALENT = [
         "why": "a same-level switch only raises the group's suffix minima, so an entry"
                " left unrecomputed is a lower bound; the table only filters candidate"
                " parents, and the pass confirms each one against the parents after it.",
+    },
+    {
+        "name": "same-level suffix minima over the parents themselves",
+        "path": "src/sombortrees/switching.py",
+        "old": "if len(row) > 1 and row[1] < least:\n                least = row[1]",
+        "new": "if len(row) > 1 and row[0] < least:\n                least = row[0]",
+        "why": "the row of a parent on level j starts with its own parent on level"
+               " j - 1, below every first child, so each entry is a lower bound; the table only"
+               " filters candidate parents, and the pass confirms each one against"
+               " the parents after it, so only the time changes.",
     },
     {
         "name": "switched tree that derives its edges on every read",
