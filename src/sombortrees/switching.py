@@ -95,60 +95,49 @@ def apply_switch(tree: LabeledTree, plan: SwitchPlan) -> LabeledTree:
     """Carry out the switch; every vertex keeps its degree.
 
     Once the plan's four adjacency checks pass, the switched edge set has
-    n - 1 distinct edges, so one traversal from vertex 1 decides whether it
-    is a tree; the new tree keeps that traversal. Two plans of the tree's
-    own scan take a proof in its place. The new tree is made from the four
-    neighbour rows the switch changes, and reads its edges off its rows
-    when they are first asked for (see ``LabeledTree._switched``).
+    n - 1 distinct edges, so it is a tree exactly when it is connected. The
+    new tree is made from the four neighbour rows the switch changes, and
+    reads its edges off its rows when they are first asked for (see
+    ``LabeledTree._switched``).
 
     When ``plan`` is the plan that the tree's own scan returned, the scan's
     state moves to the new tree (see ``find_violation``) and the tree keeps
     none, so a later scan of the tree, as after ``switch_sign`` on that
-    plan, starts afresh. For any other plan the new tree's first scan starts
-    afresh.
+    plan, starts afresh. The state then proves the new tree a tree:
 
-    - A SAME_LEVEL plan (a, gamma, delta, b) takes no traversal. Here a and
-      b are distinct vertices on one level j, with children gamma and
-      delta. Dropping {a, gamma} and {delta, b} leaves three parts: the
-      subtrees of gamma and delta, which lie below level j, and the rest,
-      which holds the root, a and b. {a, delta} and {gamma, b} each join
-      one subtree to the rest, so the result is a tree in which every
-      vertex keeps its level. The state holds no parent or child, so it
-      is handed on as it is: its levels, level rows and cursor stay
-      valid, and the same-level pass resumes at parent a of level j's
-      group, with the group's suffix minima (see ``_Scan``).
-    - A LEVEL_CASE_NONPARENT plan (alpha, p, gamma, beta) takes no
-      traversal either. Here p and gamma are the parents of alpha and
-      beta, and beta's level j lies above alpha's. alpha is not in beta's
-      subtree, which a walk up from alpha to level j checks, and beta is not
-      in alpha's, which lies below level j; so the two subtrees are
-      disjoint, and neither holds the root, p or gamma. Dropping {alpha, p}
-      and {gamma, beta} leaves them and the rest, and {alpha, gamma} and
-      {p, beta} each join one of them to the rest, so the result is a
-      tree. alpha's subtree rises by s = level[alpha] - j and beta's falls
-      by s; the state moves their labels' levels and the level rows from j
-      down (see ``_rehung``), and resumes the level pass at j. A refusal
-      comes before any change.
-    - Any other plan is proved a tree by the traversal; for the scan's own
-      LEVEL_CASE_PARENT and LEVEL_CASE_GRANDCHILD plans the state is
-      rebuilt from it, and the level pass resumes at the witness level j."""
+    - A SAME_LEVEL plan (a, gamma, delta, b) needs no edit. Here a and b
+      are distinct vertices on one level j, with children gamma and delta.
+      Dropping {a, gamma} and {delta, b} leaves three parts: the subtrees
+      of gamma and delta, which lie below level j, and the rest, which
+      holds the root, a and b. {a, delta} and {gamma, b} each join one
+      subtree to the rest, so the result is a tree in which every vertex
+      keeps its level. The state holds no parent or child, so its levels,
+      level rows and cursor stay valid, and the same-level pass resumes at
+      parent a of level j's group, with the group's suffix minima (see
+      ``_Scan``).
+    - A level plan is re-levelled from its witness level j (see
+      ``_relevel``), which refuses it unless the result is a tree, and the
+      level pass resumes at j.
+
+    For any other plan one traversal from vertex 1 decides whether the
+    result is a tree, the new tree keeps that traversal, and its first scan
+    starts afresh."""
     _require_plan_applies(tree, plan)
     scan = tree._scan
     found = scan.violation if scan is not None else None
     own = found is not None and (plan is found.plan or plan == found.plan)
-    if own:
-        tree._scan = scan.violation = None
     successor = tree._switched(plan.u, plan.v, plan.w, plan.t)
-    if own and found.kind is ViolationKind.LEVEL_CASE_NONPARENT:
-        _rehung(scan, plan, tree._adj)
-    elif not (own and found.kind is ViolationKind.SAME_LEVEL):
+    if not own:
         info = successor.bfs_levels()
         if len(info.order) < tree.n:
             raise SwitchError(
                 f"switch {plan} does not produce a tree: vertex 1 reaches "
                 f"{len(info.order)} of {tree.n} labels, so the edges close a cycle"
             )
-        scan = _fresh_scan(info, scan.key, scan.scores, scan.at) if own else None
+        return successor
+    tree._scan = scan.violation = None
+    if found.kind is not ViolationKind.SAME_LEVEL:
+        _relevel(scan, successor._adj, plan)
     successor._scan = scan
     return successor
 
@@ -183,15 +172,6 @@ def _parent(adj: Sequence[Sequence[int]], level: Sequence[int], x: int) -> int:
             return v
 
 
-def _is_proper_descendant(adj: Sequence[Sequence[int]], level: Sequence[int], node: int,
-                          ancestor: int) -> bool:
-    x = node
-    target_level = level[ancestor]
-    while level[x] > target_level:
-        x = _parent(adj, level, x)
-    return x == ancestor and node != ancestor
-
-
 def _level_violation(
     adj: Sequence[Sequence[int]], level: Sequence[int], alpha: int, beta: int
 ) -> Violation:
@@ -199,7 +179,12 @@ def _level_violation(
     # In the two cases that recycle a child of alpha, beta has a parent and
     # a child, so deg(alpha) >= 2 and alpha has a child below it.
     gamma = _parent(adj, level, beta)
-    if _is_proper_descendant(adj, level, alpha, beta):
+    # alpha lies below beta's level j, and lies in beta's subtree exactly
+    # when the walk up from alpha to level j ends at beta.
+    x, j = alpha, level[beta]
+    while level[x] > j:
+        x = _parent(adj, level, x)
+    if x == beta:
         # alpha is beta's child, or sits at depth >= 2 inside beta's subtree.
         # Swapping via alpha's parent would then repeat beta or reconnect two
         # vertices of that subtree and close a cycle, so recycle alpha's
@@ -298,7 +283,8 @@ class _Scan:
     of the level pass once ``same_level`` is set. ``violation`` is what the
     last scan returned. A state belongs to one tree and shares no list:
     ``apply_switch`` takes it off the tree and hands it on to the
-    successor, edited in place where the switch moves levels, or drops it.
+    successor, re-levelled in place from the cursor's level down where the
+    switch moves levels (see ``_relevel``), or drops it.
 
     In the same-level pass the cursor also holds a place in the group
     ``by_level[at]``: the pass resumes at its parent ``first``, and no
@@ -322,67 +308,65 @@ class _Scan:
                  "least_after", "first", "dirty", "violation")
 
     def __init__(self, key: tuple, scores: ScoreAssignment, level: list[int],
-                 by_level: list[list[int]], at: int):
+                 by_level: list[list[int]]):
         self.key, self.scores = key, scores
         self.level, self.by_level = level, by_level
-        self.same_level, self.at = False, at
+        self.same_level, self.at = False, 1
         self.least_after, self.first, self.dirty = None, 0, 0
         self.violation = None
 
 
-def _fresh_scan(info: BfsLevels, key: tuple, scores: ScoreAssignment, at: int) -> _Scan:
-    """The state of a level pass at level ``at`` over the traversal ``info``."""
+def _fresh_scan(info: BfsLevels, key: tuple, scores: ScoreAssignment) -> _Scan:
+    """The state of a level pass at level 1 over the traversal ``info``."""
     level = list(info.level)
     by_level: list[list[int]] = [[1]] + [[] for _ in range(level[info.order[-1]])]
     for u in range(2, len(level)):
         by_level[level[u]].append(u)
-    return _Scan(key, scores, level, by_level, at)
+    return _Scan(key, scores, level, by_level)
 
 
-def _rehung(scan: _Scan, plan: SwitchPlan, adj: Sequence[Sequence[int]]) -> None:
-    """Edit ``scan`` in place into the state of the tree after its own
-    LEVEL_CASE_NONPARENT plan (alpha, p, gamma, beta), proved a tree as
-    ``apply_switch`` states; the cursor stays at beta's level j, where the
-    scan found the plan. Raises SwitchError, before any edit, when alpha
-    lies in beta's subtree.
+def _relevel(scan: _Scan, adj: Sequence[Sequence[int]], plan: SwitchPlan) -> None:
+    """Edit ``scan`` in place into the state of the tree with neighbour rows
+    ``adj`` that its own level plan (alpha, x, gamma, beta) made, and raise
+    SwitchError unless those rows form a tree. The cursor stays at the
+    witness level j = ``at``, beta's level, where the level pass resumes.
 
-    ``adj`` holds the neighbour rows of the tree before the switch, which
-    the state's levels describe. Each subtree walk takes, from every label
-    it holds, the neighbours one level down. Over the rows after the
-    switch it would go wrong: there p is beta's neighbour, and lies deeper
-    than beta whenever level[alpha] - 1 > j. The rows are a validated
-    tree's, and a tree has one path between two labels, so a walk along
-    strictly rising levels visits no label twice and ends within n labels.
-    Every level is read before any is written."""
-    alpha, beta = plan.u, plan.t
-    level, by_level = scan.level, scan.by_level
-    j, deep = level[beta], level[alpha]
-    if _is_proper_descendant(adj, level, alpha, beta):
-        raise SwitchError(
-            f"switch {plan} does not produce a tree: {alpha} lies in the subtree of {beta}"
-        )
-    # arrivals[k - j] gathers the labels whose new level is k.
-    arrivals: list[list[int]] = [[] for _ in range(len(by_level) - j)]
-    for root, k in ((alpha, j), (beta, deep)):
-        layer = [root]
-        while layer:
-            if k - j == len(arrivals):
-                arrivals.append([])
-            arrivals[k - j] += layer
-            layer = [c for u in layer for c in adj[u] if level[c] > level[u]]
-            k += 1
-    for k, arrived in enumerate(arrivals, j):
-        for u in arrived:
-            level[u] = k
-    # A label keeps its level unless it moved, and a moved label changed it.
-    by_level += [[] for _ in range(j + len(arrivals) - len(by_level))]
-    for k, arrived in enumerate(arrivals, j):
-        row = [u for u in by_level[k] if level[u] == k]
-        row += arrived
+    In the old levels, j >= 1, and each dropped edge has an end on level j
+    or deeper: alpha of {alpha, x} lies below j, and beta of {gamma, beta}
+    on it. Each added edge, {alpha, gamma} and {x, beta}, joins a label on
+    level j - 1 or deeper to one on j or deeper. So every edge between two
+    labels above level j is kept, and no new edge joins a label on j or
+    deeper to one above j - 1. The new edges are n - 1, and the labels
+    above j still reach the root, so they form a tree exactly when a
+    traversal from row j - 1 into the labels of rows j and deeper reaches
+    all of them. In a tree that traversal gives them their new levels, one
+    layer a level, and the labels above j keep theirs."""
+    level, by_level, j = scan.level, scan.by_level, scan.at
+    unreached = 0
+    for row in by_level[j:]:
+        unreached += len(row)
+        for u in row:
+            level[u] = -1
+    del by_level[j:]
+    layer, k = by_level[-1], j
+    while True:
+        row = []
+        for u in layer:
+            for v in adj[u]:
+                if level[v] < 0:
+                    level[v] = k
+                    row.append(v)
+        if not row:
+            break
         row.sort()
-        by_level[k] = row
-    while not by_level[-1]:
-        by_level.pop()
+        by_level.append(row)
+        unreached -= len(row)
+        layer, k = row, k + 1
+    if unreached:
+        raise SwitchError(
+            f"switch {plan} does not produce a tree: the traversal from level "
+            f"{j - 1} misses {unreached} labels, so the edges close a cycle"
+        )
 
 
 def _scan_of(tree: LabeledTree, q: float) -> _Scan:
@@ -395,7 +379,7 @@ def _scan_of(tree: LabeledTree, q: float) -> _Scan:
     if scan is None or scan.key != key:
         scores = _contract_scores(tree, q)
         if scan is None:
-            scan = tree._scan = _fresh_scan(tree.bfs_levels(), key, scores, 1)
+            scan = tree._scan = _fresh_scan(tree.bfs_levels(), key, scores)
         scan.key, scan.scores = key, scores
     return scan
 
@@ -425,10 +409,10 @@ def find_violation(tree: LabeledTree, q: float) -> Violation | None:
     The tree keeps the scan's state, and the scan resumes at the state's
     cursor, so a repeated call returns the same answer. ``apply_switch``
     hands the state on to the successor when it applies the plan returned
-    here: a same-level switch keeps it as it is, a LEVEL_CASE_NONPARENT
-    switch edits the levels it moves in place, and any other switch
-    rebuilds the state from the traversal that proves its tree. Four facts
-    make the successor's resumed scan return what a fresh one would:
+    here: a same-level switch keeps it as it is, and a level switch
+    re-levels it in place from its witness level down, with no traversal
+    of the whole tree (see ``_relevel``). Four facts make the successor's
+    resumed scan return what a fresh one would:
 
     - The level pass never goes back. A level switch with witness level j
       keeps the label set of every level above j, and so the set of labels
@@ -572,14 +556,13 @@ def descend(tree: LabeledTree, q: float) -> tuple[LabeledTree, DescentTrace]:
     Each scan resumes from the state that the switch moved from its
     predecessor (see ``find_violation``). That state carries the contract's
     accepted q and scores, so only the start tree is checked against the
-    contract. A same-level or LEVEL_CASE_NONPARENT step runs no traversal,
-    and a LEVEL_CASE_PARENT or LEVEL_CASE_GRANDCHILD step runs the one
-    that proves its tree a tree (see ``apply_switch``), so a descent
-    traverses 1 + (those steps) trees. SO and pSO are exact sums on an
-    ``indices._Grid`` and move by the switch's four edge terms. Each step
-    checks that pSO strictly falls, and the end checks both sums against
-    ``sombor`` and ``pseudo_sombor`` of the terminal tree. Only that end
-    and the start read a tree's edges, so no step builds an edge list.
+    contract. The handed-on state proves each successor a tree (see
+    ``apply_switch``), so a descent traverses its start tree and no other.
+    SO and pSO are exact sums on an ``indices._Grid`` and move by the
+    switch's four edge terms. Each step checks that pSO strictly falls,
+    and the end checks both sums against ``sombor`` and ``pseudo_sombor``
+    of the terminal tree. Only that end and the start read a tree's edges,
+    so no step builds an edge list.
     """
     scores = _scan_of(tree, q).scores
     so_grid = _Grid(tuple(map(len, tree._adj[1:])))

@@ -13,10 +13,9 @@ and deletion.
 
 A tree also keeps the disorder scan's state (``_scan``), which only
 ``switching`` reads and writes, and whose answers are a function of the
-tree. A same-level switch, and a level switch that re-hangs a vertex
-outside the subtree of the vertex it out-scores (LEVEL_CASE_NONPARENT),
-move that state to the successor in place of a traversal; each proves the
-successor a tree (see ``switching.apply_switch``).
+tree. A switch that the tree's own scan found moves that state to the
+successor in place of a traversal, and the state proves the successor a
+tree (see ``switching.apply_switch``).
 """
 
 from bisect import insort

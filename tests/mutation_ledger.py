@@ -235,8 +235,8 @@ LEDGER = [
     {
         "name": "level pass resumed one level past the witness level",
         "path": "src/sombortrees/switching.py",
-        "old": "_fresh_scan(info, scan.key, scan.scores, scan.at)",
-        "new": "_fresh_scan(info, scan.key, scan.scores, scan.at + 1)",
+        "old": "scan.at = j\n                return _level_violation(",
+        "new": "scan.at = j + 1\n                return _level_violation(",
         "nodes": ["tests/test_switching.py::test_every_degree_ordered_tree_up_to_9_descends_along_the_reference"],
     },
     {
@@ -256,9 +256,9 @@ LEDGER = [
     {
         "name": "same-level step proved by a traversal",
         "path": "src/sombortrees/switching.py",
-        "old": "elif not (own and found.kind is ViolationKind.SAME_LEVEL):",
-        "new": "elif True:",
-        "nodes": ["tests/test_switching.py::test_a_descent_traverses_once_plus_once_per_parent_or_grandchild_step"],
+        "old": "    if not own:\n",
+        "new": "    if not own or found.kind is ViolationKind.SAME_LEVEL:\n",
+        "nodes": ["tests/test_switching.py::test_a_descent_traverses_once"],
     },
     {
         "name": "hand-on that leaves the state on its predecessor",
@@ -275,32 +275,39 @@ LEDGER = [
         "nodes": ["tests/test_switching.py::test_find_violation_matches_reference_exhaustive"],
     },
     {
-        "name": "NONPARENT hand-on without its premise walk",
+        "name": "re-level that traverses the predecessor's rows",
         "path": "src/sombortrees/switching.py",
-        "old": "j, deep = level[beta], level[alpha]\n    if _is_proper_descendant(adj, level, alpha, beta):",
-        "new": "j, deep = level[beta], level[alpha]\n    if False:",
+        "old": "_relevel(scan, successor._adj, plan)",
+        "new": "_relevel(scan, tree._adj, plan)",
+        "nodes": ["tests/test_switching.py::test_handed_on_state_matches_the_successors_traversal_along_descent"],
+    },
+    {
+        "name": "re-level started one row past the witness level",
+        "path": "src/sombortrees/switching.py",
+        "old": "by_level, j = scan.level, scan.by_level, scan.at\n",
+        "new": "by_level, j = scan.level, scan.by_level, scan.at + 1\n",
+        "nodes": ["tests/test_switching.py::test_handed_on_state_matches_the_successors_traversal_along_descent"],
+    },
+    {
+        "name": "re-level that leaves its new rows unsorted",
+        "path": "src/sombortrees/switching.py",
+        "old": "        row.sort()\n        by_level.append(row)\n",
+        "new": "        by_level.append(row)\n",
+        "nodes": ["tests/test_switching.py::test_handed_on_state_matches_the_successors_traversal_along_descent"],
+    },
+    {
+        "name": "re-level without its count of reached labels",
+        "path": "src/sombortrees/switching.py",
+        "old": "    if unreached:\n",
+        "new": "    if False:\n",
         "nodes": ["tests/test_switching.py::test_nonparent_hand_on_refuses_alpha_inside_betas_subtree"],
     },
     {
-        "name": "NONPARENT hand-on that shifts alpha's subtree alone",
+        "name": "re-level that moves the cursor past the witness level",
         "path": "src/sombortrees/switching.py",
-        "old": "for root, k in ((alpha, j), (beta, deep)):",
-        "new": "for root, k in ((alpha, j),):",
-        "nodes": ["tests/test_switching.py::test_handed_on_state_matches_the_successors_traversal_along_descent"],
-    },
-    {
-        "name": "NONPARENT hand-on that walks the subtrees over the switched rows",
-        "path": "src/sombortrees/switching.py",
-        "old": "_rehung(scan, plan, tree._adj)",
-        "new": "_rehung(scan, plan, successor._adj)",
-        "nodes": ["tests/test_switching.py::test_handed_on_state_matches_the_successors_traversal_along_descent"],
-    },
-    {
-        "name": "NONPARENT hand-on that rebuilds the level rows from j + 1",
-        "path": "src/sombortrees/switching.py",
-        "old": "for k, arrived in enumerate(arrivals, j):\n        row =",
-        "new": "for k, arrived in enumerate(arrivals[1:], j + 1):\n        row =",
-        "nodes": ["tests/test_switching.py::test_handed_on_state_matches_the_successors_traversal_along_descent"],
+        "old": "    del by_level[j:]\n",
+        "new": "    del by_level[j:]\n    scan.at = j + 1\n",
+        "nodes": ["tests/test_switching.py::test_every_degree_ordered_tree_up_to_9_descends_along_the_reference"],
     },
     {
         "name": "trace writer that lays out the empty trace on two lines",
